@@ -357,15 +357,17 @@ def materialize(spec: KellerGraphSpec, *, max_dim: int = MAX_MATERIALIZE_DIM) ->
             f"dim {spec.dim} exceeds materialization guard {max_dim} "
             f"(4**{spec.dim} = {4**spec.dim} vertices)"
         )
+    return MaterializedGraph(spec=spec, adjacency=tuple(_adjacency_rows(spec)))
+
+
+def _adjacency_rows(spec: KellerGraphSpec) -> Iterator[int]:
+    """The adjacency bitset rows of a Keller graph, one vertex at a time."""
     n = spec.dim
-    nverts = 4**n
     star = spec.variant is GraphVariant.STAR
-    packed = np.arange(nverts, dtype=np.uint64)
-    rows = []
-    for u in range(nverts):
+    packed = np.arange(4**n, dtype=np.uint64)
+    for u in range(4**n):
         adj = _edge_rows(u, packed, n, star)
-        rows.append(int.from_bytes(np.packbits(adj, bitorder="little").tobytes(), "little"))
-    return MaterializedGraph(spec=spec, adjacency=tuple(rows))
+        yield int.from_bytes(np.packbits(adj, bitorder="little").tobytes(), "little")
 
 
 def plain_degree(dim: int) -> int:

@@ -8,6 +8,18 @@ target).  Vertices are relabeled once into descending degeneracy order
 (reverse of the repeated-minimum-degree removal sequence, ties by index), so
 search trees and node counts are reproducible.
 
+On a genuine Keller graph the search is symmetry-broken.  Every translation
+m -> m ^ c is an automorphism, so some optimal clique contains vertex 0; the
+automorphisms fixing 0 (coordinate permutations times per-coordinate x -> -x)
+split N(0) into classes keyed by the counts of digits 0 and 2, and each class
+is one orbit.  So the search runs one subproblem per class, largest class
+first: the clique starts as {0, r} for the class representative r (its
+smallest vertex) and grows inside N(0) & N(r), minus the classes already
+done.  One node counter, budget and incumbent span all subproblems.  Any
+other adjacency (for instance an induced subgraph) is searched whole.  Node
+counts and witness cliques therefore differ from versions without this
+reduction.
+
 The cyclic-invariant search looks for cliques closed under rotating the
 coordinates.  Such a clique is a union of whole rotation orbits, so the
 search runs on the orbit compatibility graph: one weighted vertex per orbit
@@ -19,10 +31,11 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import operator
 import time
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -31,6 +44,7 @@ from .core import (
     GraphVariant,
     KellerGraphSpec,
     MaterializedGraph,
+    _adjacency_rows,
     _low_mask,
     has_edge,
 )
@@ -135,18 +149,103 @@ def _relabel(adjacency: Sequence[int]) -> tuple[list[int], list[int]]:
     return new_adj, new_to_old
 
 
+def _row_bits(row: int, nverts: int) -> np.ndarray:
+    """Bitset row as a boolean array of length nverts."""
+    raw = np.frombuffer(row.to_bytes((nverts + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, bitorder="little")[:nverts].astype(bool)
+
+
+def _induced_rows(adjacency: Sequence[int], verts: np.ndarray) -> list[int]:
+    """Bitset rows of the subgraph induced on verts, vertex i naming verts[i]."""
+    nbytes = (len(adjacency) + 7) // 8
+    raw = b"".join(adjacency[v].to_bytes(nbytes, "little") for v in verts.tolist())
+    rows = np.frombuffer(raw, dtype=np.uint8).reshape(len(verts), nbytes)
+    sub = np.unpackbits(rows, axis=1, bitorder="little")[:, verts]
+    packed = np.packbits(sub, axis=1, bitorder="little")
+    return [int.from_bytes(r.tobytes(), "little") for r in packed]
+
+
+@dataclass(frozen=True)
+class _Subproblem:
+    """Extend the clique ``prefix`` (original vertex ids) within a candidate set.
+
+    ``adj`` is the relabeled subgraph induced on the candidates, all of them
+    adjacent to every prefix vertex; ``new_to_old`` maps its labels back to
+    original vertex ids.
+    """
+
+    prefix: tuple[int, ...]
+    adj: list[int]
+    new_to_old: list[int]
+
+
+def _stabilizer_classes(spec: KellerGraphSpec, row0: int) -> list[np.ndarray]:
+    """N(0) split by (count of digit 0, count of digit 2), largest class first.
+
+    The automorphisms fixing vector 0 are the coordinate permutations times
+    x -> -x on any set of coordinates; these classes are their orbits on
+    N(0) (row0 is vertex 0's adjacency row).  Each class is sorted; ties in
+    size keep the ascending order of the key.
+    """
+    n = spec.dim
+    nbrs = np.flatnonzero(_row_bits(row0, spec.num_vertices))
+    digits = (nbrs[:, None] >> (2 * np.arange(n))) & 3
+    key = (digits == 0).sum(axis=1) * (n + 1) + (digits == 2).sum(axis=1)
+    classes = [nbrs[key == k] for k in np.unique(key)]
+    classes.sort(key=len, reverse=True)
+    return classes
+
+
+def _keller_subproblems(g: MaterializedGraph) -> Iterator[_Subproblem]:
+    """One subproblem per Stab(0) class of N(0), built lazily.
+
+    Requires g to be the Keller graph of g.spec: translations move any
+    clique onto vertex 0, and Stab(0) then moves its member of the earliest
+    class onto that class's representative.
+    """
+    adjacency = g.adjacency
+    classes = _stabilizer_classes(g.spec, adjacency[0])
+    if not classes:
+        yield _Subproblem((0,), [], [])
+        return
+    allowed = _row_bits(adjacency[0], g.num_vertices)
+    for members in classes:
+        rep = int(members[0])
+        verts = np.flatnonzero(allowed & _row_bits(adjacency[rep], g.num_vertices))
+        adj, sub_to_vert = _relabel(_induced_rows(adjacency, verts))
+        yield _Subproblem((0, rep), adj, [int(verts[i]) for i in sub_to_vert])
+        allowed[members] = False
+
+
+def _subproblems(g: MaterializedGraph) -> Iterator[_Subproblem]:
+    """Symmetry-broken subproblems if g is its spec's Keller graph, else g whole.
+
+    The check rebuilds the spec's rows one at a time and stops at the first
+    row that differs.
+    """
+    rows = g.adjacency
+    if len(rows) == g.spec.num_vertices and all(map(operator.eq, rows, _adjacency_rows(g.spec))):
+        yield from _keller_subproblems(g)
+    else:
+        adj, new_to_old = _relabel(rows)
+        yield _Subproblem((), adj, new_to_old)
+
+
 class _CliqueSearch:
-    """Unweighted B&B.  prune_floor > 0 switches to decision pruning."""
+    """Unweighted B&B.  prune_floor > 0 switches to decision pruning.
+
+    ``run`` searches a sequence of subproblems under one node counter,
+    budget and incumbent; sizes (incumbent, target, ``on_improve``) count
+    the subproblem's prefix.
+    """
 
     def __init__(
         self,
-        adj: Sequence[int],
         target: Optional[int],
         prune_floor: int,
         budget: SearchBudget,
         on_improve: Optional[Callable[[int, int], None]] = None,
     ):
-        self.adj = adj
         self.target = target
         self.prune_floor = prune_floor
         self.node_limit = budget.node_limit
@@ -154,9 +253,12 @@ class _CliqueSearch:
             time.monotonic() + budget.time_limit if budget.time_limit is not None else None
         )
         self.on_improve = on_improve
-        self.best_mask = 0
+        self.adj: Sequence[int] = ()
+        self.sub: Optional[_Subproblem] = None
+        self.best: Optional[tuple[_Subproblem, int]] = None
         self.best_size = 0
         self.nodes = 0
+        self.note: Optional[str] = None
 
     def _tick(self) -> None:
         if self.node_limit is not None and self.nodes >= self.node_limit:
@@ -189,7 +291,7 @@ class _CliqueSearch:
 
     def _leaf(self, mask: int, size: int) -> None:
         if size > self.best_size:
-            self.best_mask, self.best_size = mask, size
+            self.best, self.best_size = (self.sub, mask), size
             if self.on_improve is not None:
                 self.on_improve(size, self.nodes)
             if self.target is not None and size >= self.target:
@@ -212,27 +314,36 @@ class _CliqueSearch:
                 self._leaf(rmask | bit, rsize + 1)
             cand ^= bit
 
-    def run(self) -> SearchStatus:
-        full = (1 << len(self.adj)) - 1
+    def run(self, subproblems: Iterable[_Subproblem]) -> SearchStatus:
+        """Search every subproblem; Ctrl-C ends it like an exhausted budget."""
         try:
-            if full:
-                self._expand(0, 0, full)
+            for sub in subproblems:
+                self.sub, self.adj = sub, sub.adj
+                self._leaf(0, len(sub.prefix))
+                if sub.adj:
+                    self._expand(0, len(sub.prefix), (1 << len(sub.adj)) - 1)
         except _Found:
             return SearchStatus.TARGET_FOUND
         except _Exhausted:
+            return SearchStatus.BUDGET_EXHAUSTED
+        except KeyboardInterrupt:
+            self.note = "interrupted"
             return SearchStatus.BUDGET_EXHAUSTED
         if self.target is not None:
             return SearchStatus.TARGET_REFUTED
         return SearchStatus.OPTIMAL
 
-
-def _mask_to_vector_set(mask: int, new_to_old: Sequence[int], spec: KellerGraphSpec) -> VectorSet:
-    members = []
-    while mask:
-        lsb = mask & -mask
-        members.append(CubeVector.from_index(spec.dim, new_to_old[lsb.bit_length() - 1]))
-        mask ^= lsb
-    return VectorSet(spec.dim, members)
+    def best_vertices(self) -> list[int]:
+        """Original vertex ids of the incumbent clique."""
+        if self.best is None:
+            return []
+        sub, mask = self.best
+        out = list(sub.prefix)
+        while mask:
+            lsb = mask & -mask
+            out.append(sub.new_to_old[lsb.bit_length() - 1])
+            mask ^= lsb
+        return out
 
 
 def _checked_outcome(
@@ -248,6 +359,20 @@ def _checked_outcome(
     return SearchOutcome(clique, status, nodes, note)
 
 
+def _search(
+    g: MaterializedGraph,
+    target: Optional[int],
+    prune_floor: int,
+    budget: SearchBudget,
+    on_improve: Optional[Callable[[int, int], None]],
+) -> SearchOutcome:
+    search = _CliqueSearch(target, prune_floor, budget, on_improve)
+    status = search.run(_subproblems(g))
+    dim = g.spec.dim
+    clique = VectorSet(dim, (CubeVector.from_index(dim, v) for v in search.best_vertices()))
+    return _checked_outcome(clique, g.spec, status, search.nodes, search.note)
+
+
 def max_clique(
     g: MaterializedGraph,
     budget: SearchBudget = SearchBudget(),
@@ -258,13 +383,10 @@ def max_clique(
 
     With ``budget.target_size`` set, stops early once a clique that large is
     found (TARGET_FOUND).  ``on_improve(size, nodes)`` is called whenever the
-    incumbent grows.
+    incumbent grows.  Ctrl-C ends the search as BUDGET_EXHAUSTED with note
+    "interrupted", keeping the incumbent.
     """
-    adj, new_to_old = _relabel(g.adjacency)
-    search = _CliqueSearch(adj, budget.target_size, 0, budget, on_improve)
-    status = search.run()
-    clique = _mask_to_vector_set(search.best_mask, new_to_old, g.spec)
-    return _checked_outcome(clique, g.spec, status, search.nodes)
+    return _search(g, budget.target_size, 0, budget, on_improve)
 
 
 def clique_decision(
@@ -281,11 +403,7 @@ def clique_decision(
     """
     if size < 1:
         raise ValueError("target size must be positive")
-    adj, new_to_old = _relabel(g.adjacency)
-    search = _CliqueSearch(adj, size, size - 1, budget, on_improve)
-    status = search.run()
-    clique = _mask_to_vector_set(search.best_mask, new_to_old, g.spec)
-    return _checked_outcome(clique, g.spec, status, search.nodes)
+    return _search(g, size, size - 1, budget, on_improve)
 
 
 # ---------------------------------------------------------------------------
@@ -419,6 +537,7 @@ class _WeightedExactSearch:
         )
         self.found_mask: Optional[int] = None
         self.nodes = 0
+        self.note: Optional[str] = None
 
     def _tick(self) -> None:
         if self.node_limit is not None and self.nodes >= self.node_limit:
@@ -473,11 +592,15 @@ class _WeightedExactSearch:
             cand ^= bit
 
     def run(self) -> SearchStatus:
+        """Search to the target; Ctrl-C ends it like an exhausted budget."""
         try:
             self._expand(0, 0, (1 << len(self.adj)) - 1)
         except _Found:
             return SearchStatus.TARGET_FOUND
         except _Exhausted:
+            return SearchStatus.BUDGET_EXHAUSTED
+        except KeyboardInterrupt:
+            self.note = "interrupted"
             return SearchStatus.BUDGET_EXHAUSTED
         return SearchStatus.TARGET_REFUTED
 
@@ -554,4 +677,4 @@ def invariant_clique_search(
             mask ^= lsb
         clique = VectorSet(n, members)
         return _checked_outcome(clique, spec, status, search.nodes)
-    return SearchOutcome(empty, status, search.nodes)
+    return SearchOutcome(empty, status, search.nodes, search.note)

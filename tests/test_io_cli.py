@@ -1,11 +1,14 @@
 """File formats, DIMACS export, and the command-line interface."""
 
+import os
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import keller
 from keller.cli import main
 from keller.construction import VectorSet
 from keller.core import (
@@ -191,6 +194,24 @@ def test_cli_search_budget_exhaustion_exit_1(capsys):
     assert "status: BUDGET_EXHAUSTED" in report
 
 
+def test_cli_search_interrupt_exit_1(capsys, monkeypatch):
+    from keller.search import _CliqueSearch
+
+    def interrupt(self, cand):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(_CliqueSearch, "_color_sort", interrupt)
+    code = main(["search", "--dim", "4", "--graph", "Gstar", "--target", "13"])
+    report = capsys.readouterr().out
+    assert code == 1
+    assert report.splitlines() == [
+        "status: BUDGET_EXHAUSTED",
+        "best clique size: 2",  # the first subproblem's prefix {0, r}
+        "nodes explored: 1",
+        "note: interrupted",
+    ]
+
+
 def test_cli_search_cyclic_invariant(capsys):
     code = main(["search", "--dim", "3", "--target", "8", "--cyclic-invariant"])
     report = capsys.readouterr().out
@@ -239,11 +260,16 @@ def test_cli_usage_error_exit_2():
 
 
 def test_console_entry_point():
+    # the child imports the same keller package as this test, installed or not
+    package_root = str(Path(keller.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "keller", "export", "--dim", "1", "--graph", "G",
          "--out", "/dev/null"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert "p edge 4 2" in proc.stdout

@@ -1,16 +1,33 @@
 """Branch-and-bound search, orbits, and the cyclic-invariant restriction."""
 
 import itertools
+import math
 import random
 from collections import Counter
 
 import networkx as nx
 import pytest
 
-from keller.core import CubeVector, GraphVariant, KellerGraphSpec, has_edge, materialize
+from keller.construction import VectorSet
+from keller.core import (
+    Automorphism,
+    CubeVector,
+    GraphVariant,
+    KellerGraphSpec,
+    MaterializedGraph,
+    enumerate_automorphisms,
+    has_edge,
+    materialize,
+)
 from keller.search import (
     SearchBudget,
     SearchStatus,
+    _CliqueSearch,
+    _relabel,
+    _stabilizer_classes,
+    _Subproblem,
+    _subproblems,
+    _WeightedExactSearch,
     clique_decision,
     cyclic_orbits,
     invariant_clique_search,
@@ -130,11 +147,172 @@ def test_early_stop_via_target_size_budget():
     assert len(out.best_clique) >= 4
 
 
+def test_budget_is_shared_across_subproblems():
+    # G*_4 decide 16 runs over nine Stab(0) subproblems in 98 nodes; every
+    # limit below that stops at exactly the limit
+    g = materialize(KellerGraphSpec(4, STAR))
+    for limit in (1, 2, 3, 50, 97):
+        out = clique_decision(g, 16, SearchBudget(node_limit=limit))
+        assert (out.status, out.nodes_explored) == (SearchStatus.BUDGET_EXHAUSTED, limit)
+    out = clique_decision(g, 16, SearchBudget(node_limit=98))
+    assert (out.status, out.nodes_explored) == (SearchStatus.TARGET_REFUTED, 98)
+
+
+def test_interrupt_keeps_incumbent():
+    g = materialize(KellerGraphSpec(4, STAR))
+    seen = []
+
+    def on_improve(size, nodes):
+        seen.append(size)
+        if size >= 6:
+            raise KeyboardInterrupt
+
+    out = max_clique(g, on_improve=on_improve)
+    assert out.status is SearchStatus.BUDGET_EXHAUSTED
+    assert out.note == "interrupted"
+    assert len(out.best_clique) == seen[-1] >= 6
+    assert verify_clique(out.best_clique, g.spec).is_clique
+
+
+def test_interrupt_in_weighted_search(monkeypatch):
+    def interrupt(self, cand):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(_WeightedExactSearch, "_color_sort", interrupt)
+    out = invariant_clique_search(3, 5)
+    assert out.status is SearchStatus.BUDGET_EXHAUSTED
+    assert out.note == "interrupted"
+    assert out.nodes_explored == 1
+    assert len(out.best_clique) == 0
+
+
 def test_budget_validation():
     with pytest.raises(ValueError):
         SearchBudget(node_limit=0)
     with pytest.raises(ValueError):
         SearchBudget(time_limit=0.0)
+
+
+# ---------------------------------------------------------------------------
+# symmetry breaking: vertex 0, then the Stab(0) class of the second vertex
+# ---------------------------------------------------------------------------
+
+def digit_key(v):
+    return v.digits.count(0), v.digits.count(2)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_translations_are_automorphisms(n):
+    # u -> u ^ v relabels coordinate i by x -> x ^ v_i, a 4-cycle symmetry
+    group = set(enumerate_automorphisms(n))
+    vecs = [CubeVector.from_index(n, i) for i in range(4**n)]
+    for v in vecs:
+        a = Automorphism(tuple(range(n)), tuple(tuple(x ^ d for x in range(4)) for d in v.digits))
+        assert a in group
+        assert all(a.apply(u).packed == u.packed ^ v.packed for u in vecs)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("variant", [PLAIN, STAR])
+def test_stabilizer_orbits_are_digit_count_classes(n, variant):
+    g = materialize(KellerGraphSpec(n, variant))
+    zero = CubeVector.from_index(n, 0)
+    stab = [a for a in enumerate_automorphisms(n) if a.apply(zero) == zero]
+    assert len(stab) == 2**n * math.factorial(n)
+    classes = [[CubeVector.from_index(n, int(v)) for v in c] for c in _stabilizer_classes(g.spec, g.adjacency[0])]
+    members = [v for c in classes for v in c]
+    assert sorted(v.packed for v in members) == [v for v in range(4**n) if g.has_edge_index(0, v)]
+    assert len({digit_key(c[0]) for c in classes}) == len(classes)
+    assert [len(c) for c in classes] == sorted((len(c) for c in classes), reverse=True)
+    for c in classes:
+        cls = set(c)
+        assert {digit_key(v) for v in c} == {digit_key(c[0])}
+        assert all(a.apply(v) in cls for a in stab for v in c)  # invariant
+        assert {a.apply(c[0]) for a in stab} == cls  # one orbit
+
+
+def test_reduction_only_on_keller_adjacency():
+    g = materialize(KellerGraphSpec(3, STAR))
+    subs = list(_subproblems(g))
+    assert len(subs) == len(_stabilizer_classes(g.spec, g.adjacency[0]))
+    assert all(sub.prefix[0] == 0 and len(sub.prefix) == 2 for sub in subs)
+    # drop one edge: no longer the Keller graph, so searched whole
+    u, v = next(g.edges())
+    rows = list(g.adjacency)
+    rows[u] ^= 1 << v
+    rows[v] ^= 1 << u
+    shim = MaterializedGraph(spec=g.spec, adjacency=tuple(rows))
+    (sub,) = _subproblems(shim)
+    assert sub.prefix == () and sorted(sub.new_to_old) == list(range(64))
+
+
+def unreduced(g, target):
+    """The B&B engine on the whole relabeled graph: (status, best size)."""
+    adj, new_to_old = _relabel(g.adjacency)
+    search = _CliqueSearch(target, 0 if target is None else target - 1, SearchBudget())
+    status = search.run([_Subproblem((), adj, new_to_old)])
+    dim = g.spec.dim
+    best = VectorSet(dim, (CubeVector.from_index(dim, v) for v in search.best_vertices()))
+    assert verify_clique(best, g.spec).is_clique
+    return status, search.best_size
+
+
+def assert_agree(reduced, full, target):
+    # the size of a decision run's incumbent depends on the search order;
+    # what both must share is the status and which side of the target it is
+    status, size = full
+    assert reduced.status is status
+    if status is SearchStatus.OPTIMAL:
+        assert len(reduced.best_clique) == size
+    elif status is SearchStatus.TARGET_FOUND:
+        assert len(reduced.best_clique) >= target and size >= target
+    else:
+        assert len(reduced.best_clique) < target and size < target
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("variant", [PLAIN, STAR])
+def test_reduced_search_matches_unreduced_small(n, variant):
+    g = materialize(KellerGraphSpec(n, variant))
+    omega = len(max_clique(g).best_clique)
+    assert_agree(max_clique(g), unreduced(g, None), None)
+    for target in range(1, omega + 2):
+        assert_agree(clique_decision(g, target), unreduced(g, target), target)
+
+
+@pytest.mark.parametrize("target", [12, 13, None])
+def test_reduced_search_matches_unreduced_g4_star(target):
+    g = materialize(KellerGraphSpec(4, STAR))
+    reduced = max_clique(g) if target is None else clique_decision(g, target)
+    assert_agree(reduced, unreduced(g, target), target)
+
+
+def test_reduced_search_node_counts_g4_star():
+    # the unreduced engine needs 748 322, 108 280 and 748 342 nodes here
+    g = materialize(KellerGraphSpec(4, STAR))
+    assert clique_decision(g, 13).nodes_explored == 477
+    assert clique_decision(g, 16).nodes_explored == 98
+    assert max_clique(g).nodes_explored == 556
+
+
+def test_clique_number_ground_truth():
+    for n, omega in ((2, 2), (3, 5), (4, 12)):
+        out = max_clique(materialize(KellerGraphSpec(n, STAR)))
+        assert (out.status, len(out.best_clique)) == (SearchStatus.OPTIMAL, omega)
+    for n in (1, 2, 3, 4):
+        out = max_clique(materialize(KellerGraphSpec(n, PLAIN)))
+        assert (out.status, len(out.best_clique)) == (SearchStatus.OPTIMAL, 2**n)
+    out = max_clique(materialize(KellerGraphSpec(1, STAR)))  # G*_1 has no edges
+    assert (out.status, len(out.best_clique)) == (SearchStatus.OPTIMAL, 1)
+
+
+def test_g5_star_has_a_28_clique():
+    # Corradi-Szabo (1990): the clique number of G*_5 is 28
+    g = materialize(KellerGraphSpec(5, STAR))
+    out = clique_decision(g, 28)
+    assert out.status is SearchStatus.TARGET_FOUND
+    assert len(out.best_clique) >= 28
+    assert verify_clique(out.best_clique, g.spec).is_clique
 
 
 # ---------------------------------------------------------------------------
