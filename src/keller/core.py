@@ -177,8 +177,12 @@ def has_edge(spec: KellerGraphSpec, m: CubeVector, m2: CubeVector) -> bool:
     return _packed_edge(m.packed ^ m2.packed, spec.dim, spec.variant is GraphVariant.STAR)
 
 
-def _edge_rows(packed: int, others: np.ndarray, dim: int, star: bool) -> np.ndarray:
-    """Vectorized edge test of one packed vector against an uint64 array."""
+def _edge_rows(packed: int | np.ndarray, others: np.ndarray, dim: int, star: bool) -> np.ndarray:
+    """Vectorized edge test of packed vectors against an uint64 array.
+
+    ``packed`` is one vector or an uint64 array that broadcasts against
+    ``others`` (a column against a row gives the full adjacency matrix).
+    """
     low = np.uint64(_low_mask(dim))
     one = np.uint64(1)
     x = np.uint64(packed) ^ others
@@ -331,11 +335,6 @@ class MaterializedGraph:
     def vector(self, v: int) -> CubeVector:
         return CubeVector.from_index(self.spec.dim, v)
 
-    def index_of(self, m: CubeVector) -> int:
-        if m.dim != self.spec.dim:
-            raise ValueError("dimension mismatch")
-        return m.index
-
     def edges(self) -> Iterator[tuple[int, int]]:
         """All edges as (u, v) with u < v, ascending."""
         for u, row in enumerate(self.adjacency):
@@ -383,12 +382,6 @@ def star_degree(dim: int) -> int:
     gap-2 coordinate.
     """
     return 4**dim - 3**dim - dim
-
-
-def all_vectors(dim: int) -> Iterator[CubeVector]:
-    """All 4^dim vectors in index order."""
-    for i in range(4**dim):
-        yield CubeVector.from_index(dim, i)
 
 
 def random_automorphism(dim: int, rng) -> Automorphism:

@@ -1,12 +1,18 @@
 """Exact clique search on Keller graphs.
 
-Branch and bound over Python-int bitsets with a greedy-coloring upper bound,
+One weighted branch and bound over Python-int bitsets serves every search,
 in the style of the BBMC family: candidates are colored greedily in vertex
 order, then branched highest color first, pruning when the current clique
 plus the color bound cannot beat the incumbent (or reach the decision
-target).  Vertices are relabeled once into descending degeneracy order
-(reverse of the repeated-minimum-degree removal sequence, ties by index), so
-search trees and node counts are reproducible.
+target).  A clique's size is its total vertex weight and a color class's
+bound is the running sum of each class's heaviest weight, so with unit
+weights (every Keller-graph search) the bound is the color number.  A node
+is one coloring of a non-empty candidate set; a branch whose candidate set
+is empty is a leaf and is not counted.  Every node entered is a clique, so
+it updates the incumbent: a decision run that runs out of budget still
+reports the largest clique it reached.  Vertices are relabeled once into
+descending degeneracy order (reverse of the repeated-minimum-degree removal
+sequence, ties by index), so search trees and node counts are reproducible.
 
 On a genuine Keller graph the search is symmetry-broken.  Every translation
 m -> m ^ c is an automorphism, so some optimal clique contains vertex 0; the
@@ -22,9 +28,12 @@ reduction.
 
 The cyclic-invariant search looks for cliques closed under rotating the
 coordinates.  Such a clique is a union of whole rotation orbits, so the
-search runs on the orbit compatibility graph: one weighted vertex per orbit
-whose internal pairs are all adjacent, an edge when every cross pair is
-adjacent, and a target on the total weight.
+search runs on the orbit compatibility graph: one vertex per orbit whose
+internal pairs are all adjacent, weighted by the orbit size, an edge when
+every cross pair is adjacent, and a target on the total weight that no
+branch may overshoot.  It is one subproblem, built inside the search so that
+Ctrl-C during the build ends it cleanly.  Its node counts are lower than in
+versions that counted leaves as nodes wherever a run reaches leaves.
 """
 
 from __future__ import annotations
@@ -32,6 +41,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import operator
+import sys
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -45,7 +55,7 @@ from .core import (
     KellerGraphSpec,
     MaterializedGraph,
     _adjacency_rows,
-    _low_mask,
+    _edge_rows,
     has_edge,
 )
 from .construction import VectorSet
@@ -171,12 +181,14 @@ class _Subproblem:
 
     ``adj`` is the relabeled subgraph induced on the candidates, all of them
     adjacent to every prefix vertex; ``new_to_old`` maps its labels back to
-    original vertex ids.
+    original vertex ids, and ``weights[v]`` is label v's weight (all 1 for a
+    plain clique search).  Each prefix vertex weighs 1.
     """
 
     prefix: tuple[int, ...]
     adj: list[int]
     new_to_old: list[int]
+    weights: Sequence[int]
 
 
 def _stabilizer_classes(spec: KellerGraphSpec, row0: int) -> list[np.ndarray]:
@@ -206,14 +218,15 @@ def _keller_subproblems(g: MaterializedGraph) -> Iterator[_Subproblem]:
     adjacency = g.adjacency
     classes = _stabilizer_classes(g.spec, adjacency[0])
     if not classes:
-        yield _Subproblem((0,), [], [])
+        yield _Subproblem((0,), [], [], [])
         return
     allowed = _row_bits(adjacency[0], g.num_vertices)
     for members in classes:
         rep = int(members[0])
         verts = np.flatnonzero(allowed & _row_bits(adjacency[rep], g.num_vertices))
         adj, sub_to_vert = _relabel(_induced_rows(adjacency, verts))
-        yield _Subproblem((0, rep), adj, [int(verts[i]) for i in sub_to_vert])
+        new_to_old = [int(verts[i]) for i in sub_to_vert]
+        yield _Subproblem((0, rep), adj, new_to_old, [1] * len(adj))
         allowed[members] = False
 
 
@@ -228,15 +241,16 @@ def _subproblems(g: MaterializedGraph) -> Iterator[_Subproblem]:
         yield from _keller_subproblems(g)
     else:
         adj, new_to_old = _relabel(rows)
-        yield _Subproblem((), adj, new_to_old)
+        yield _Subproblem((), adj, new_to_old, [1] * len(adj))
 
 
 class _CliqueSearch:
-    """Unweighted B&B.  prune_floor > 0 switches to decision pruning.
+    """Weighted B&B over subproblems.  prune_floor > 0 switches to decision pruning.
 
-    ``run`` searches a sequence of subproblems under one node counter,
-    budget and incumbent; sizes (incumbent, target, ``on_improve``) count
-    the subproblem's prefix.
+    A clique's size is its total weight.  ``run`` searches a sequence of
+    subproblems under one node counter, budget and incumbent; sizes
+    (incumbent, target, ``on_improve``) count the subproblem's prefix.  With
+    a target, no vertex is added that would overshoot it.
     """
 
     def __init__(
@@ -247,6 +261,7 @@ class _CliqueSearch:
         on_improve: Optional[Callable[[int, int], None]] = None,
     ):
         self.target = target
+        self.cap = target if target is not None else sys.maxsize
         self.prune_floor = prune_floor
         self.node_limit = budget.node_limit
         self.deadline = (
@@ -254,6 +269,9 @@ class _CliqueSearch:
         )
         self.on_improve = on_improve
         self.adj: Sequence[int] = ()
+        self.weights: Sequence[int] = ()
+        self.heavy: list[tuple[int, int]] = []
+        self.light = 1
         self.sub: Optional[_Subproblem] = None
         self.best: Optional[tuple[_Subproblem, int]] = None
         self.best_size = 0
@@ -271,57 +289,94 @@ class _CliqueSearch:
         ):
             raise _Exhausted
 
-    def _color_sort(self, cand: int) -> tuple[list[int], list[int]]:
-        adj = self.adj
-        order: list[int] = []
-        bounds: list[int] = []
-        color = 0
+    def _color_sort(self, cand: int) -> list[tuple[int, int]]:
+        """Greedy color classes of cand in label order, each with its bound.
+
+        A class's bound is the sum of the maximum weights of it and every
+        earlier class: the color number when all weights are 1.
+        """
+        adj, light, heavy = self.adj, self.light, self.heavy
+        classes: list[tuple[int, int]] = []
+        bound = 0
         while cand:
-            color += 1
             q = cand
+            cls = 0
             while q:
                 lsb = q & -q
-                v = lsb.bit_length() - 1
-                q &= ~adj[v]
+                q &= ~adj[lsb.bit_length() - 1]
                 q ^= lsb
-                cand ^= lsb
-                order.append(v)
-                bounds.append(color)
-        return order, bounds
+                cls |= lsb
+            cand ^= cls
+            weight = light
+            for level, members in heavy:
+                if cls & members:
+                    weight = level
+                    break
+            bound += weight
+            classes.append((cls, bound))
+        return classes
 
-    def _leaf(self, mask: int, size: int) -> None:
-        if size > self.best_size:
-            self.best, self.best_size = (self.sub, mask), size
-            if self.on_improve is not None:
-                self.on_improve(size, self.nodes)
-            if self.target is not None and size >= self.target:
-                raise _Found
+    def _improve(self, mask: int, size: int) -> None:
+        self.best, self.best_size = (self.sub, mask), size
+        if self.on_improve is not None:
+            self.on_improve(size, self.nodes)
+        if size >= self.cap:
+            raise _Found
 
     def _expand(self, rmask: int, rsize: int, cand: int) -> None:
+        """One node: color the non-empty candidate set and branch on it.
+
+        Classes are branched last first, and within a class the highest
+        label first, until the bound cannot beat the threshold.
+        """
         self._tick()
-        order, bounds = self._color_sort(cand)
+        if rsize > self.best_size:
+            self._improve(rmask, rsize)
+        adj, weights, cap = self.adj, self.weights, self.cap
         threshold = max(self.best_size, self.prune_floor)
-        for i in range(len(order) - 1, -1, -1):
-            if rsize + bounds[i] <= threshold:
+        for cls, bound in reversed(self._color_sort(cand)):
+            if rsize + bound <= threshold:
                 return
-            v = order[i]
-            bit = 1 << v
-            sub = cand & self.adj[v]
-            if sub:
-                self._expand(rmask | bit, rsize + 1, sub)
-                threshold = max(self.best_size, self.prune_floor)
-            else:
-                self._leaf(rmask | bit, rsize + 1)
-            cand ^= bit
+            while cls:
+                v = cls.bit_length() - 1
+                bit = 1 << v
+                cls ^= bit
+                size = rsize + weights[v]
+                if size <= cap:
+                    sub = cand & adj[v]
+                    if sub:
+                        self._expand(rmask | bit, size, sub)
+                        threshold = max(self.best_size, self.prune_floor)
+                        if rsize + bound <= threshold:  # no later vertex has a higher bound
+                            return
+                    elif size > self.best_size:  # a leaf, not counted as a node
+                        self._improve(rmask | bit, size)
+                cand ^= bit
+
+    def _enter(self, sub: _Subproblem) -> None:
+        self.sub, self.adj, self.weights = sub, sub.adj, sub.weights
+        # per weight level, heaviest first, the labels of that weight; the
+        # lightest level needs no mask, it is what a color class falls back to
+        levels = sorted(set(sub.weights), reverse=True) or [1]
+        self.light = levels[-1]
+        self.heavy = [
+            (w, sum(1 << v for v, wv in enumerate(sub.weights) if wv == w)) for w in levels[:-1]
+        ]
 
     def run(self, subproblems: Iterable[_Subproblem]) -> SearchStatus:
-        """Search every subproblem; Ctrl-C ends it like an exhausted budget."""
+        """Search every subproblem; Ctrl-C ends it like an exhausted budget.
+
+        Subproblems may be built lazily: Ctrl-C while the next one is being
+        built ends the search the same way.
+        """
         try:
             for sub in subproblems:
-                self.sub, self.adj = sub, sub.adj
-                self._leaf(0, len(sub.prefix))
+                self._enter(sub)
+                size = len(sub.prefix)
                 if sub.adj:
-                    self._expand(0, len(sub.prefix), (1 << len(sub.adj)) - 1)
+                    self._expand(0, size, (1 << len(sub.adj)) - 1)
+                elif size > self.best_size:
+                    self._improve(0, size)
         except _Found:
             return SearchStatus.TARGET_FOUND
         except _Exhausted:
@@ -452,16 +507,6 @@ def cyclic_orbits(n: int) -> tuple[OrbitVertex, ...]:
     return tuple(out)
 
 
-def _star_matrix(pa: np.ndarray, pb: np.ndarray, dim: int) -> np.ndarray:
-    """STAR adjacency between every vector of pa and every vector of pb."""
-    low = np.uint64(_low_mask(dim))
-    one = np.uint64(1)
-    x = pa[:, None] ^ pb[None, :]
-    adj = ((x >> one) & ~x & low) != 0
-    d = (x | (x >> one)) & low
-    return adj & ((d & (d - one)) != 0)
-
-
 def _orbit_compatibility(
     n: int, orbits: Sequence[OrbitVertex]
 ) -> tuple[list[OrbitVertex], np.ndarray]:
@@ -502,7 +547,7 @@ def _orbit_compatibility(
                 axis=1, dtype=np.uint64
             )
         needed = sizes > e
-        compat[:, needed] &= _star_matrix(reps, shifted[needed], n)
+        compat[:, needed] &= _edge_rows(reps[:, None], shifted[needed][None, :], n, True)
     np.fill_diagonal(compat, False)
     return admissible, compat
 
@@ -518,91 +563,29 @@ def _weight_reachable(weights: Sequence[int], target: int) -> bool:
     return (reach >> target) & 1 == 1
 
 
-class _WeightedExactSearch:
-    """B&B for a pairwise-compatible subset with weights summing to target."""
+def _orbit_groups(
+    n: int, target: int, admissible: Sequence[OrbitVertex], compat: np.ndarray
+) -> tuple[list[tuple[int, ...]], np.ndarray]:
+    """Vertices of the orbit graph, as tuples of admissible orbits, and its adjacency.
 
-    def __init__(
-        self,
-        adj: Sequence[int],
-        weights: Sequence[int],
-        target: int,
-        budget: SearchBudget,
-    ):
-        self.adj = adj
-        self.weights = weights
-        self.target = target
-        self.node_limit = budget.node_limit
-        self.deadline = (
-            time.monotonic() + budget.time_limit if budget.time_limit is not None else None
-        )
-        self.found_mask: Optional[int] = None
-        self.nodes = 0
-        self.note: Optional[str] = None
-
-    def _tick(self) -> None:
-        if self.node_limit is not None and self.nodes >= self.node_limit:
-            raise _Exhausted
-        self.nodes += 1
-        if (
-            self.deadline is not None
-            and (self.nodes & 255) == 0
-            and time.monotonic() > self.deadline
-        ):
-            raise _Exhausted
-
-    def _color_sort(self, cand: int) -> tuple[list[int], list[int]]:
-        # bound = cumulative sum of per-color-class maximum weights
-        adj = self.adj
-        weights = self.weights
-        order: list[int] = []
-        bounds: list[int] = []
-        cum = 0
-        while cand:
-            q = cand
-            members = []
-            wmax = 0
-            while q:
-                lsb = q & -q
-                v = lsb.bit_length() - 1
-                q &= ~adj[v]
-                q ^= lsb
-                members.append(v)
-                if weights[v] > wmax:
-                    wmax = weights[v]
-            cum += wmax
-            for v in members:
-                cand &= ~(1 << v)
-                order.append(v)
-                bounds.append(cum)
-        return order, bounds
-
-    def _expand(self, rmask: int, rweight: int, cand: int) -> None:
-        self._tick()
-        if rweight == self.target:
-            self.found_mask = rmask
-            raise _Found
-        order, bounds = self._color_sort(cand)
-        for i in range(len(order) - 1, -1, -1):
-            if rweight + bounds[i] < self.target:
-                return
-            v = order[i]
-            bit = 1 << v
-            if rweight + self.weights[v] <= self.target:
-                self._expand(rmask | bit, rweight + self.weights[v], cand & self.adj[v])
-            cand ^= bit
-
-    def run(self) -> SearchStatus:
-        """Search to the target; Ctrl-C ends it like an exhausted budget."""
-        try:
-            self._expand(0, 0, (1 << len(self.adj)) - 1)
-        except _Found:
-            return SearchStatus.TARGET_FOUND
-        except _Exhausted:
-            return SearchStatus.BUDGET_EXHAUSTED
-        except KeyboardInterrupt:
-            self.note = "interrupted"
-            return SearchStatus.BUDGET_EXHAUSTED
-        return SearchStatus.TARGET_REFUTED
+    Each orbit is a vertex of its own, unless the residue arithmetic forces
+    exactly two constant vectors: then the compatible constant pairs join as
+    weight-2 vertices instead of four singletons.
+    """
+    groups: list[tuple[int, ...]] = [(i,) for i in range(len(admissible))]
+    fixed = [i for i, o in enumerate(admissible) if o.size == 1]
+    # counts of constants a solution can contain: residue of target modulo
+    # the only other available orbit size
+    feasible_counts = {f for f in range(len(fixed) + 1) if f <= target and (target - f) % n == 0}
+    if sorted({o.size for o in admissible if o.size > 1}) != [n] or feasible_counts != {2}:
+        return groups, compat
+    groups = [(i,) for i, o in enumerate(admissible) if o.size > 1]
+    groups += [(a, b) for a, b in itertools.combinations(fixed, 2) if compat[a, b]]
+    # a group is compatible with another when both its first and last orbit are
+    first = [g[0] for g in groups]
+    last = [g[-1] for g in groups]
+    rows = compat[first] & compat[last]
+    return groups, rows[:, first] & rows[:, last]
 
 
 def invariant_clique_search(
@@ -615,66 +598,29 @@ def invariant_clique_search(
     and the goal is a pairwise-compatible family with weights summing
     exactly to the target.  When the residue arithmetic forces exactly two
     constant vectors, the two adjacent constant pairs join as weight-2
-    super-vertices instead of four singletons.
+    super-vertices instead of four singletons.  Ctrl-C, also while the orbit
+    graph is being built, ends the search as BUDGET_EXHAUSTED with note
+    "interrupted".
     """
     if target < 1:
         raise ValueError("target must be positive")
-    spec = KellerGraphSpec(n, GraphVariant.STAR)
-    empty = VectorSet(n, ())
+    search = _CliqueSearch(target, target - 1, budget)
+    members: list[list[CubeVector]] = []  # orbit-graph vertex -> its vectors
 
-    admissible, compat = _orbit_compatibility(n, cyclic_orbits(n))
-    weights = [o.size for o in admissible]
-    if not _weight_reachable(weights, target):
-        return SearchOutcome(
-            empty,
-            SearchStatus.TARGET_REFUTED,
-            0,
-            note=f"target {target} is not a sum of admissible orbit sizes",
-        )
+    def build() -> Iterator[_Subproblem]:
+        # runs inside search.run(), so that Ctrl-C here ends the search too
+        admissible, compat = _orbit_compatibility(n, cyclic_orbits(n))
+        if not _weight_reachable([o.size for o in admissible], target):
+            search.note = f"target {target} is not a sum of admissible orbit sizes"
+            return
+        groups, matrix = _orbit_groups(n, target, admissible, compat)
+        members.extend([v for i in g for v in admissible[i].orbit] for g in groups)
+        packed = np.packbits(matrix, axis=1, bitorder="little")
+        adj, new_to_old = _relabel([int.from_bytes(row.tobytes(), "little") for row in packed])
+        yield _Subproblem((), adj, new_to_old, [len(members[old]) for old in new_to_old])
 
-    groups: list[tuple[int, tuple[int, ...]]] = [(o.size, (i,)) for i, o in enumerate(admissible)]
-    matrix = compat
-    fixed = [i for i, o in enumerate(admissible) if o.size == 1]
-    if fixed and n > 1:
-        # counts of constants a solution can contain: residue of target modulo
-        # the only other available orbit size
-        other = sorted({o.size for o in admissible if o.size > 1})
-        if other == [n]:
-            feasible_counts = {
-                f for f in range(len(fixed) + 1) if f <= target and (target - f) % n == 0
-            }
-            if feasible_counts == {2}:
-                pairs = [(a, b) for a, b in itertools.combinations(fixed, 2) if compat[a, b]]
-                big = [i for i, o in enumerate(admissible) if o.size > 1]
-                groups = [(admissible[i].size, (i,)) for i in big]
-                groups += [(2, pair) for pair in pairs]
-                # block matrix: big-orbit rows, then one fused row per pair
-                rows = [compat[i] for i in big] + [compat[a] & compat[b] for a, b in pairs]
-                matrix = np.empty((len(groups), len(groups)), dtype=bool)
-                for u, row in enumerate(rows):
-                    matrix[u, : len(big)] = row[big]
-                    for pj, (a, b) in enumerate(pairs):
-                        matrix[u, len(big) + pj] = row[a] and row[b]
-                np.fill_diagonal(matrix, False)
-
-    adj_bits = [
-        int.from_bytes(np.packbits(matrix[u], bitorder="little").tobytes(), "little")
-        for u in range(len(groups))
-    ]
-    new_adj, new_to_old = _relabel(adj_bits)
-    group_weights = [groups[old][0] for old in new_to_old]
-    search = _WeightedExactSearch(new_adj, group_weights, target, budget)
-    status = search.run()
-
-    if status is SearchStatus.TARGET_FOUND and search.found_mask is not None:
-        members: list[CubeVector] = []
-        mask = search.found_mask
-        while mask:
-            lsb = mask & -mask
-            _, idxs = groups[new_to_old[lsb.bit_length() - 1]]
-            for i in idxs:
-                members.extend(admissible[i].orbit)
-            mask ^= lsb
-        clique = VectorSet(n, members)
-        return _checked_outcome(clique, spec, status, search.nodes)
-    return SearchOutcome(empty, status, search.nodes, search.note)
+    status = search.run(build())
+    if status is SearchStatus.TARGET_FOUND:
+        clique = VectorSet(n, (v for u in search.best_vertices() for v in members[u]))
+        return _checked_outcome(clique, KellerGraphSpec(n, GraphVariant.STAR), status, search.nodes)
+    return SearchOutcome(VectorSet(n, ()), status, search.nodes, search.note)

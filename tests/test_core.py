@@ -3,6 +3,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from keller.core import (
@@ -11,6 +12,7 @@ from keller.core import (
     DIHEDRAL_LABEL_MAPS,
     GraphVariant,
     KellerGraphSpec,
+    _edge_rows,
     apply_automorphism,
     digit_gap,
     enumerate_automorphisms,
@@ -108,6 +110,18 @@ def test_predicates_match_oracle_exhaustively(dim):
         for u in itertools.product(range(4), repeat=dim):
             for v in itertools.product(range(4), repeat=dim):
                 assert has_edge(spec, cv(*u), cv(*v)) == oracle_edge(variant, u, v)
+
+
+@pytest.mark.parametrize("variant", [PLAIN, STAR])
+def test_broadcast_edge_rows_match_has_edge(variant):
+    # a column of vectors against a row gives the whole adjacency matrix
+    spec = KellerGraphSpec(3, variant)
+    packed = np.arange(64, dtype=np.uint64)
+    matrix = _edge_rows(packed[:, None], packed[None, :], 3, variant is STAR)
+    assert matrix.shape == (64, 64)
+    for u in range(64):
+        for v in range(64):
+            assert matrix[u, v] == has_edge(spec, CubeVector(3, u), CubeVector(3, v))
 
 
 def test_predicates_match_oracle_random_high_dims():

@@ -212,6 +212,23 @@ def test_cli_search_interrupt_exit_1(capsys, monkeypatch):
     ]
 
 
+def test_cli_cyclic_search_interrupted_while_building(capsys, monkeypatch):
+    from keller import search
+
+    def interrupt(n, orbits):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(search, "_orbit_compatibility", interrupt)
+    code = main(["search", "--dim", "7", "--target", "128", "--cyclic-invariant"])
+    assert code == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "status: BUDGET_EXHAUSTED",
+        "best clique size: 0",
+        "nodes explored: 0",
+        "note: interrupted",
+    ]
+
+
 def test_cli_search_cyclic_invariant(capsys):
     code = main(["search", "--dim", "3", "--target", "8", "--cyclic-invariant"])
     report = capsys.readouterr().out

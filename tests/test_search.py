@@ -8,6 +8,7 @@ from collections import Counter
 import networkx as nx
 import pytest
 
+from keller import search as search_module
 from keller.construction import VectorSet
 from keller.core import (
     Automorphism,
@@ -27,7 +28,6 @@ from keller.search import (
     _stabilizer_classes,
     _Subproblem,
     _subproblems,
-    _WeightedExactSearch,
     clique_decision,
     cyclic_orbits,
     invariant_clique_search,
@@ -178,12 +178,22 @@ def test_interrupt_in_weighted_search(monkeypatch):
     def interrupt(self, cand):
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(_WeightedExactSearch, "_color_sort", interrupt)
+    monkeypatch.setattr(_CliqueSearch, "_color_sort", interrupt)
     out = invariant_clique_search(3, 5)
     assert out.status is SearchStatus.BUDGET_EXHAUSTED
     assert out.note == "interrupted"
     assert out.nodes_explored == 1
     assert len(out.best_clique) == 0
+
+
+def test_interrupt_while_building_orbit_graph(monkeypatch):
+    def interrupt(n, orbits):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(search_module, "_orbit_compatibility", interrupt)
+    out = invariant_clique_search(3, 5)
+    assert out.status is SearchStatus.BUDGET_EXHAUSTED
+    assert (out.note, out.nodes_explored, len(out.best_clique)) == ("interrupted", 0, 0)
 
 
 def test_budget_validation():
@@ -250,7 +260,7 @@ def unreduced(g, target):
     """The B&B engine on the whole relabeled graph: (status, best size)."""
     adj, new_to_old = _relabel(g.adjacency)
     search = _CliqueSearch(target, 0 if target is None else target - 1, SearchBudget())
-    status = search.run([_Subproblem((), adj, new_to_old)])
+    status = search.run([_Subproblem((), adj, new_to_old, [1] * len(adj))])
     dim = g.spec.dim
     best = VectorSet(dim, (CubeVector.from_index(dim, v) for v in search.best_vertices()))
     assert verify_clique(best, g.spec).is_clique
@@ -312,6 +322,17 @@ def test_g5_star_has_a_28_clique():
     out = clique_decision(g, 28)
     assert out.status is SearchStatus.TARGET_FOUND
     assert len(out.best_clique) >= 28
+    assert verify_clique(out.best_clique, g.spec).is_clique
+    assert out.nodes_explored == 86_126
+
+
+def test_budgeted_decision_keeps_a_real_incumbent():
+    # every node the search enters is a clique, so a decision run that runs
+    # out of budget still reports the largest one it reached
+    g = materialize(KellerGraphSpec(5, STAR))
+    out = clique_decision(g, 29, SearchBudget(node_limit=30_000))
+    assert (out.status, out.nodes_explored) == (SearchStatus.BUDGET_EXHAUSTED, 30_000)
+    assert len(out.best_clique) == 13
     assert verify_clique(out.best_clique, g.spec).is_clique
 
 
@@ -409,6 +430,14 @@ def test_invariant_found_set_is_shift_closed():
     members = set(out.best_clique)
     shifted = {CubeVector.from_digits(v.digits[1:] + v.digits[:1]) for v in members}
     assert shifted == members
+
+
+def test_invariant_weighted_node_counts():
+    # a node colors a non-empty candidate set; leaves are not counted
+    out = invariant_clique_search(5, 8)
+    assert (out.status, out.nodes_explored) == (SearchStatus.TARGET_REFUTED, 304)
+    out = invariant_clique_search(6, 64)
+    assert (out.status, out.nodes_explored) == (SearchStatus.TARGET_REFUTED, 1496)
 
 
 def test_invariant_infeasible_residue_reported_without_search():
