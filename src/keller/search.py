@@ -620,7 +620,7 @@ def invariant_clique_search(
         yield _Subproblem((), adj, new_to_old, [len(members[old]) for old in new_to_old])
 
     status = search.run(build())
-    if status is SearchStatus.TARGET_FOUND:
-        clique = VectorSet(n, (v for u in search.best_vertices() for v in members[u]))
-        return _checked_outcome(clique, KellerGraphSpec(n, GraphVariant.STAR), status, search.nodes)
-    return SearchOutcome(VectorSet(n, ()), status, search.nodes, search.note)
+    clique = VectorSet(n, (v for u in search.best_vertices() for v in members[u]))
+    return _checked_outcome(
+        clique, KellerGraphSpec(n, GraphVariant.STAR), status, search.nodes, search.note
+    )

@@ -447,6 +447,16 @@ def test_invariant_infeasible_residue_reported_without_search():
     assert out.note is not None
 
 
+def test_invariant_budget_exhaustion_keeps_incumbent():
+    out = invariant_clique_search(6, 64, SearchBudget(node_limit=20))
+    assert (out.status, out.nodes_explored) == (SearchStatus.BUDGET_EXHAUSTED, 20)
+    members = set(out.best_clique)
+    assert members
+    assert verify_clique(out.best_clique, KellerGraphSpec(6, STAR)).is_clique
+    shifted = {CubeVector.from_digits(v.digits[1:] + v.digits[:1]) for v in members}
+    assert shifted == members
+
+
 def test_invariant_budget_exhaustion_clean():
     out = invariant_clique_search(7, 128, SearchBudget(node_limit=2000))
     assert out.status in (SearchStatus.TARGET_REFUTED, SearchStatus.BUDGET_EXHAUSTED)

@@ -2,11 +2,14 @@
 
 import itertools
 import random
+import tracemalloc
 from collections import Counter
 
+import numpy as np
 import pytest
 
-from keller.construction import VectorSet
+from keller import verify as verify_module
+from keller.construction import VectorSet, find_lift_shift, lift
 from keller.core import (
     CubeVector,
     GraphVariant,
@@ -15,6 +18,7 @@ from keller.core import (
 )
 from keller.verify import (
     CellCoverStatus,
+    _popcount64,
     face_statistics,
     facet_free,
     verify_clique,
@@ -57,6 +61,25 @@ def oracle_cell_status(s: VectorSet):
 def random_subset(dim, size, rng):
     picks = rng.sample(range(4**dim), size)
     return VectorSet(dim, (CubeVector.from_index(dim, i) for i in picks))
+
+
+def near_tiling(dim, rng):
+    """A random automorphism image of the {0, 2}^dim tiling, with one cube
+    dropped, moved, or left in place."""
+    a = random_automorphism(dim, rng)
+    members = [
+        a.apply(CubeVector.from_digits([2 * ((k >> i) & 1) for i in range(dim)]))
+        for k in range(2**dim)
+    ]
+    j = rng.randrange(len(members))
+    move = rng.choice(["drop", "move", "keep"])
+    if move == "drop":
+        del members[j]
+    elif move == "move":
+        digits = list(members[j].digits)
+        digits[rng.randrange(dim)] = rng.randrange(4)
+        members[j] = CubeVector.from_digits(digits)
+    return VectorSet(dim, set(members))
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +167,56 @@ def test_cells_wrong_cardinality_never_exact():
 def test_cells_guard():
     with pytest.raises(ValueError):
         verify_tiling_cells(vs(2, ["00"]), max_dim=1)
+    with pytest.raises(ValueError):
+        verify_tiling_cells(VectorSet(14, ()))
+
+
+@pytest.mark.parametrize("slab_dim", [1, 2])
+def test_cells_multi_slab_match_oracle(monkeypatch, slab_dim):
+    monkeypatch.setattr(verify_module, "_SLAB_DIM", slab_dim)
+    rng = random.Random(4000 + slab_dim)
+    beyond_first_slab = 0
+    for _ in range(120):
+        dim = rng.randint(2, 5)
+        if rng.random() < 0.3:
+            size = rng.choice([2**dim - 1, 2**dim, 2**dim + 1, rng.randint(0, 3 * 2**dim)])
+            s = random_subset(dim, size, rng)
+        else:
+            s = near_tiling(dim, rng)
+        got = verify_tiling_cells(s)
+        want_status, want_witness = oracle_cell_status(s)
+        assert got.status is want_status
+        assert got.witness == want_witness
+        if want_witness is not None and want_witness.index >= 4**slab_dim:
+            beyond_first_slab += 1
+    assert beyond_first_slab >= 15
+
+
+def test_cells_dim12_gap_witness_beyond_first_slab(s12):
+    members = list(s12.members)
+    dropped = CubeVector.from_string("101211322301")
+    members.remove(dropped)
+    got = verify_tiling_cells(VectorSet(12, members))
+    assert got.status is CellCoverStatus.GAP
+    assert got.witness == CubeVector.from_string("000100211200")
+    assert got.witness.index >= 4**verify_module._SLAB_DIM
+
+
+def test_cells_dim13_lift_exact(s12):
+    lifted = lift(s12, find_lift_shift(s12))
+    assert lifted.dim == 13
+    assert verify_tiling_cells(lifted).status is CellCoverStatus.EXACT_COVER
+
+
+def test_cells_dim12_peak_memory(s12):
+    # one slab's counters, not 4^12 of them
+    tracemalloc.start()
+    try:
+        assert verify_tiling_cells(s12).status is CellCoverStatus.EXACT_COVER
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_cells_volume_sanity():
@@ -229,6 +302,19 @@ def test_clique_report_cardinality_automorphism_invariance():
         for variant in (PLAIN, STAR):
             spec = KellerGraphSpec(dim, variant)
             assert len(verify_clique(s, spec).pairs) == len(verify_clique(s.apply(a), spec).pairs)
+
+
+def test_popcount_fallback_matches_bitwise_count(monkeypatch):
+    rng = np.random.default_rng(64)
+    a = rng.integers(0, 2**64, size=(9, 40), dtype=np.uint64)
+    a[0, 0], a[0, 3] = 0, 2**64 - 1
+    a = a[:, ::3]  # not contiguous
+    want = _popcount64(a)
+    assert want.tolist() == [[bin(int(x)).count("1") for x in row] for row in a]
+    monkeypatch.delattr(np, "bitwise_count", raising=False)  # numpy < 2
+    got = _popcount64(a)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
 
 
 def test_facet_free_examples(s10):
