@@ -85,9 +85,12 @@ def _cmd_search(args: argparse.Namespace) -> int:
         if args.target is None:
             print("error: --cyclic-invariant requires --target", file=sys.stderr)
             return 2
+        if args.graph not in (None, "Gstar"):
+            print("error: --cyclic-invariant searches G*_n only (--graph Gstar)", file=sys.stderr)
+            return 2
         outcome = invariant_clique_search(args.dim, args.target, budget)
     else:
-        spec = KellerGraphSpec(args.dim, _VARIANTS[args.graph])
+        spec = KellerGraphSpec(args.dim, _VARIANTS[args.graph or "Gstar"])
         g = materialize(spec)
         if args.target is not None:
             outcome = clique_decision(g, args.target, budget, on_improve=progress)
@@ -138,7 +141,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="exact clique search (optionally cyclic-invariant)")
     p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--graph", choices=sorted(_VARIANTS), default="Gstar")
+    p.add_argument("--graph", choices=sorted(_VARIANTS), default=None,
+                   help="default Gstar, the only graph --cyclic-invariant searches")
     p.add_argument("--target", type=int, default=None, help="decide this clique size")
     p.add_argument("--cyclic-invariant", action="store_true",
                    help="restrict to cliques invariant under coordinate rotation")

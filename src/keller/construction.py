@@ -17,7 +17,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from .core import Automorphism, CubeVector, GraphVariant, KellerGraphSpec, has_edge
+import numpy as np
+
+from .core import Automorphism, CubeVector, _digit_columns, _missing_pairs, _packed_dtype
 
 __all__ = [
     "Label",
@@ -140,55 +142,75 @@ class BlockSystem:
 class VectorSet:
     """A duplicate-free set of equal-dimension cube vectors.
 
-    Members are kept sorted lexicographically by digit sequence; equality is
-    set equality.
+    ``packed`` holds the members' packed values, read-only, sorted
+    lexicographically by digit sequence: uint64 up to dimension 32, Python
+    ints above.  ``members`` and iteration build the CubeVector objects on
+    demand.  Equality is set equality.
     """
 
-    __slots__ = ("dim", "members")
+    __slots__ = ("dim", "packed")
 
     def __init__(self, dim: int, members: Iterable[CubeVector]):
-        mt = tuple(sorted(members, key=lambda v: v.digits))
-        for v in mt:
+        values = []
+        for v in members:
             if v.dim != dim:
                 raise ValueError(f"vector {v} has dim {v.dim}, expected {dim}")
-        for a, b in zip(mt, mt[1:]):
-            if a == b:
-                raise ValueError(f"duplicate vector {a}")
+            values.append(v.packed)
+        self._assign(dim, values)
+
+    @classmethod
+    def _from_packed(cls, dim: int, values) -> "VectorSet":
+        """The set of packed values (Python ints or an array) of dimension dim."""
+        s = cls.__new__(cls)
+        s._assign(dim, values)
+        return s
+
+    def _assign(self, dim: int, values) -> None:
+        if dim < 1:
+            raise ValueError(f"dimension must be positive, got {dim}")
+        packed = np.array(values, dtype=_packed_dtype(dim))
+        packed = packed[np.lexsort(_digit_columns(packed, dim).T[::-1])]  # coordinate 0 first
+        dup = np.flatnonzero(packed[1:] == packed[:-1])
+        if dup.size:
+            raise ValueError(f"duplicate vector {CubeVector(dim, int(packed[dup[0]]))}")
+        packed.flags.writeable = False
         self.dim = dim
-        self.members = mt
+        self.packed = packed
 
     @classmethod
     def from_strings(cls, dim: int, strings: Iterable[str]) -> "VectorSet":
         return cls(dim, (CubeVector.from_string(s) for s in strings))
 
+    @property
+    def members(self) -> tuple[CubeVector, ...]:
+        return tuple(self)
+
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self.packed)
 
     def __iter__(self) -> Iterator[CubeVector]:
-        return iter(self.members)
+        return (CubeVector(self.dim, p) for p in self.packed.tolist())
 
-    def __contains__(self, v: CubeVector) -> bool:
-        return v in set(self.members)
+    def __contains__(self, v: object) -> bool:
+        if not isinstance(v, CubeVector) or v.dim != self.dim:
+            return False
+        return bool((self.packed == v.packed).any())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, VectorSet):
             return NotImplemented
-        return self.dim == other.dim and self.members == other.members
+        return self.dim == other.dim and np.array_equal(self.packed, other.packed)
 
     def __hash__(self) -> int:
-        return hash((self.dim, self.members))
+        return hash((self.dim, tuple(self.packed.tolist())))
 
     def __repr__(self) -> str:
-        return f"VectorSet(dim={self.dim}, count={len(self.members)})"
-
-    def packed_array(self):
-        """Members as a sorted-order numpy uint64 array of packed values."""
-        import numpy as np
-
-        return np.fromiter((v.packed for v in self.members), dtype=np.uint64, count=len(self.members))
+        return f"VectorSet(dim={self.dim}, count={len(self)})"
 
     def apply(self, a: Automorphism) -> "VectorSet":
-        return VectorSet(self.dim, (a.apply(v) for v in self.members))
+        if a.dim != self.dim:
+            raise ValueError(f"dimension mismatch: automorphism {a.dim}, set {self.dim}")
+        return VectorSet._from_packed(self.dim, a._apply_packed(self.packed))
 
 
 # ---------------------------------------------------------------------------
@@ -292,38 +314,31 @@ class BlockConditionReport:
         return not (self.clique_failures or self.overlap_failures or self.union_failures)
 
 
-def _missing_pairs(vecs: Sequence[CubeVector], spec: KellerGraphSpec):
-    for i in range(len(vecs)):
-        for j in range(i + 1, len(vecs)):
-            if not has_edge(spec, vecs[i], vecs[j]):
-                yield vecs[i], vecs[j]
-
-
 def check_block_conditions(
     bs: BlockSystem, pairs_for_iii: Sequence[tuple[Label, Label]]
 ) -> BlockConditionReport:
     """Check conditions (i)-(iii) over all sets present in the system."""
-    star_k = KellerGraphSpec(bs.k, GraphVariant.STAR)
-    plain_k = KellerGraphSpec(bs.k, GraphVariant.PLAIN)
-
+    k = bs.k
     clique_failures = []
     for label in bs.labels:
-        for u, v in _missing_pairs(bs.get(label), star_k):
-            clique_failures.append((label, u, v))
+        vecs = bs.get(label)
+        for i, j in _missing_pairs([v.packed for v in vecs], k, True):
+            clique_failures.append((label, vecs[i], vecs[j]))
 
     overlap_failures = []
     labels = bs.labels
     for i in range(len(labels)):
         si = set(bs.get(labels[i]))
         for j in range(i + 1, len(labels)):
-            for v in sorted(si & set(bs.get(labels[j])), key=lambda v: v.digits):
+            for v in VectorSet(k, si & set(bs.get(labels[j]))):
                 overlap_failures.append((labels[i], labels[j], v))
 
     union_failures = []
     for la, lb in pairs_for_iii:
-        union = sorted(set(bs.get(la)) | set(bs.get(lb)), key=lambda v: v.digits)
-        for u, v in _missing_pairs(union, plain_k):
-            union_failures.append((la, lb, u, v))
+        union = VectorSet(k, set(bs.get(la)) | set(bs.get(lb)))
+        members = union.members
+        for i, j in _missing_pairs(union.packed, k, False):
+            union_failures.append((la, lb, members[i], members[j]))
 
     return BlockConditionReport(
         tuple(clique_failures), tuple(overlap_failures), tuple(union_failures)
@@ -359,30 +374,33 @@ def substitute(
 
     out_dim = (ncols - len(expand)) + bs.k * len(expand)
     expected = 0
-    members: list[CubeVector] = []
+    members: list[int] = []
     for t in templates:
         count = 1
         for c in expand:
             count *= len(bs.get(t.labels[c]))
         expected += count
-        partial: list[tuple[int, ...]] = [()]
+        partial = [0]  # packed prefixes; the next column starts at bit `shift`
+        shift = 0
         for c, label in enumerate(t.labels):
             if c in expand:
-                blocks = bs.get(label)
-                partial = [p + blk.digits for p in partial for blk in blocks]
+                blocks = [blk.packed << shift for blk in bs.get(label)]
+                partial = [p | b for p in partial for b in blocks]
+                shift += 2 * bs.k
             else:
                 if label.primed:
                     raise ValueError(
                         f"primed label {label} in non-expanded column {c} of template {t}"
                     )
-                partial = [p + (label.digit,) for p in partial]
-        members.extend(CubeVector.from_digits(p) for p in partial)
+                partial = [p | label.digit << shift for p in partial]
+                shift += 2
+        members.extend(partial)
 
     if len(set(members)) != expected:
         raise ValueError(
             "substitution produced colliding vectors; block sets are not disjoint"
         )
-    return VectorSet(out_dim, members)
+    return VectorSet._from_packed(out_dim, members)
 
 
 def _templates_10() -> tuple[TemplateVector, ...]:
@@ -415,14 +433,13 @@ def lift(s: VectorSet, a: Automorphism) -> VectorSet:
     """
     if a.dim != s.dim:
         raise ValueError(f"dimension mismatch: set {s.dim}, automorphism {a.dim}")
-    image = s.apply(a)
-    overlap = set(s.members) & set(image.members)
+    image = a._apply_packed(s.packed).tolist()
+    overlap = set(s.packed.tolist()) & set(image)
     if overlap:
-        witness = min(overlap, key=lambda v: v.digits)
+        witness = next(iter(VectorSet._from_packed(s.dim, list(overlap))))
         raise ValueError(f"set and its image overlap, e.g. {witness}")
-    members = [CubeVector.from_digits(m.digits + (0,)) for m in s]
-    members += [CubeVector.from_digits(m.digits + (2,)) for m in image]
-    return VectorSet(s.dim + 1, members)
+    top = 2 << (2 * s.dim)  # the new last coordinate: 0 on s, 2 on its image
+    return VectorSet._from_packed(s.dim + 1, s.packed.tolist() + [v | top for v in image])
 
 
 def find_lift_shift(s: VectorSet) -> Optional[Automorphism]:
@@ -432,10 +449,10 @@ def find_lift_shift(s: VectorSet) -> Optional[Automorphism]:
     coordinate, then their inverses in the same coordinate order.  Returns
     None when every candidate collides.
     """
-    packed = set(v.packed for v in s.members)
+    packed = set(s.packed.tolist())
     for steps in (1, 3):
         for coord in range(s.dim):
             a = Automorphism.rotation(s.dim, coord, steps)
-            if all(a.apply(v).packed not in packed for v in s.members):
+            if packed.isdisjoint(a._apply_packed(s.packed).tolist()):
                 return a
     return None

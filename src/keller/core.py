@@ -13,7 +13,10 @@ no two cubes sharing a complete facet iff it is a clique in G*_n.
 
 Vectors are stored packed, 2 bits per coordinate, coordinate 0 in the low
 bits.  The packed value doubles as the canonical vertex index
-``index(m) = sum_i m_i * 4**i``.
+``index(m) = sum_i m_i * 4**i``.  Many vectors form a numpy array of packed
+values: uint64 up to 32 coordinates, Python ints (an object array) above.
+One edge test, on the packed xor of two vectors, serves a single pair and
+whole arrays of either kind.
 """
 
 from __future__ import annotations
@@ -82,7 +85,17 @@ def digit_gap(a: int, b: int) -> int:
 
 def _low_mask(dim: int) -> int:
     # bit 0 of every 2-bit coordinate field: 0b...010101
-    return sum(1 << (2 * i) for i in range(dim))
+    return (4**dim - 1) // 3
+
+
+def _packed_dtype(dim: int) -> np.dtype:
+    """uint64 holds 32 two-bit coordinates; larger vectors stay Python ints."""
+    return np.dtype(np.uint64) if dim <= 32 else np.dtype(object)
+
+
+def _digit_columns(packed: np.ndarray, dim: int) -> np.ndarray:
+    """The digits of packed vectors as a (len, dim) uint8 array, coordinate j in column j."""
+    return np.stack([(packed >> (2 * j)) & 3 for j in range(dim)], axis=-1).astype(np.uint8)
 
 
 def _pack_digits(digits: Sequence[int]) -> int:
@@ -151,17 +164,21 @@ class CubeVector:
         return f"CubeVector({self})"
 
 
-def _packed_edge(x: int, dim: int, star: bool) -> bool:
-    # x is the packed xor of the two vectors: a field equals 0b10 iff the
-    # digit pair is {0,2} or {1,3} (gap 2); any nonzero field marks a
-    # differing coordinate.
+def _edge(x, dim: int, star: bool):
+    """The STAR/PLAIN edge test on the packed xor ``x`` of two vectors.
+
+    ``x`` is a Python int, a uint64 array or an object array of Python ints
+    (never a numpy scalar: numpy < 2 turns a uint64 scalar mixed with a
+    Python int into float64).  A 2-bit field equals 0b10 iff the digit pair
+    is {0,2} or {1,3} (gap 2); any nonzero field marks a differing
+    coordinate.  Returns a bool, or a bool array of the shape of ``x``.
+    """
     low = _low_mask(dim)
-    if (x >> 1) & ~x & low == 0:
-        return False
-    if not star:
-        return True
-    d = (x | (x >> 1)) & low
-    return d & (d - 1) != 0
+    adj = (x >> 1) & ~x & low != 0
+    if star:
+        d = (x | (x >> 1)) & low
+        adj = adj & (d & (d - 1) != 0)
+    return adj
 
 
 def has_edge(spec: KellerGraphSpec, m: CubeVector, m2: CubeVector) -> bool:
@@ -174,23 +191,18 @@ def has_edge(spec: KellerGraphSpec, m: CubeVector, m2: CubeVector) -> bool:
         raise ValueError(
             f"dimension mismatch: spec dim {spec.dim}, vectors {m.dim} and {m2.dim}"
         )
-    return _packed_edge(m.packed ^ m2.packed, spec.dim, spec.variant is GraphVariant.STAR)
+    return _edge(m.packed ^ m2.packed, spec.dim, spec.variant is GraphVariant.STAR)
 
 
-def _edge_rows(packed: int | np.ndarray, others: np.ndarray, dim: int, star: bool) -> np.ndarray:
-    """Vectorized edge test of packed vectors against an uint64 array.
+def _missing_pairs(packed, dim: int, star: bool) -> Iterator[tuple[int, int]]:
+    """Index pairs i < j, in ascending order, of non-adjacent vectors of packed.
 
-    ``packed`` is one vector or an uint64 array that broadcasts against
-    ``others`` (a column against a row gives the full adjacency matrix).
+    ``packed`` is a list or an array of packed vectors of dimension dim.
     """
-    low = np.uint64(_low_mask(dim))
-    one = np.uint64(1)
-    x = np.uint64(packed) ^ others
-    adj = ((x >> one) & ~x & low) != 0
-    if star:
-        d = (x | (x >> one)) & low
-        adj &= (d & (d - one)) != 0
-    return adj
+    packed = np.asarray(packed, dtype=_packed_dtype(dim))
+    for i, u in enumerate(packed.tolist()):
+        for j in np.flatnonzero(~_edge(packed[i + 1 :] ^ u, dim, star)).tolist():
+            yield i, i + 1 + j
 
 
 # ---------------------------------------------------------------------------
@@ -267,11 +279,19 @@ class Automorphism:
     def apply(self, m: CubeVector) -> CubeVector:
         if m.dim != self.dim:
             raise ValueError(f"dimension mismatch: automorphism {self.dim}, vector {m.dim}")
-        src = self._src_of_dest()
-        digits = m.digits
-        return CubeVector.from_digits(
-            self.label_maps[j][digits[src[j]]] for j in range(self.dim)
-        )
+        return CubeVector(self.dim, self._apply_packed(m.packed))
+
+    def _apply_packed(self, x):
+        """Image of packed vectors: a Python int, a uint64 array or an object array.
+
+        Each label map is x -> s*x + c (mod 4), so every digit is relabeled
+        arithmetically as it moves to its destination coordinate.
+        """
+        out = x & 0
+        for j, (src, lm) in enumerate(zip(self._src_of_dest(), self.label_maps)):
+            s, c = (lm[1] - lm[0]) & 3, lm[0]
+            out = out | ((((x >> (2 * src)) & 3) * s + c) & 3) << (2 * j)
+        return out
 
     def compose(self, other: "Automorphism") -> "Automorphism":
         """Return self after other: (self.compose(other)).apply(m) == self.apply(other.apply(m))."""
@@ -365,7 +385,7 @@ def _adjacency_rows(spec: KellerGraphSpec) -> Iterator[int]:
     star = spec.variant is GraphVariant.STAR
     packed = np.arange(4**n, dtype=np.uint64)
     for u in range(4**n):
-        adj = _edge_rows(u, packed, n, star)
+        adj = _edge(packed ^ u, n, star)
         yield int.from_bytes(np.packbits(adj, bitorder="little").tobytes(), "little")
 
 

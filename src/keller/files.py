@@ -90,7 +90,8 @@ def read_vector_set(path: PathLike) -> VectorSet:
         seen.add(line)
     if len(body) != count:
         raise CountMismatchError(f"header says count={count} but file has {len(body)} vectors")
-    return VectorSet.from_strings(dim, body)
+    # the reversed digit string is the packed value in base 4
+    return VectorSet._from_packed(dim, [int(line[::-1], 4) for line in body])
 
 
 @dataclass(frozen=True)

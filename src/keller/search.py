@@ -50,13 +50,14 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from .core import (
+    MAX_MATERIALIZE_DIM,
     CubeVector,
     GraphVariant,
     KellerGraphSpec,
     MaterializedGraph,
     _adjacency_rows,
-    _edge_rows,
-    has_edge,
+    _digit_columns,
+    _edge,
 )
 from .construction import VectorSet
 from .verify import verify_clique
@@ -201,7 +202,7 @@ def _stabilizer_classes(spec: KellerGraphSpec, row0: int) -> list[np.ndarray]:
     """
     n = spec.dim
     nbrs = np.flatnonzero(_row_bits(row0, spec.num_vertices))
-    digits = (nbrs[:, None] >> (2 * np.arange(n))) & 3
+    digits = _digit_columns(nbrs, n)
     key = (digits == 0).sum(axis=1) * (n + 1) + (digits == 2).sum(axis=1)
     classes = [nbrs[key == k] for k in np.unique(key)]
     classes.sort(key=len, reverse=True)
@@ -423,8 +424,7 @@ def _search(
 ) -> SearchOutcome:
     search = _CliqueSearch(target, prune_floor, budget, on_improve)
     status = search.run(_subproblems(g))
-    dim = g.spec.dim
-    clique = VectorSet(dim, (CubeVector.from_index(dim, v) for v in search.best_vertices()))
+    clique = VectorSet._from_packed(g.spec.dim, search.best_vertices())  # vertex id = packed value
     return _checked_outcome(clique, g.spec, status, search.nodes, search.note)
 
 
@@ -478,32 +478,30 @@ class OrbitVertex:
     size: int
 
 
-def _shift_digits(digits: tuple[int, ...]) -> tuple[int, ...]:
-    return digits[1:] + digits[:1]
+def _rotate(x, n: int):
+    """Packed image of the shift (m1,...,mn) -> (m2,...,mn,m1): an int or a uint64 array."""
+    return (x >> 2) | ((x & 3) << (2 * (n - 1)))
 
 
 def cyclic_orbits(n: int) -> tuple[OrbitVertex, ...]:
     """Partition all 4^n vectors into coordinate-rotation orbits."""
-    seen: set[tuple[int, ...]] = set()
+    seen: set[int] = set()
     out = []
-    for digits in itertools.product(range(4), repeat=n):
-        if digits in seen:
+    # in lexicographic order the first vector met of each orbit is its minimum
+    for rep in VectorSet._from_packed(n, np.arange(4**n)).packed.tolist():
+        if rep in seen:
             continue
-        orbit = []
-        w = digits
-        while w not in seen:
-            seen.add(w)
+        orbit = [rep]
+        while (w := _rotate(orbit[-1], n)) != rep:
             orbit.append(w)
-            w = _shift_digits(w)
-        rep = min(orbit)
+        seen.update(orbit)
         out.append(
             OrbitVertex(
-                representative=CubeVector.from_digits(rep),
-                orbit=frozenset(CubeVector.from_digits(d) for d in orbit),
+                representative=CubeVector(n, rep),
+                orbit=frozenset(CubeVector(n, w) for w in orbit),
                 size=len(orbit),
             )
         )
-    out.sort(key=lambda o: o.representative.digits)
     return tuple(out)
 
 
@@ -516,50 +514,33 @@ def _orbit_compatibility(
     G*_n; by shift-invariance that reduces to the representative of A
     against the first size(B) shifts of the representative of B.
     """
-    spec = KellerGraphSpec(n, GraphVariant.STAR)
-
-    def shifts(rep: CubeVector) -> list[CubeVector]:
-        out = [rep]
-        for _ in range(n - 1):
-            out.append(CubeVector.from_digits(_shift_digits(out[-1].digits)))
-        return out
-
-    admissible = []
-    for o in orbits:
-        row = shifts(o.representative)
-        if all(has_edge(spec, row[0], row[e]) for e in range(1, o.size)):
-            admissible.append(o)
-    if not admissible:
-        return [], np.zeros((0, 0), dtype=bool)
-
-    reps = np.fromiter(
-        (o.representative.packed for o in admissible), dtype=np.uint64, count=len(admissible)
-    )
-    sizes = np.fromiter((o.size for o in admissible), dtype=np.int64, count=len(admissible))
-    shifted = reps.copy()
-    compat = np.ones((len(admissible), len(admissible)), dtype=bool)
-    # column b needs edges for every shift e < size[b]
-    for e in range(int(sizes.max())):
-        if e:
-            digs = ((shifted[:, None] >> (2 * np.arange(n, dtype=np.uint64))) & np.uint64(3))
-            rolled = np.concatenate([digs[:, 1:], digs[:, :1]], axis=1)
-            shifted = (rolled << (2 * np.arange(n, dtype=np.uint64))).sum(
-                axis=1, dtype=np.uint64
-            )
+    reps = np.array([o.representative.packed for o in orbits], dtype=np.uint64)
+    sizes = np.array([o.size for o in orbits], dtype=np.int64)
+    shifted = [reps]  # shifted[e]: every representative rotated e times
+    for _ in range(1, int(sizes.max(initial=1))):
+        shifted.append(_rotate(shifted[-1], n))
+    # an orbit is a clique iff its representative is adjacent to its other shifts
+    internal = np.ones(len(orbits), dtype=bool)
+    for e in range(1, len(shifted)):
+        internal &= (sizes <= e) | _edge(reps ^ shifted[e], n, True)
+    keep = np.flatnonzero(internal)
+    admissible = [orbits[i] for i in keep.tolist()]
+    reps, sizes = reps[keep], sizes[keep]
+    compat = np.ones((len(keep), len(keep)), dtype=bool)
+    # column b needs edges for every shift e < size[b]; e = 0 clears the diagonal
+    for e, rotated in enumerate(shifted):
         needed = sizes > e
-        compat[:, needed] &= _edge_rows(reps[:, None], shifted[needed][None, :], n, True)
-    np.fill_diagonal(compat, False)
+        compat[:, needed] &= _edge(reps[:, None] ^ rotated[keep][needed][None, :], n, True)
     return admissible, compat
 
 
 def _weight_reachable(weights: Sequence[int], target: int) -> bool:
+    if target > sum(weights):  # also keeps the reach bitset below 2^(sum + 1)
+        return False
     reach = 1
     cap = (1 << (target + 1)) - 1
     for w in weights:
-        if w <= target:
-            reach |= (reach << w) & cap
-        if (reach >> target) & 1:
-            return True
+        reach |= (reach << w) & cap
     return (reach >> target) & 1 == 1
 
 
@@ -600,10 +581,17 @@ def invariant_clique_search(
     constant vectors, the two adjacent constant pairs join as weight-2
     super-vertices instead of four singletons.  Ctrl-C, also while the orbit
     graph is being built, ends the search as BUDGET_EXHAUSTED with note
-    "interrupted".
+    "interrupted".  Guarded at dimension 8 like ``materialize``: the orbits
+    cover all 4^n vectors.
     """
     if target < 1:
         raise ValueError("target must be positive")
+    spec = KellerGraphSpec(n, GraphVariant.STAR)
+    if n > MAX_MATERIALIZE_DIM:
+        raise ValueError(
+            f"cyclic-invariant search guarded at dim {MAX_MATERIALIZE_DIM}: "
+            f"it enumerates all 4**{n} = {4**n} vectors"
+        )
     search = _CliqueSearch(target, target - 1, budget)
     members: list[list[CubeVector]] = []  # orbit-graph vertex -> its vectors
 
@@ -621,6 +609,4 @@ def invariant_clique_search(
 
     status = search.run(build())
     clique = VectorSet(n, (v for u in search.best_vertices() for v in members[u]))
-    return _checked_outcome(
-        clique, KellerGraphSpec(n, GraphVariant.STAR), status, search.nodes, search.note
-    )
+    return _checked_outcome(clique, spec, status, search.nodes, search.note)

@@ -21,7 +21,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import CubeVector, GraphVariant, KellerGraphSpec, _edge_rows, _low_mask, has_edge
+from .core import CubeVector, GraphVariant, KellerGraphSpec, _digit_columns, _edge, _low_mask
+from .core import _missing_pairs
 from .construction import VectorSet
 
 __all__ = [
@@ -45,17 +46,13 @@ MAX_CELL_DIM = 13
 # cell index.
 _SLAB_DIM = 9
 
-_PACKED_DIM_LIMIT = 32  # uint64 holds 32 two-bit coordinates
-
-_POP8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
-
 
 def _popcount64(a: np.ndarray) -> np.ndarray:
+    """Set bits per element of a uint64 array or an object array of Python ints."""
     if hasattr(np, "bitwise_count"):
         return np.bitwise_count(a).astype(np.int64)
-    return _POP8[np.ascontiguousarray(a).view(np.uint8).reshape(a.shape + (8,))].sum(
-        axis=-1, dtype=np.int64
-    )
+    # numpy < 2; face_statistics only counts the pairs whose gaps are all 0 or 2
+    return np.array([v.bit_count() for v in a.ravel().tolist()], dtype=np.int64).reshape(a.shape)
 
 
 @dataclass(frozen=True)
@@ -112,26 +109,12 @@ def verify_clique(s: VectorSet, spec: KellerGraphSpec) -> MissingEdgeReport:
     if s.dim != spec.dim:
         raise ValueError(f"dimension mismatch: set {s.dim}, graph {spec.dim}")
     star = spec.variant is GraphVariant.STAR
-    pairs: list[tuple[CubeVector, CubeVector]] = []
-    members = s.members
-    if s.dim <= _PACKED_DIM_LIMIT:
-        packed = s.packed_array()
-        for i in range(len(members) - 1):
-            adj = _edge_rows(int(packed[i]), packed[i + 1 :], s.dim, star)
-            for j in np.nonzero(~adj)[0]:
-                pairs.append((members[i], members[i + 1 + int(j)]))
-    else:
-        for i in range(len(members) - 1):
-            for j in range(i + 1, len(members)):
-                if not has_edge(spec, members[i], members[j]):
-                    pairs.append((members[i], members[j]))
-    return MissingEdgeReport(spec=spec, pairs=tuple(pairs))
-
-
-def _digit_matrix(s: VectorSet) -> np.ndarray:
-    packed = s.packed_array()[:, None]
-    shifts = (2 * np.arange(s.dim, dtype=np.uint64))[None, :]
-    return ((packed >> shifts) & np.uint64(3)).astype(np.int64)
+    members = s.packed.tolist()
+    pairs = tuple(
+        (CubeVector(s.dim, members[i]), CubeVector(s.dim, members[j]))
+        for i, j in _missing_pairs(s.packed, s.dim, star)
+    )
+    return MissingEdgeReport(spec=spec, pairs=pairs)
 
 
 def verify_tiling_cells(s: VectorSet, *, max_dim: int = MAX_CELL_DIM) -> CellCoverResult:
@@ -150,7 +133,7 @@ def verify_tiling_cells(s: VectorSet, *, max_dim: int = MAX_CELL_DIM) -> CellCov
         )
     low = min(n, _SLAB_DIM)
     nlow = 4**low
-    digits = _digit_matrix(s)
+    digits = _digit_columns(s.packed, n).astype(np.int64)
     pow4 = 4 ** np.arange(low, dtype=np.int64)
     corner = ((digits[:, :low] + 3) % 4) @ pow4  # low cell at offset -1 in every coordinate
     # stepping coordinate i from offset -1 to 0 adds 4^i, except when the
@@ -180,21 +163,12 @@ def face_statistics(s: VectorSet) -> FaceHistogram:
     """Histogram of shared-face dimensions over all unordered pairs of s."""
     n = s.dim
     acc = np.zeros(n + 1, dtype=np.int64)
-    if n <= _PACKED_DIM_LIMIT:
-        packed = s.packed_array()
-        low = np.uint64(_low_mask(n))
-        for i in range(len(packed) - 1):
-            x = packed[i] ^ packed[i + 1 :]
-            q = (x & low) == 0
-            if q.any():
-                shared = n - _popcount64(x[q])
-                acc += np.bincount(shared, minlength=n + 1)
-    else:
-        for i, u in enumerate(s.members):
-            for v in s.members[i + 1 :]:
-                gaps = [abs(a - b) for a, b in zip(u.digits, v.digits)]
-                if all(g in (0, 2) for g in gaps):
-                    acc[gaps.count(0)] += 1
+    low = _low_mask(n)
+    for i, u in enumerate(s.packed.tolist()):
+        x = s.packed[i + 1 :] ^ u
+        x = x[(x & low) == 0]
+        if x.size:
+            acc += np.bincount(n - _popcount64(x), minlength=n + 1)
     counts = tuple((k, int(acc[k])) for k in range(n + 1) if acc[k])
     return FaceHistogram(dim=n, counts=counts)
 
@@ -202,22 +176,12 @@ def face_statistics(s: VectorSet) -> FaceHistogram:
 def facet_free(s: VectorSet) -> bool:
     """True when no pair differs in exactly one coordinate by exactly 2.
 
-    For a 2^n set that is a clique in G_n this coincides with being a clique
-    in G*_n.
+    Such a pair is exactly an edge of G_n that is not an edge of G*_n.  For
+    a 2^n set that is a clique in G_n this coincides with being a clique in
+    G*_n.
     """
-    n = s.dim
-    if n <= _PACKED_DIM_LIMIT:
-        packed = s.packed_array()
-        low = np.uint64(_low_mask(n))
-        for i in range(len(packed) - 1):
-            x = packed[i] ^ packed[i + 1 :]
-            eligible = (x & low) == 0
-            if eligible.any() and (_popcount64(x[eligible]) == 1).any():
-                return False
-        return True
-    for i, u in enumerate(s.members):
-        for v in s.members[i + 1 :]:
-            gaps = [abs(a - b) for a, b in zip(u.digits, v.digits)]
-            if sum(1 for g in gaps if g) == 1 and 2 in gaps:
-                return False
+    for i, u in enumerate(s.packed.tolist()):
+        x = s.packed[i + 1 :] ^ u
+        if (_edge(x, s.dim, False) & ~_edge(x, s.dim, True)).any():
+            return False
     return True

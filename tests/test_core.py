@@ -12,7 +12,7 @@ from keller.core import (
     DIHEDRAL_LABEL_MAPS,
     GraphVariant,
     KellerGraphSpec,
-    _edge_rows,
+    _edge,
     apply_automorphism,
     digit_gap,
     enumerate_automorphisms,
@@ -117,7 +117,7 @@ def test_broadcast_edge_rows_match_has_edge(variant):
     # a column of vectors against a row gives the whole adjacency matrix
     spec = KellerGraphSpec(3, variant)
     packed = np.arange(64, dtype=np.uint64)
-    matrix = _edge_rows(packed[:, None], packed[None, :], 3, variant is STAR)
+    matrix = _edge(packed[:, None] ^ packed[None, :], 3, variant is STAR)
     assert matrix.shape == (64, 64)
     for u in range(64):
         for v in range(64):

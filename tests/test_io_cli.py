@@ -28,6 +28,7 @@ from keller.files import (
     read_vector_set,
     write_vector_set,
 )
+from keller.verify import verify_clique
 
 STAR = GraphVariant.STAR
 PLAIN = GraphVariant.PLAIN
@@ -234,6 +235,76 @@ def test_cli_search_cyclic_invariant(capsys):
     report = capsys.readouterr().out
     assert code == 0
     assert "status: TARGET_REFUTED" in report
+
+
+def test_cli_cyclic_invariant_rejects_plain_graph(capsys):
+    # {00, 02, 20, 22} is a rotation-invariant 4-clique of G_2 but not of G*_2,
+    # so a G*-only search must not answer for --graph G
+    closed = VectorSet.from_strings(2, ["00", "02", "20", "22"])
+    assert verify_clique(closed, KellerGraphSpec(2, PLAIN)).is_clique
+    code = main(["search", "--dim", "2", "--graph", "G", "--target", "4", "--cyclic-invariant"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "--cyclic-invariant searches G*_n only" in captured.err
+    code = main(["search", "--dim", "2", "--graph", "Gstar", "--target", "4", "--cyclic-invariant"])
+    assert code == 0
+    assert "status: TARGET_REFUTED" in capsys.readouterr().out
+
+
+def test_cli_cyclic_invariant_huge_target_refuted(capsys):
+    code = main(["search", "--dim", "3", "--cyclic-invariant", "--target", "999999999999"])
+    assert code == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "status: TARGET_REFUTED",
+        "best clique size: 0",
+        "nodes explored: 0",
+        "note: target 999999999999 is not a sum of admissible orbit sizes",
+    ]
+
+
+def test_cli_cyclic_invariant_dimension_guard(capsys, monkeypatch):
+    from keller import search
+
+    def enumerate_all(*args):
+        raise AssertionError("the guard must reject n = 9 before enumerating")
+
+    monkeypatch.setattr(search, "cyclic_orbits", enumerate_all)
+    code = main(["search", "--dim", "9", "--target", "512", "--cyclic-invariant"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "error: cyclic-invariant search guarded at dim 8" in captured.err
+
+
+WIDE40 = ["0" * 40, "2" * 20 + "1" * 20, "1" * 40]
+
+
+def test_cli_verify_and_lift_above_32_coordinates(tmp_path, capsys):
+    src = tmp_path / "wide.txt"
+    src.write_text("dim=40 count=3\n" + "\n".join(WIDE40) + "\n")
+    for graph in ("G", "Gstar"):
+        assert main(["verify", "--in", str(src), "--graph", graph, "--faces"]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "clique: FAIL (2 missing pairs)",
+            f"missing: {'0' * 40} {'1' * 40}",
+            f"missing: {'1' * 40} {'2' * 20 + '1' * 20}",
+            "max shared face dim: None",
+        ]
+    dst = tmp_path / "wide41.txt"
+    assert main(["lift", "--in", str(src), "--out", str(dst)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "lift: rotation +1 on coordinate 0",
+        f"wrote {dst}: dim=41 count=6",
+    ]
+    assert dst.read_text().splitlines() == [
+        "dim=41 count=6",
+        "0" * 41,
+        "1" + "0" * 39 + "2",
+        "1" * 40 + "0",
+        "2" + "1" * 39 + "2",
+        "2" * 20 + "1" * 20 + "0",
+        "3" + "2" * 19 + "1" * 20 + "2",
+    ]
 
 
 def test_cli_lift_pipeline(tmp_path, capsys):

@@ -461,3 +461,23 @@ def test_invariant_budget_exhaustion_clean():
     out = invariant_clique_search(7, 128, SearchBudget(node_limit=2000))
     assert out.status in (SearchStatus.TARGET_REFUTED, SearchStatus.BUDGET_EXHAUSTED)
     assert out.status is not SearchStatus.TARGET_FOUND
+
+
+def test_invariant_huge_target_refuted_without_search():
+    # the reach bitset would need 2^(target + 1) bits
+    out = invariant_clique_search(3, 999_999_999_999)
+    assert (out.status, out.nodes_explored) == (SearchStatus.TARGET_REFUTED, 0)
+    assert out.note == "target 999999999999 is not a sum of admissible orbit sizes"
+    assert len(out.best_clique) == 0
+
+
+def test_invariant_search_dimension_guard(monkeypatch):
+    def enumerate_all(*args):
+        raise AssertionError("the guard must reject n = 9 before enumerating")
+
+    monkeypatch.setattr(search_module, "cyclic_orbits", enumerate_all)
+    monkeypatch.setattr(search_module, "_orbit_compatibility", enumerate_all)
+    with pytest.raises(ValueError, match="guarded at dim 8"):
+        invariant_clique_search(9, 512)
+    with pytest.raises(ValueError, match="guarded at dim 8"):
+        invariant_clique_search(9, 512, SearchBudget(node_limit=1))

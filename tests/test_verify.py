@@ -335,3 +335,110 @@ def test_facet_free_agrees_with_star_clique_on_plain_cliques():
             assert facet_free(s) == star_ok
             checked += 1
     assert checked >= 5
+
+
+# ---------------------------------------------------------------------------
+# dimensions above 32: Python-int packed arrays
+# ---------------------------------------------------------------------------
+
+WIDE40 = ["0" * 40, "2" * 20 + "1" * 20, "1" * 40]
+
+
+def digit_oracle_edge(variant, u, v):
+    gaps = [abs(a - b) for a, b in zip(u.digits, v.digits)]
+    return 2 in gaps and (variant is PLAIN or sum(1 for g in gaps if g) >= 2)
+
+
+def digit_oracle_faces(s):
+    counts: Counter = Counter()
+    for u, v in itertools.combinations(s.members, 2):
+        gaps = [abs(a - b) for a, b in zip(u.digits, v.digits)]
+        if all(g in (0, 2) for g in gaps):
+            counts[gaps.count(0)] += 1
+    return dict(counts)
+
+
+def digit_oracle_facet_free(s):
+    for u, v in itertools.combinations(s.members, 2):
+        gaps = [abs(a - b) for a, b in zip(u.digits, v.digits)]
+        if sum(1 for g in gaps if g) == 1 and 2 in gaps:
+            return False
+    return True
+
+
+def wide_sets():
+    """The 3-vector dim-40 set plus random sets at dims 33 and 40.
+
+    The random members are {0, 2}^n vectors with a few coordinates moved, so
+    that shared faces, facet pairs and missing edges all occur.
+    """
+    sets = [vs(40, WIDE40)]
+    rng = random.Random(4040)
+    for dim in (33, 40, 40):
+        members = set()
+        while len(members) < 14:
+            digits = [rng.choice((0, 2)) for _ in range(dim)]
+            for _ in range(rng.randrange(3)):
+                digits[rng.randrange(dim)] = rng.randrange(4)
+            members.add(CubeVector.from_digits(digits))
+        base = rng.choice(sorted(members, key=str))
+        members.add(CubeVector.from_digits(base.digits[:-1] + ((base.digits[-1] + 2) % 4,)))
+        sets.append(VectorSet(dim, members))
+    return sets
+
+
+def test_wide_sets_are_python_int_arrays():
+    for s in wide_sets():
+        assert s.packed.dtype == object
+        assert all(type(p) is int for p in s.packed)
+
+
+def test_wide_verify_clique_matches_digit_oracle():
+    for s in wide_sets():
+        for variant in (PLAIN, STAR):
+            want = [
+                (u, v)
+                for u, v in itertools.combinations(s.members, 2)
+                if not digit_oracle_edge(variant, u, v)
+            ]
+            assert list(verify_clique(s, KellerGraphSpec(s.dim, variant)).pairs) == want
+    report = verify_clique(vs(40, WIDE40), KellerGraphSpec(40, PLAIN))
+    assert [(str(u), str(v)) for u, v in report.pairs] == [
+        ("0" * 40, "1" * 40),
+        ("1" * 40, "2" * 20 + "1" * 20),
+    ]
+
+
+def test_wide_faces_and_facet_freeness_match_digit_oracle(monkeypatch):
+    sets = wide_sets()
+    assert any(digit_oracle_faces(s) for s in sets)
+    assert not all(digit_oracle_facet_free(s) for s in sets)
+    for s in sets:
+        assert face_statistics(s).as_dict() == digit_oracle_faces(s)
+        assert facet_free(s) == digit_oracle_facet_free(s)
+    monkeypatch.delattr(np, "bitwise_count", raising=False)  # numpy < 2
+    for s in sets:
+        assert face_statistics(s).as_dict() == digit_oracle_faces(s)
+
+
+def test_wide_lift_matches_digit_oracle():
+    for s in wide_sets():
+        a = find_lift_shift(s)
+        assert a is not None
+        image = [a.apply(m) for m in s]
+        assert not set(image) & set(s)
+        want = {CubeVector.from_digits(m.digits + (0,)) for m in s}
+        want |= {CubeVector.from_digits(m.digits + (2,)) for m in image}
+        lifted = lift(s, a)
+        assert lifted.dim == s.dim + 1
+        assert set(lifted) == want
+        assert [v.digits for v in lifted] == sorted(v.digits for v in want)
+    lifted = lift(vs(40, WIDE40), find_lift_shift(vs(40, WIDE40)))
+    assert [str(v) for v in lifted] == [
+        "0" * 41,
+        "1" + "0" * 39 + "2",
+        "1" * 40 + "0",
+        "2" + "1" * 39 + "2",
+        "2" * 20 + "1" * 20 + "0",
+        "3" + "2" * 19 + "1" * 20 + "2",
+    ]
