@@ -12,7 +12,11 @@ is empty is a leaf and is not counted.  Every node entered is a clique, so
 it updates the incumbent: a decision run that runs out of budget still
 reports the largest clique it reached.  Vertices are relabeled once into
 descending degeneracy order (reverse of the repeated-minimum-degree removal
-sequence, ties by index), so search trees and node counts are reproducible.
+sequence, ties to the smallest index), so search trees and node counts are
+reproducible.  Up to each subproblem the graph stays a numpy matrix: the
+adjacency is packed into a uint8 matrix once, classes, candidate sets and
+induced subgraphs are unpacked from its rows, and only the relabeled
+subgraph becomes the Python-int bitset rows the search runs on.
 
 On a genuine Keller graph the search is symmetry-broken.  Every translation
 m -> m ^ c is an automorphism, so some optimal clique contains vertex 0; the
@@ -38,7 +42,6 @@ versions that counted leaves as nodes wherever a run reaches leaves.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import operator
 import sys
@@ -118,62 +121,38 @@ class _Exhausted(Exception):
     pass
 
 
-def _degeneracy_removal_order(adjacency: Sequence[int]) -> list[int]:
-    """Repeatedly remove a minimum-degree vertex (smallest index on ties)."""
-    nverts = len(adjacency)
-    deg = [row.bit_count() for row in adjacency]
-    heap = [(deg[v], v) for v in range(nverts)]
-    heapq.heapify(heap)
-    removed_mask = 0
-    order = []
-    while heap:
-        d, v = heapq.heappop(heap)
-        if (removed_mask >> v) & 1 or d != deg[v]:
-            continue
-        order.append(v)
-        removed_mask |= 1 << v
-        rest = adjacency[v] & ~removed_mask
-        while rest:
-            lsb = rest & -rest
-            u = lsb.bit_length() - 1
-            deg[u] -= 1
-            heapq.heappush(heap, (deg[u], u))
-            rest ^= lsb
-    return order
+def _relabel(matrix: np.ndarray) -> tuple[list[int], list[int]]:
+    """Relabel into descending degeneracy order; returns (new_adj, new_to_old).
+
+    ``matrix`` is a dense symmetric boolean adjacency with a clear diagonal.
+    The order reverses the repeated removal of a minimum-degree vertex,
+    smallest index on ties (``argmin`` returns the first minimum); a removed
+    vertex's degree is pinned above every live one.  The relabeled matrix
+    becomes the Python-int bitset rows the search runs on.
+    """
+    deg = matrix.sum(axis=1, dtype=np.int64)
+    removed = np.iinfo(np.int64).max
+    order = np.empty(len(matrix), dtype=np.intp)
+    for i in range(len(matrix)):
+        v = int(np.argmin(deg))
+        order[i] = v
+        deg -= matrix[v]
+        deg[v] = removed
+    new_to_old = order[::-1]
+    packed = np.packbits(matrix[np.ix_(new_to_old, new_to_old)], axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed], new_to_old.tolist()
 
 
-def _relabel(adjacency: Sequence[int]) -> tuple[list[int], list[int]]:
-    """Relabel into descending degeneracy order; returns (new_adj, new_to_old)."""
-    new_to_old = list(reversed(_degeneracy_removal_order(adjacency)))
-    old_to_new = [0] * len(new_to_old)
-    for new, old in enumerate(new_to_old):
-        old_to_new[old] = new
-    new_adj = [0] * len(new_to_old)
-    for new, old in enumerate(new_to_old):
-        row = adjacency[old]
-        acc = 0
-        while row:
-            lsb = row & -row
-            acc |= 1 << old_to_new[lsb.bit_length() - 1]
-            row ^= lsb
-        new_adj[new] = acc
-    return new_adj, new_to_old
+def _packed_matrix(rows: Sequence[int]) -> np.ndarray:
+    """Square bitset rows as a packed uint8 matrix: bit j of row i is bit j % 8 of byte j // 8."""
+    nbytes = (len(rows) + 7) // 8
+    raw = b"".join(row.to_bytes(nbytes, "little") for row in rows)
+    return np.frombuffer(raw, dtype=np.uint8).reshape(len(rows), nbytes)
 
 
-def _row_bits(row: int, nverts: int) -> np.ndarray:
-    """Bitset row as a boolean array of length nverts."""
-    raw = np.frombuffer(row.to_bytes((nverts + 7) // 8, "little"), dtype=np.uint8)
-    return np.unpackbits(raw, bitorder="little")[:nverts].astype(bool)
-
-
-def _induced_rows(adjacency: Sequence[int], verts: np.ndarray) -> list[int]:
-    """Bitset rows of the subgraph induced on verts, vertex i naming verts[i]."""
-    nbytes = (len(adjacency) + 7) // 8
-    raw = b"".join(adjacency[v].to_bytes(nbytes, "little") for v in verts.tolist())
-    rows = np.frombuffer(raw, dtype=np.uint8).reshape(len(verts), nbytes)
-    sub = np.unpackbits(rows, axis=1, bitorder="little")[:, verts]
-    packed = np.packbits(sub, axis=1, bitorder="little")
-    return [int.from_bytes(r.tobytes(), "little") for r in packed]
+def _unpacked(packed: np.ndarray, nverts: int) -> np.ndarray:
+    """The boolean rows (or row) of a packed matrix, nverts columns each."""
+    return np.unpackbits(packed, axis=-1, count=nverts, bitorder="little").view(bool)
 
 
 @dataclass(frozen=True)
@@ -192,16 +171,16 @@ class _Subproblem:
     weights: Sequence[int]
 
 
-def _stabilizer_classes(spec: KellerGraphSpec, row0: int) -> list[np.ndarray]:
+def _stabilizer_classes(spec: KellerGraphSpec, row0: np.ndarray) -> list[np.ndarray]:
     """N(0) split by (count of digit 0, count of digit 2), largest class first.
 
     The automorphisms fixing vector 0 are the coordinate permutations times
     x -> -x on any set of coordinates; these classes are their orbits on
-    N(0) (row0 is vertex 0's adjacency row).  Each class is sorted; ties in
-    size keep the ascending order of the key.
+    N(0) (row0 is vertex 0's boolean adjacency row).  Each class is sorted;
+    ties in size keep the ascending order of the key.
     """
     n = spec.dim
-    nbrs = np.flatnonzero(_row_bits(row0, spec.num_vertices))
+    nbrs = np.flatnonzero(row0)
     digits = _digit_columns(nbrs, n)
     key = (digits == 0).sum(axis=1) * (n + 1) + (digits == 2).sum(axis=1)
     classes = [nbrs[key == k] for k in np.unique(key)]
@@ -209,25 +188,24 @@ def _stabilizer_classes(spec: KellerGraphSpec, row0: int) -> list[np.ndarray]:
     return classes
 
 
-def _keller_subproblems(g: MaterializedGraph) -> Iterator[_Subproblem]:
+def _keller_subproblems(spec: KellerGraphSpec, packed: np.ndarray) -> Iterator[_Subproblem]:
     """One subproblem per Stab(0) class of N(0), built lazily.
 
-    Requires g to be the Keller graph of g.spec: translations move any
-    clique onto vertex 0, and Stab(0) then moves its member of the earliest
-    class onto that class's representative.
+    Requires ``packed`` to be the packed adjacency matrix of spec's Keller
+    graph: translations move any clique onto vertex 0, and Stab(0) then
+    moves its member of the earliest class onto that class's representative.
     """
-    adjacency = g.adjacency
-    classes = _stabilizer_classes(g.spec, adjacency[0])
+    nverts = spec.num_vertices
+    allowed = _unpacked(packed[0], nverts)
+    classes = _stabilizer_classes(spec, allowed)
     if not classes:
         yield _Subproblem((0,), [], [], [])
         return
-    allowed = _row_bits(adjacency[0], g.num_vertices)
     for members in classes:
         rep = int(members[0])
-        verts = np.flatnonzero(allowed & _row_bits(adjacency[rep], g.num_vertices))
-        adj, sub_to_vert = _relabel(_induced_rows(adjacency, verts))
-        new_to_old = [int(verts[i]) for i in sub_to_vert]
-        yield _Subproblem((0, rep), adj, new_to_old, [1] * len(adj))
+        verts = np.flatnonzero(allowed & _unpacked(packed[rep], nverts))
+        adj, sub_to_vert = _relabel(_unpacked(packed[verts], nverts)[:, verts])
+        yield _Subproblem((0, rep), adj, verts[sub_to_vert].tolist(), [1] * len(adj))
         allowed[members] = False
 
 
@@ -238,10 +216,11 @@ def _subproblems(g: MaterializedGraph) -> Iterator[_Subproblem]:
     row that differs.
     """
     rows = g.adjacency
+    packed = _packed_matrix(rows)
     if len(rows) == g.spec.num_vertices and all(map(operator.eq, rows, _adjacency_rows(g.spec))):
-        yield from _keller_subproblems(g)
+        yield from _keller_subproblems(g.spec, packed)
     else:
-        adj, new_to_old = _relabel(rows)
+        adj, new_to_old = _relabel(_unpacked(packed, len(rows)))
         yield _Subproblem((), adj, new_to_old, [1] * len(adj))
 
 
@@ -505,6 +484,9 @@ def cyclic_orbits(n: int) -> tuple[OrbitVertex, ...]:
     return tuple(out)
 
 
+_COMPAT_BLOCK_ELEMS = 1 << 15
+
+
 def _orbit_compatibility(
     n: int, orbits: Sequence[OrbitVertex]
 ) -> tuple[list[OrbitVertex], np.ndarray]:
@@ -525,12 +507,18 @@ def _orbit_compatibility(
         internal &= (sizes <= e) | _edge(reps ^ shifted[e], n, True)
     keep = np.flatnonzero(internal)
     admissible = [orbits[i] for i in keep.tolist()]
-    reps, sizes = reps[keep], sizes[keep]
+    reps = reps[keep]
+    # every shift e of B's representative is a member of B (shift e mod
+    # size(B)), so testing all of them adds no condition; e = 0 clears the diagonal
+    columns = [rotated[keep] for rotated in shifted]
     compat = np.ones((len(keep), len(keep)), dtype=bool)
-    # column b needs edges for every shift e < size[b]; e = 0 clears the diagonal
-    for e, rotated in enumerate(shifted):
-        needed = sizes > e
-        compat[:, needed] &= _edge(reps[:, None] ^ rotated[keep][needed][None, :], n, True)
+    # row blocks of about _COMPAT_BLOCK_ELEMS pairs keep the edge test's
+    # temporaries small (256 KiB per uint64 array) and in cache
+    step = max(1, _COMPAT_BLOCK_ELEMS // max(1, len(keep)))
+    for start in range(0, len(keep), step):
+        block = compat[start : start + step]
+        for rotated in columns:
+            block &= _edge(reps[start : start + step, None] ^ rotated, n, True)
     return admissible, compat
 
 
@@ -603,8 +591,7 @@ def invariant_clique_search(
             return
         groups, matrix = _orbit_groups(n, target, admissible, compat)
         members.extend([v for i in g for v in admissible[i].orbit] for g in groups)
-        packed = np.packbits(matrix, axis=1, bitorder="little")
-        adj, new_to_old = _relabel([int.from_bytes(row.tobytes(), "little") for row in packed])
+        adj, new_to_old = _relabel(matrix)
         yield _Subproblem((), adj, new_to_old, [len(members[old]) for old in new_to_old])
 
     status = search.run(build())

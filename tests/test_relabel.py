@@ -1,0 +1,143 @@
+"""The numpy degeneracy relabel against the heap routine it replaced.
+
+``reference_relabel`` is the earlier Python-int implementation, kept as the
+oracle: a heap of (degree, vertex) pairs with lazy deletion, then a remap of
+every row one bit at a time.  The search's node counts depend on the exact
+order, so ``_relabel`` must return the same labels and rows on every graph,
+including graphs with many degree ties.
+"""
+
+import heapq
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from keller.core import GraphVariant, KellerGraphSpec, materialize
+from keller.search import (
+    _orbit_compatibility,
+    _orbit_groups,
+    _relabel,
+    _stabilizer_classes,
+    _subproblems,
+    cyclic_orbits,
+)
+
+
+def reference_removal_order(adjacency):
+    """Repeatedly remove a minimum-degree vertex (smallest index on ties)."""
+    nverts = len(adjacency)
+    deg = [row.bit_count() for row in adjacency]
+    heap = [(deg[v], v) for v in range(nverts)]
+    heapq.heapify(heap)
+    removed_mask = 0
+    order = []
+    while heap:
+        d, v = heapq.heappop(heap)
+        if (removed_mask >> v) & 1 or d != deg[v]:
+            continue
+        order.append(v)
+        removed_mask |= 1 << v
+        rest = adjacency[v] & ~removed_mask
+        while rest:
+            lsb = rest & -rest
+            u = lsb.bit_length() - 1
+            deg[u] -= 1
+            heapq.heappush(heap, (deg[u], u))
+            rest ^= lsb
+    return order
+
+
+def reference_relabel(adjacency):
+    """Relabel into descending degeneracy order; returns (new_adj, new_to_old)."""
+    new_to_old = list(reversed(reference_removal_order(adjacency)))
+    old_to_new = [0] * len(new_to_old)
+    for new, old in enumerate(new_to_old):
+        old_to_new[old] = new
+    new_adj = [0] * len(new_to_old)
+    for new, old in enumerate(new_to_old):
+        row = adjacency[old]
+        acc = 0
+        while row:
+            lsb = row & -row
+            acc |= 1 << old_to_new[lsb.bit_length() - 1]
+            row ^= lsb
+        new_adj[new] = acc
+    return new_adj, new_to_old
+
+
+def bool_matrix(rows, nverts):
+    return np.array([[(row >> j) & 1 for j in range(nverts)] for row in rows], dtype=bool)
+
+
+def int_rows(matrix):
+    return [sum(1 << int(j) for j in np.flatnonzero(row)) for row in matrix]
+
+
+def induced(rows, verts):
+    """Bitset rows of the subgraph induced on verts, vertex i naming verts[i]."""
+    pos = {v: i for i, v in enumerate(verts)}
+    out = []
+    for v in verts:
+        acc = 0
+        for u in verts:
+            if (rows[v] >> u) & 1:
+                acc |= 1 << pos[u]
+        out.append(acc)
+    return out
+
+
+def assert_same_relabel(matrix, rows):
+    adj, new_to_old = _relabel(matrix)
+    assert (adj, new_to_old) == reference_relabel(rows)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("variant", [GraphVariant.PLAIN, GraphVariant.STAR])
+def test_relabel_matches_reference_on_keller_graphs(n, variant):
+    g = materialize(KellerGraphSpec(n, variant))
+    assert_same_relabel(bool_matrix(g.adjacency, g.num_vertices), list(g.adjacency))
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_every_stabilizer_subproblem_matches_reference(n):
+    # the candidates of class k: N(0) & N(rep_k) minus the earlier classes
+    g = materialize(KellerGraphSpec(n, GraphVariant.STAR))
+    rows = g.adjacency
+    row0 = np.array([g.has_edge_index(0, v) for v in range(g.num_vertices)])
+    classes = _stabilizer_classes(g.spec, row0)
+    subs = list(_subproblems(g))
+    assert len(subs) == len(classes) > 1
+    allowed = rows[0]
+    for members, sub in zip(classes, subs):
+        rep = int(members[0])
+        cand = allowed & rows[rep]
+        verts = [v for v in range(g.num_vertices) if (cand >> v) & 1]
+        adj, sub_to_vert = reference_relabel(induced(rows, verts))
+        assert sub.prefix == (0, rep)
+        assert sub.adj == adj
+        assert sub.new_to_old == [verts[i] for i in sub_to_vert]
+        for v in members.tolist():
+            allowed &= ~(1 << v)
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_relabel_matches_reference_on_orbit_graphs(n):
+    admissible, compat = _orbit_compatibility(n, cyclic_orbits(n))
+    _, matrix = _orbit_groups(n, 2**n, admissible, compat)
+    assert_same_relabel(matrix, int_rows(matrix))
+
+
+@st.composite
+def symmetric_graphs(draw):
+    """A small symmetric boolean matrix with a clear diagonal; few distinct degrees."""
+    nverts = draw(st.integers(0, 24))
+    upper = draw(st.lists(st.booleans(), min_size=nverts * nverts, max_size=nverts * nverts))
+    matrix = np.triu(np.array(upper, dtype=bool).reshape(nverts, nverts), 1)
+    return matrix | matrix.T
+
+
+@settings(max_examples=300, deadline=None)
+@given(symmetric_graphs())
+def test_relabel_matches_reference_on_random_graphs(matrix):
+    assert_same_relabel(matrix, int_rows(matrix))

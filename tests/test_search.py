@@ -3,9 +3,11 @@
 import itertools
 import math
 import random
+import tracemalloc
 from collections import Counter
 
 import networkx as nx
+import numpy as np
 import pytest
 
 from keller import search as search_module
@@ -211,6 +213,10 @@ def digit_key(v):
     return v.digits.count(0), v.digits.count(2)
 
 
+def neighbors_of_zero(g):
+    return np.array([g.has_edge_index(0, v) for v in range(g.num_vertices)])
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_translations_are_automorphisms(n):
     # u -> u ^ v relabels coordinate i by x -> x ^ v_i, a 4-cycle symmetry
@@ -229,7 +235,7 @@ def test_stabilizer_orbits_are_digit_count_classes(n, variant):
     zero = CubeVector.from_index(n, 0)
     stab = [a for a in enumerate_automorphisms(n) if a.apply(zero) == zero]
     assert len(stab) == 2**n * math.factorial(n)
-    classes = [[CubeVector.from_index(n, int(v)) for v in c] for c in _stabilizer_classes(g.spec, g.adjacency[0])]
+    classes = [[CubeVector.from_index(n, int(v)) for v in c] for c in _stabilizer_classes(g.spec, neighbors_of_zero(g))]
     members = [v for c in classes for v in c]
     assert sorted(v.packed for v in members) == [v for v in range(4**n) if g.has_edge_index(0, v)]
     assert len({digit_key(c[0]) for c in classes}) == len(classes)
@@ -244,7 +250,7 @@ def test_stabilizer_orbits_are_digit_count_classes(n, variant):
 def test_reduction_only_on_keller_adjacency():
     g = materialize(KellerGraphSpec(3, STAR))
     subs = list(_subproblems(g))
-    assert len(subs) == len(_stabilizer_classes(g.spec, g.adjacency[0]))
+    assert len(subs) == len(_stabilizer_classes(g.spec, neighbors_of_zero(g)))
     assert all(sub.prefix[0] == 0 and len(sub.prefix) == 2 for sub in subs)
     # drop one edge: no longer the Keller graph, so searched whole
     u, v = next(g.edges())
@@ -258,7 +264,9 @@ def test_reduction_only_on_keller_adjacency():
 
 def unreduced(g, target):
     """The B&B engine on the whole relabeled graph: (status, best size)."""
-    adj, new_to_old = _relabel(g.adjacency)
+    nverts = g.num_vertices
+    matrix = np.array([[g.has_edge_index(u, v) for v in range(nverts)] for u in range(nverts)])
+    adj, new_to_old = _relabel(matrix)
     search = _CliqueSearch(target, 0 if target is None else target - 1, SearchBudget())
     status = search.run([_Subproblem((), adj, new_to_old, [1] * len(adj))])
     dim = g.spec.dim
@@ -375,6 +383,40 @@ def test_orbits_partition_and_reps_minimal():
                 CubeVector.from_digits(v.digits[1:] + v.digits[:1]) for v in o.orbit
             }
             assert shifted == set(o.orbit)
+
+
+@pytest.mark.parametrize("block_elems", [1, 300, 1 << 15])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_orbit_compatibility_matches_definition(monkeypatch, n, block_elems):
+    # admissible: every internal pair adjacent; compatible: every cross pair
+    # adjacent (a vector is not adjacent to itself, so the diagonal is clear);
+    # the blocks run from one row to the whole matrix
+    monkeypatch.setattr(search_module, "_COMPAT_BLOCK_ELEMS", block_elems)
+    g = materialize(KellerGraphSpec(n, STAR))
+    adjacency = np.array([[g.has_edge_index(u, v) for v in range(4**n)] for u in range(4**n)])
+    orbits = cyclic_orbits(n)
+    members = [[v.packed for v in o.orbit] for o in orbits]
+    admissible, compat = search_module._orbit_compatibility(n, orbits)
+    keep = [i for i, m in enumerate(members) if (adjacency[np.ix_(m, m)] | np.eye(len(m), dtype=bool)).all()]
+    assert admissible == [orbits[i] for i in keep]
+    expected = [[adjacency[np.ix_(members[a], members[b])].all() for b in keep] for a in keep]
+    assert compat.tolist() == expected
+
+
+@pytest.mark.parametrize("n, admissible, limit_mib", [(7, 1600, 16), (8, 4320, 64)])
+def test_orbit_compatibility_memory_is_bounded(n, admissible, limit_mib):
+    # a one-shot build holds several admissible x admissible uint64
+    # temporaries: a 68.5 MiB peak at n = 7 and 142 MiB per temporary at n = 8
+    orbits = cyclic_orbits(n)
+    tracemalloc.start()
+    try:
+        adm, compat = search_module._orbit_compatibility(n, orbits)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(adm) == admissible
+    assert peak < limit_mib * 2**20
+    assert (compat == compat.T).all() and not compat.diagonal().any()
 
 
 # ---------------------------------------------------------------------------
