@@ -88,7 +88,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
         if args.graph not in (None, "Gstar"):
             print("error: --cyclic-invariant searches G*_n only (--graph Gstar)", file=sys.stderr)
             return 2
-        outcome = invariant_clique_search(args.dim, args.target, budget)
+        outcome = invariant_clique_search(args.dim, args.target, budget, on_improve=progress)
     else:
         spec = KellerGraphSpec(args.dim, _VARIANTS[args.graph or "Gstar"])
         g = materialize(spec)

@@ -44,7 +44,7 @@ __all__ = [
     "MAX_MATERIALIZE_DIM",
 ]
 
-# 4**8 vertices is ~512 MB of adjacency bitsets; beyond that use the
+# 4**8 vertices make a 512 MiB packed adjacency matrix; beyond that use the
 # implicit predicate.
 MAX_MATERIALIZE_DIM = 8
 
@@ -326,67 +326,77 @@ def apply_automorphism(a: Automorphism, m: CubeVector) -> CubeVector:
 # Materialization
 # ---------------------------------------------------------------------------
 
+def _unpacked(packed: np.ndarray, nverts: int) -> np.ndarray:
+    """The boolean rows (or row) of a packed matrix, nverts columns each."""
+    return np.unpackbits(packed, axis=-1, count=nverts, bitorder="little").view(bool)
+
+
 @dataclass(frozen=True)
 class MaterializedGraph:
-    """Adjacency bitsets for every vertex of a Keller graph.
+    """The packed adjacency matrix of a Keller graph, computed from its spec.
 
-    Vertex i is the vector with index i (little-endian base 4); bit j of
-    ``adjacency[i]`` says whether {i, j} is an edge.  Immutable and
-    shareable once built.
+    Vertex i is the vector with index i (little-endian base 4); bit j % 8 of
+    ``packed[i, j // 8]`` says whether {i, j} is an edge.  The matrix is
+    read-only and no other adjacency can be passed in, so equality and
+    hashing follow ``spec``.
     """
 
     spec: KellerGraphSpec
-    adjacency: tuple[int, ...] = field(repr=False)
+    packed: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        # {u, v} is an edge iff _edge(u ^ v), so byte b of row u is byte
+        # b ^ (u >> 3) of row u & 7: every block of 8 rows is one gather from
+        # the first 8 rows
+        vecs = np.arange(self.spec.num_vertices, dtype=np.uint64)
+        star = self.spec.variant is GraphVariant.STAR
+        base_rows = _edge(vecs[:8, None] ^ vecs, self.spec.dim, star)
+        base = np.packbits(base_rows, axis=1, bitorder="little")
+        nbase, nbytes = base.shape
+        cols = np.arange(nbytes)
+        packed = np.empty((len(vecs), nbytes), dtype=np.uint8)
+        for high, block in enumerate(packed.reshape(-1, nbase, nbytes)):
+            block[:] = base[:, cols ^ high]
+        packed.flags.writeable = False
+        object.__setattr__(self, "packed", packed)
 
     @property
     def num_vertices(self) -> int:
-        return len(self.adjacency)
+        return len(self.packed)
 
     @property
     def num_edges(self) -> int:
-        return sum(row.bit_count() for row in self.adjacency) // 2
+        return sum(self.degree(v) for v in range(self.num_vertices)) // 2
 
     def degree(self, v: int) -> int:
-        return self.adjacency[v].bit_count()
+        return int(np.count_nonzero(_unpacked(self.packed[v], self.num_vertices)))
 
     def has_edge_index(self, u: int, v: int) -> bool:
-        return (self.adjacency[u] >> v) & 1 == 1
+        return bool((self.packed[u, v >> 3] >> (v & 7)) & 1)
 
     def vector(self, v: int) -> CubeVector:
         return CubeVector.from_index(self.spec.dim, v)
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """All edges as (u, v) with u < v, ascending."""
-        for u, row in enumerate(self.adjacency):
-            rest = row >> (u + 1)
-            while rest:
-                lsb = rest & -rest
-                yield u, u + 1 + (lsb.bit_length() - 1)
-                rest ^= lsb
+        nverts = self.num_vertices
+        for u in range(nverts):
+            for v in np.flatnonzero(_unpacked(self.packed[u], nverts)[u + 1 :]).tolist():
+                yield u, u + 1 + v
 
 
 def materialize(spec: KellerGraphSpec, *, max_dim: int = MAX_MATERIALIZE_DIM) -> MaterializedGraph:
-    """Build the full adjacency bit-matrix of a Keller graph.
+    """Build the packed adjacency matrix of a Keller graph.
 
-    Guarded at ``max_dim`` (default 8): 4^8 vertices already cost ~512 MB of
-    bitsets.  Use the implicit predicate for larger dimensions.
+    Guarded at ``max_dim`` (default 8): 4^8 vertices already make a 512 MiB
+    matrix.  Use the implicit predicate for larger dimensions.
     """
     if spec.dim > max_dim:
         raise ValueError(
             f"dim {spec.dim} exceeds materialization guard {max_dim} "
             f"(4**{spec.dim} = {4**spec.dim} vertices)"
         )
-    return MaterializedGraph(spec=spec, adjacency=tuple(_adjacency_rows(spec)))
-
-
-def _adjacency_rows(spec: KellerGraphSpec) -> Iterator[int]:
-    """The adjacency bitset rows of a Keller graph, one vertex at a time."""
-    n = spec.dim
-    star = spec.variant is GraphVariant.STAR
-    packed = np.arange(4**n, dtype=np.uint64)
-    for u in range(4**n):
-        adj = _edge(packed ^ u, n, star)
-        yield int.from_bytes(np.packbits(adj, bitorder="little").tobytes(), "little")
+    return MaterializedGraph(spec)
 
 
 def plain_degree(dim: int) -> int:

@@ -13,22 +13,20 @@ it updates the incumbent: a decision run that runs out of budget still
 reports the largest clique it reached.  Vertices are relabeled once into
 descending degeneracy order (reverse of the repeated-minimum-degree removal
 sequence, ties to the smallest index), so search trees and node counts are
-reproducible.  Up to each subproblem the graph stays a numpy matrix: the
-adjacency is packed into a uint8 matrix once, classes, candidate sets and
-induced subgraphs are unpacked from its rows, and only the relabeled
-subgraph becomes the Python-int bitset rows the search runs on.
+reproducible.  Up to each subproblem the graph stays a numpy matrix:
+classes, candidate sets and induced subgraphs are unpacked from the rows of
+the graph's packed uint8 adjacency matrix, and only the relabeled subgraph
+becomes the Python-int bitset rows the search runs on.
 
-On a genuine Keller graph the search is symmetry-broken.  Every translation
-m -> m ^ c is an automorphism, so some optimal clique contains vertex 0; the
-automorphisms fixing 0 (coordinate permutations times per-coordinate x -> -x)
-split N(0) into classes keyed by the counts of digits 0 and 2, and each class
-is one orbit.  So the search runs one subproblem per class, largest class
-first: the clique starts as {0, r} for the class representative r (its
-smallest vertex) and grows inside N(0) & N(r), minus the classes already
-done.  One node counter, budget and incumbent span all subproblems.  Any
-other adjacency (for instance an induced subgraph) is searched whole.  Node
-counts and witness cliques therefore differ from versions without this
-reduction.
+The search is symmetry-broken.  Every translation m -> m ^ c is an
+automorphism, so some optimal clique contains vertex 0; the automorphisms
+fixing 0 (coordinate permutations times per-coordinate x -> -x) split N(0)
+into classes keyed by the counts of digits 0 and 2, and each class is one
+orbit.  So the search runs one subproblem per class, largest class first: the
+clique starts as {0, r} for the class representative r (its smallest vertex)
+and grows inside N(0) & N(r), minus the classes already done.  One node
+counter, budget and incumbent span all subproblems.  Node counts and witness
+cliques therefore differ from versions without this reduction.
 
 The cyclic-invariant search looks for cliques closed under rotating the
 coordinates.  Such a clique is a union of whole rotation orbits, so the
@@ -43,7 +41,6 @@ versions that counted leaves as nodes wherever a run reaches leaves.
 from __future__ import annotations
 
 import itertools
-import operator
 import sys
 import time
 from dataclasses import dataclass
@@ -58,9 +55,9 @@ from .core import (
     GraphVariant,
     KellerGraphSpec,
     MaterializedGraph,
-    _adjacency_rows,
     _digit_columns,
     _edge,
+    _unpacked,
 )
 from .construction import VectorSet
 from .verify import verify_clique
@@ -79,23 +76,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Limits for a search run; unset fields mean unlimited.
-
-    ``target_size`` turns an optimality run into an early-stopping one: the
-    search ends with TARGET_FOUND as soon as a clique that large is seen.
-    """
+    """Limits for a search run; unset fields mean unlimited."""
 
     node_limit: Optional[int] = None
     time_limit: Optional[float] = None
-    target_size: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.node_limit is not None and self.node_limit < 1:
             raise ValueError("node_limit must be positive")
         if self.time_limit is not None and self.time_limit <= 0:
             raise ValueError("time_limit must be positive")
-        if self.target_size is not None and self.target_size < 1:
-            raise ValueError("target_size must be positive")
 
 
 class SearchStatus(Enum):
@@ -143,18 +133,6 @@ def _relabel(matrix: np.ndarray) -> tuple[list[int], list[int]]:
     return [int.from_bytes(row.tobytes(), "little") for row in packed], new_to_old.tolist()
 
 
-def _packed_matrix(rows: Sequence[int]) -> np.ndarray:
-    """Square bitset rows as a packed uint8 matrix: bit j of row i is bit j % 8 of byte j // 8."""
-    nbytes = (len(rows) + 7) // 8
-    raw = b"".join(row.to_bytes(nbytes, "little") for row in rows)
-    return np.frombuffer(raw, dtype=np.uint8).reshape(len(rows), nbytes)
-
-
-def _unpacked(packed: np.ndarray, nverts: int) -> np.ndarray:
-    """The boolean rows (or row) of a packed matrix, nverts columns each."""
-    return np.unpackbits(packed, axis=-1, count=nverts, bitorder="little").view(bool)
-
-
 @dataclass(frozen=True)
 class _Subproblem:
     """Extend the clique ``prefix`` (original vertex ids) within a candidate set.
@@ -188,16 +166,15 @@ def _stabilizer_classes(spec: KellerGraphSpec, row0: np.ndarray) -> list[np.ndar
     return classes
 
 
-def _keller_subproblems(spec: KellerGraphSpec, packed: np.ndarray) -> Iterator[_Subproblem]:
+def _subproblems(g: MaterializedGraph) -> Iterator[_Subproblem]:
     """One subproblem per Stab(0) class of N(0), built lazily.
 
-    Requires ``packed`` to be the packed adjacency matrix of spec's Keller
-    graph: translations move any clique onto vertex 0, and Stab(0) then
-    moves its member of the earliest class onto that class's representative.
+    Translations move any clique onto vertex 0, and Stab(0) then moves its
+    member of the earliest class onto that class's representative.
     """
-    nverts = spec.num_vertices
+    packed, nverts = g.packed, g.num_vertices
     allowed = _unpacked(packed[0], nverts)
-    classes = _stabilizer_classes(spec, allowed)
+    classes = _stabilizer_classes(g.spec, allowed)
     if not classes:
         yield _Subproblem((0,), [], [], [])
         return
@@ -209,40 +186,25 @@ def _keller_subproblems(spec: KellerGraphSpec, packed: np.ndarray) -> Iterator[_
         allowed[members] = False
 
 
-def _subproblems(g: MaterializedGraph) -> Iterator[_Subproblem]:
-    """Symmetry-broken subproblems if g is its spec's Keller graph, else g whole.
-
-    The check rebuilds the spec's rows one at a time and stops at the first
-    row that differs.
-    """
-    rows = g.adjacency
-    packed = _packed_matrix(rows)
-    if len(rows) == g.spec.num_vertices and all(map(operator.eq, rows, _adjacency_rows(g.spec))):
-        yield from _keller_subproblems(g.spec, packed)
-    else:
-        adj, new_to_old = _relabel(_unpacked(packed, len(rows)))
-        yield _Subproblem((), adj, new_to_old, [1] * len(adj))
-
-
 class _CliqueSearch:
-    """Weighted B&B over subproblems.  prune_floor > 0 switches to decision pruning.
+    """Weighted B&B over subproblems; a target switches to decision pruning.
 
     A clique's size is its total weight.  ``run`` searches a sequence of
     subproblems under one node counter, budget and incumbent; sizes
     (incumbent, target, ``on_improve``) count the subproblem's prefix.  With
-    a target, no vertex is added that would overshoot it.
+    a target, a branch is pruned unless its bound reaches the target, and no
+    vertex is added that would overshoot it.
     """
 
     def __init__(
         self,
         target: Optional[int],
-        prune_floor: int,
         budget: SearchBudget,
         on_improve: Optional[Callable[[int, int], None]] = None,
     ):
         self.target = target
         self.cap = target if target is not None else sys.maxsize
-        self.prune_floor = prune_floor
+        self.floor = target - 1 if target is not None else 0
         self.node_limit = budget.node_limit
         self.deadline = (
             time.monotonic() + budget.time_limit if budget.time_limit is not None else None
@@ -313,7 +275,7 @@ class _CliqueSearch:
         if rsize > self.best_size:
             self._improve(rmask, rsize)
         adj, weights, cap = self.adj, self.weights, self.cap
-        threshold = max(self.best_size, self.prune_floor)
+        threshold = max(self.best_size, self.floor)
         for cls, bound in reversed(self._color_sort(cand)):
             if rsize + bound <= threshold:
                 return
@@ -326,7 +288,7 @@ class _CliqueSearch:
                     sub = cand & adj[v]
                     if sub:
                         self._expand(rmask | bit, size, sub)
-                        threshold = max(self.best_size, self.prune_floor)
+                        threshold = max(self.best_size, self.floor)
                         if rsize + bound <= threshold:  # no later vertex has a higher bound
                             return
                     elif size > self.best_size:  # a leaf, not counted as a node
@@ -397,11 +359,10 @@ def _checked_outcome(
 def _search(
     g: MaterializedGraph,
     target: Optional[int],
-    prune_floor: int,
     budget: SearchBudget,
     on_improve: Optional[Callable[[int, int], None]],
 ) -> SearchOutcome:
-    search = _CliqueSearch(target, prune_floor, budget, on_improve)
+    search = _CliqueSearch(target, budget, on_improve)
     status = search.run(_subproblems(g))
     clique = VectorSet._from_packed(g.spec.dim, search.best_vertices())  # vertex id = packed value
     return _checked_outcome(clique, g.spec, status, search.nodes, search.note)
@@ -415,12 +376,11 @@ def max_clique(
 ) -> SearchOutcome:
     """Largest clique of g; OPTIMAL unless the budget runs out first.
 
-    With ``budget.target_size`` set, stops early once a clique that large is
-    found (TARGET_FOUND).  ``on_improve(size, nodes)`` is called whenever the
-    incumbent grows.  Ctrl-C ends the search as BUDGET_EXHAUSTED with note
-    "interrupted", keeping the incumbent.
+    ``on_improve(size, nodes)`` is called whenever the incumbent grows.
+    Ctrl-C ends the search as BUDGET_EXHAUSTED with note "interrupted",
+    keeping the incumbent.
     """
-    return _search(g, budget.target_size, 0, budget, on_improve)
+    return _search(g, None, budget, on_improve)
 
 
 def clique_decision(
@@ -437,7 +397,7 @@ def clique_decision(
     """
     if size < 1:
         raise ValueError("target size must be positive")
-    return _search(g, size, size - 1, budget, on_improve)
+    return _search(g, size, budget, on_improve)
 
 
 # ---------------------------------------------------------------------------
@@ -558,7 +518,11 @@ def _orbit_groups(
 
 
 def invariant_clique_search(
-    n: int, target: int, budget: SearchBudget = SearchBudget()
+    n: int,
+    target: int,
+    budget: SearchBudget = SearchBudget(),
+    *,
+    on_improve: Optional[Callable[[int, int], None]] = None,
 ) -> SearchOutcome:
     """Search G*_n for a clique of given size invariant under coordinate rotation.
 
@@ -569,8 +533,9 @@ def invariant_clique_search(
     constant vectors, the two adjacent constant pairs join as weight-2
     super-vertices instead of four singletons.  Ctrl-C, also while the orbit
     graph is being built, ends the search as BUDGET_EXHAUSTED with note
-    "interrupted".  Guarded at dimension 8 like ``materialize``: the orbits
-    cover all 4^n vectors.
+    "interrupted".  ``on_improve(size, nodes)`` is called whenever the
+    incumbent grows; its size counts vectors (the orbit weights).  Guarded
+    at dimension 8 like ``materialize``: the orbits cover all 4^n vectors.
     """
     if target < 1:
         raise ValueError("target must be positive")
@@ -580,7 +545,7 @@ def invariant_clique_search(
             f"cyclic-invariant search guarded at dim {MAX_MATERIALIZE_DIM}: "
             f"it enumerates all 4**{n} = {4**n} vectors"
         )
-    search = _CliqueSearch(target, target - 1, budget)
+    search = _CliqueSearch(target, budget, on_improve)
     members: list[list[CubeVector]] = []  # orbit-graph vertex -> its vectors
 
     def build() -> Iterator[_Subproblem]:

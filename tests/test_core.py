@@ -12,6 +12,7 @@ from keller.core import (
     DIHEDRAL_LABEL_MAPS,
     GraphVariant,
     KellerGraphSpec,
+    MaterializedGraph,
     _edge,
     apply_automorphism,
     digit_gap,
@@ -274,6 +275,34 @@ def test_materialize_guard():
         materialize(KellerGraphSpec(9, STAR))
     with pytest.raises(ValueError):
         materialize(KellerGraphSpec(5, STAR), max_dim=4)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("variant", [PLAIN, STAR])
+def test_packed_rows_match_edge_kernel(dim, variant):
+    # dim 1 has fewer than the 8 rows the build gathers from
+    g = materialize(KellerGraphSpec(dim, variant))
+    vecs = np.arange(4**dim, dtype=np.uint64)
+    assert g.packed.shape == (4**dim, (4**dim + 7) // 8) and g.packed.dtype == np.uint8
+    for u in range(4**dim):
+        want = np.packbits(_edge(vecs ^ u, dim, variant is STAR), bitorder="little")
+        assert np.array_equal(g.packed[u], want)
+
+
+def test_packed_matrix_is_read_only():
+    g = materialize(KellerGraphSpec(3, STAR))
+    assert not g.packed.flags.writeable
+    with pytest.raises(ValueError):
+        g.packed[0, 0] = 1
+
+
+def test_materialized_graph_is_computed_from_its_spec():
+    spec = KellerGraphSpec(2, STAR)
+    with pytest.raises(TypeError):
+        MaterializedGraph(spec, adjacency=(0,) * 16)
+    g = MaterializedGraph(spec)
+    assert g == materialize(spec) and hash(g) == hash(materialize(spec))
+    assert g != materialize(KellerGraphSpec(2, PLAIN))
 
 
 def test_edges_iterator_sorted_unique():

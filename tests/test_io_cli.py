@@ -1,5 +1,6 @@
 """File formats, DIMACS export, and the command-line interface."""
 
+import hashlib
 import os
 import random
 import subprocess
@@ -114,6 +115,13 @@ def test_dimacs_byte_identical_runs(tmp_path):
     assert (tmp_path / "a.dimacs").read_bytes() == (tmp_path / "b.dimacs").read_bytes()
 
 
+def test_dimacs_g5_star_digest(tmp_path):
+    # the keller5-family export that the benchmark pipeline also checks
+    export_dimacs(KellerGraphSpec(5, STAR), tmp_path / "keller5.clq")
+    digest = hashlib.sha256((tmp_path / "keller5.clq").read_bytes()).hexdigest()
+    assert digest == "bfbfe29161d7e3338cbcb11554d1277c2e46d30b90d6687156c4f6f9317d9486"
+
+
 def test_dimacs_edges_one_based_and_sorted(tmp_path):
     export_dimacs(KellerGraphSpec(1, PLAIN), tmp_path / "g1.dimacs")
     lines = (tmp_path / "g1.dimacs").read_text().splitlines()
@@ -185,6 +193,14 @@ def test_cli_search_progress_lines(capsys):
     assert "incumbent: size=" in report
     assert "status: OPTIMAL" in report
     assert "best clique size: 4" in report
+
+
+def test_cli_cyclic_search_progress_lines(capsys):
+    code = main(["search", "--dim", "3", "--target", "5", "--cyclic-invariant", "--progress"])
+    report = capsys.readouterr().out
+    assert code == 0
+    assert "incumbent: size=5" in report
+    assert "status: TARGET_FOUND" in report
 
 
 def test_cli_search_budget_exhaustion_exit_1(capsys):

@@ -70,6 +70,11 @@ def bool_matrix(rows, nverts):
     return np.array([[(row >> j) & 1 for j in range(nverts)] for row in rows], dtype=bool)
 
 
+def packed_rows(g):
+    """The graph's rows as Python-int bitsets: bit j of row i is edge {i, j}."""
+    return [int.from_bytes(row.tobytes(), "little") for row in g.packed]
+
+
 def int_rows(matrix):
     return [sum(1 << int(j) for j in np.flatnonzero(row)) for row in matrix]
 
@@ -96,14 +101,15 @@ def assert_same_relabel(matrix, rows):
 @pytest.mark.parametrize("variant", [GraphVariant.PLAIN, GraphVariant.STAR])
 def test_relabel_matches_reference_on_keller_graphs(n, variant):
     g = materialize(KellerGraphSpec(n, variant))
-    assert_same_relabel(bool_matrix(g.adjacency, g.num_vertices), list(g.adjacency))
+    rows = packed_rows(g)
+    assert_same_relabel(bool_matrix(rows, g.num_vertices), rows)
 
 
 @pytest.mark.parametrize("n", [4, 5])
 def test_every_stabilizer_subproblem_matches_reference(n):
     # the candidates of class k: N(0) & N(rep_k) minus the earlier classes
     g = materialize(KellerGraphSpec(n, GraphVariant.STAR))
-    rows = g.adjacency
+    rows = packed_rows(g)
     row0 = np.array([g.has_edge_index(0, v) for v in range(g.num_vertices)])
     classes = _stabilizer_classes(g.spec, row0)
     subs = list(_subproblems(g))

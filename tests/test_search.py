@@ -17,7 +17,6 @@ from keller.core import (
     CubeVector,
     GraphVariant,
     KellerGraphSpec,
-    MaterializedGraph,
     enumerate_automorphisms,
     has_edge,
     materialize,
@@ -102,27 +101,20 @@ def test_decision_finds_witness_in_plain():
 
 
 def test_bound_validity_on_random_induced_subgraphs():
-    # the coloring bound must never prune the true optimum; compare against
-    # maximal-clique enumeration on induced subgraphs (vertices outside the
-    # sample stay as isolated vertices so vertex ids keep naming vectors)
-    from keller.core import MaterializedGraph
-
+    # the coloring bound must never prune the true optimum; compare the
+    # engine on induced subgraphs against maximal-clique enumeration
     rng = random.Random(914)
     for dim in (3, 4):
         g = materialize(KellerGraphSpec(dim, STAR))
         full = nx_graph(g)
+        matrix = keller_matrix(g)
         for _ in range(12):
             verts = rng.sample(range(g.num_vertices), 24)
             sub = full.subgraph(verts)
             want = nx_omega(sub) if sub.number_of_edges() else 1
-            rows = [0] * g.num_vertices
-            for u, v in sub.edges():
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-            shim = MaterializedGraph(spec=g.spec, adjacency=tuple(rows))
-            out = max_clique(shim)
-            assert out.status is SearchStatus.OPTIMAL
-            assert len(out.best_clique) == want
+            status, best = unreduced(matrix[np.ix_(verts, verts)], None)
+            assert status is SearchStatus.OPTIMAL
+            assert len(best) == want
 
 
 def test_determinism_same_nodes_and_outcome():
@@ -140,13 +132,6 @@ def test_budget_exhaustion_statuses():
     out = max_clique(g, SearchBudget(node_limit=10))
     assert out.status is SearchStatus.BUDGET_EXHAUSTED
     assert verify_clique(out.best_clique, g.spec).is_clique
-
-
-def test_early_stop_via_target_size_budget():
-    g = materialize(KellerGraphSpec(3, PLAIN))
-    out = max_clique(g, SearchBudget(target_size=4))
-    assert out.status is SearchStatus.TARGET_FOUND
-    assert len(out.best_clique) >= 4
 
 
 def test_budget_is_shared_across_subproblems():
@@ -252,27 +237,32 @@ def test_reduction_only_on_keller_adjacency():
     subs = list(_subproblems(g))
     assert len(subs) == len(_stabilizer_classes(g.spec, neighbors_of_zero(g)))
     assert all(sub.prefix[0] == 0 and len(sub.prefix) == 2 for sub in subs)
-    # drop one edge: no longer the Keller graph, so searched whole
-    u, v = next(g.edges())
-    rows = list(g.adjacency)
-    rows[u] ^= 1 << v
-    rows[v] ^= 1 << u
-    shim = MaterializedGraph(spec=g.spec, adjacency=tuple(rows))
-    (sub,) = _subproblems(shim)
-    assert sub.prefix == () and sorted(sub.new_to_old) == list(range(64))
 
 
-def unreduced(g, target):
-    """The B&B engine on the whole relabeled graph: (status, best size)."""
+def keller_matrix(g):
+    """The dense boolean adjacency matrix of g, one edge query per pair."""
     nverts = g.num_vertices
-    matrix = np.array([[g.has_edge_index(u, v) for v in range(nverts)] for u in range(nverts)])
+    return np.array([[g.has_edge_index(u, v) for v in range(nverts)] for u in range(nverts)])
+
+
+def unreduced(matrix, target):
+    """The B&B engine on a whole relabeled boolean matrix: (status, best clique)."""
     adj, new_to_old = _relabel(matrix)
-    search = _CliqueSearch(target, 0 if target is None else target - 1, SearchBudget())
+    search = _CliqueSearch(target, SearchBudget())
     status = search.run([_Subproblem((), adj, new_to_old, [1] * len(adj))])
+    best = search.best_vertices()
+    assert len(best) == search.best_size
+    assert (matrix[np.ix_(best, best)] | np.eye(len(best), dtype=bool)).all()
+    return status, best
+
+
+def unreduced_keller(g, target):
+    """``unreduced`` on the whole of g: (status, best size), the clique verified."""
+    status, best = unreduced(keller_matrix(g), target)
     dim = g.spec.dim
-    best = VectorSet(dim, (CubeVector.from_index(dim, v) for v in search.best_vertices()))
-    assert verify_clique(best, g.spec).is_clique
-    return status, search.best_size
+    clique = VectorSet(dim, (CubeVector.from_index(dim, v) for v in best))
+    assert verify_clique(clique, g.spec).is_clique
+    return status, len(best)
 
 
 def assert_agree(reduced, full, target):
@@ -293,16 +283,16 @@ def assert_agree(reduced, full, target):
 def test_reduced_search_matches_unreduced_small(n, variant):
     g = materialize(KellerGraphSpec(n, variant))
     omega = len(max_clique(g).best_clique)
-    assert_agree(max_clique(g), unreduced(g, None), None)
+    assert_agree(max_clique(g), unreduced_keller(g, None), None)
     for target in range(1, omega + 2):
-        assert_agree(clique_decision(g, target), unreduced(g, target), target)
+        assert_agree(clique_decision(g, target), unreduced_keller(g, target), target)
 
 
 @pytest.mark.parametrize("target", [12, 13, None])
 def test_reduced_search_matches_unreduced_g4_star(target):
     g = materialize(KellerGraphSpec(4, STAR))
     reduced = max_clique(g) if target is None else clique_decision(g, target)
-    assert_agree(reduced, unreduced(g, target), target)
+    assert_agree(reduced, unreduced_keller(g, target), target)
 
 
 def test_reduced_search_node_counts_g4_star():
@@ -393,7 +383,7 @@ def test_orbit_compatibility_matches_definition(monkeypatch, n, block_elems):
     # the blocks run from one row to the whole matrix
     monkeypatch.setattr(search_module, "_COMPAT_BLOCK_ELEMS", block_elems)
     g = materialize(KellerGraphSpec(n, STAR))
-    adjacency = np.array([[g.has_edge_index(u, v) for v in range(4**n)] for u in range(4**n)])
+    adjacency = keller_matrix(g)
     orbits = cyclic_orbits(n)
     members = [[v.packed for v in o.orbit] for o in orbits]
     admissible, compat = search_module._orbit_compatibility(n, orbits)
