@@ -44,8 +44,9 @@ __all__ = [
     "MAX_MATERIALIZE_DIM",
 ]
 
-# 4**8 vertices make a 512 MiB packed adjacency matrix; beyond that use the
-# implicit predicate.
+# A materialized graph is one row of 4^n booleans, but the search's induced
+# matrices and the DIMACS output grow as 16^n; beyond 8 use the implicit
+# predicate.
 MAX_MATERIALIZE_DIM = 8
 
 
@@ -326,74 +327,64 @@ def apply_automorphism(a: Automorphism, m: CubeVector) -> CubeVector:
 # Materialization
 # ---------------------------------------------------------------------------
 
-def _unpacked(packed: np.ndarray, nverts: int) -> np.ndarray:
-    """The boolean rows (or row) of a packed matrix, nverts columns each."""
-    return np.unpackbits(packed, axis=-1, count=nverts, bitorder="little").view(bool)
-
-
 @dataclass(frozen=True)
 class MaterializedGraph:
-    """The packed adjacency matrix of a Keller graph, computed from its spec.
+    """A Keller graph as the adjacency row of vertex 0, computed from its spec.
 
-    Vertex i is the vector with index i (little-endian base 4); bit j % 8 of
-    ``packed[i, j // 8]`` says whether {i, j} is an edge.  The matrix is
-    read-only and no other adjacency can be passed in, so equality and
-    hashing follow ``spec``.
+    Vertex i is the vector with index i (little-endian base 4).  Every
+    translation m -> m ^ c is an automorphism, so {u, v} is an edge iff
+    ``row0[u ^ v]``: the read-only boolean row N(0) is the whole graph.  No
+    other adjacency can be passed in, so equality and hashing follow
+    ``spec``.
     """
 
     spec: KellerGraphSpec
-    packed: np.ndarray = field(init=False, repr=False, compare=False)
+    row0: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        # {u, v} is an edge iff _edge(u ^ v), so byte b of row u is byte
-        # b ^ (u >> 3) of row u & 7: every block of 8 rows is one gather from
-        # the first 8 rows
-        vecs = np.arange(self.spec.num_vertices, dtype=np.uint64)
-        star = self.spec.variant is GraphVariant.STAR
-        base_rows = _edge(vecs[:8, None] ^ vecs, self.spec.dim, star)
-        base = np.packbits(base_rows, axis=1, bitorder="little")
-        nbase, nbytes = base.shape
-        cols = np.arange(nbytes)
-        packed = np.empty((len(vecs), nbytes), dtype=np.uint8)
-        for high, block in enumerate(packed.reshape(-1, nbase, nbytes)):
-            block[:] = base[:, cols ^ high]
-        packed.flags.writeable = False
-        object.__setattr__(self, "packed", packed)
+        row0 = _edge(self._vecs(), self.spec.dim, self.spec.variant is GraphVariant.STAR)
+        row0.flags.writeable = False
+        object.__setattr__(self, "row0", row0)
 
     @property
     def num_vertices(self) -> int:
-        return len(self.packed)
+        return len(self.row0)
 
     @property
     def num_edges(self) -> int:
-        return sum(self.degree(v) for v in range(self.num_vertices)) // 2
+        # vertex-transitive: every vertex has the degree of vertex 0
+        return self.num_vertices * self.degree(0) // 2
+
+    def _vecs(self) -> np.ndarray:
+        return np.arange(self.spec.num_vertices, dtype=np.uint64)
 
     def degree(self, v: int) -> int:
-        return int(np.count_nonzero(_unpacked(self.packed[v], self.num_vertices)))
+        return int(np.count_nonzero(self.row0[self._vecs() ^ v]))
 
     def has_edge_index(self, u: int, v: int) -> bool:
-        return bool((self.packed[u, v >> 3] >> (v & 7)) & 1)
+        return bool(self.row0[u ^ v])
 
     def vector(self, v: int) -> CubeVector:
         return CubeVector.from_index(self.spec.dim, v)
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """All edges as (u, v) with u < v, ascending."""
-        nverts = self.num_vertices
-        for u in range(nverts):
-            for v in np.flatnonzero(_unpacked(self.packed[u], nverts)[u + 1 :]).tolist():
+        vecs = self._vecs()
+        for u in range(self.num_vertices):
+            for v in np.flatnonzero(self.row0[vecs[u + 1 :] ^ u]).tolist():
                 yield u, u + 1 + v
 
 
-def materialize(spec: KellerGraphSpec, *, max_dim: int = MAX_MATERIALIZE_DIM) -> MaterializedGraph:
-    """Build the packed adjacency matrix of a Keller graph.
+def materialize(spec: KellerGraphSpec) -> MaterializedGraph:
+    """Build a Keller graph's vertex-0 row.
 
-    Guarded at ``max_dim`` (default 8): 4^8 vertices already make a 512 MiB
-    matrix.  Use the implicit predicate for larger dimensions.
+    Guarded at ``MAX_MATERIALIZE_DIM`` (8): the row itself is small, but the
+    search's induced matrices and the DIMACS output grow as 16^n.  Use the
+    implicit predicate for larger dimensions.
     """
-    if spec.dim > max_dim:
+    if spec.dim > MAX_MATERIALIZE_DIM:
         raise ValueError(
-            f"dim {spec.dim} exceeds materialization guard {max_dim} "
+            f"dim {spec.dim} exceeds materialization guard {MAX_MATERIALIZE_DIM} "
             f"(4**{spec.dim} = {4**spec.dim} vertices)"
         )
     return MaterializedGraph(spec)

@@ -13,9 +13,9 @@ it updates the incumbent: a decision run that runs out of budget still
 reports the largest clique it reached.  Vertices are relabeled once into
 descending degeneracy order (reverse of the repeated-minimum-degree removal
 sequence, ties to the smallest index), so search trees and node counts are
-reproducible.  Up to each subproblem the graph stays a numpy matrix:
-classes, candidate sets and induced subgraphs are unpacked from the rows of
-the graph's packed uint8 adjacency matrix, and only the relabeled subgraph
+reproducible.  Up to each subproblem the graph is handled as numpy arrays:
+classes, candidate sets and induced subgraphs are gathers on the graph's
+vertex-0 row (u ~ v iff row0[u ^ v]), and only the relabeled subgraph
 becomes the Python-int bitset rows the search runs on.
 
 The search is symmetry-broken.  Every translation m -> m ^ c is an
@@ -57,7 +57,6 @@ from .core import (
     MaterializedGraph,
     _digit_columns,
     _edge,
-    _unpacked,
 )
 from .construction import VectorSet
 from .verify import verify_clique
@@ -84,7 +83,7 @@ class SearchBudget:
     def __post_init__(self) -> None:
         if self.node_limit is not None and self.node_limit < 1:
             raise ValueError("node_limit must be positive")
-        if self.time_limit is not None and self.time_limit <= 0:
+        if self.time_limit is not None and not self.time_limit > 0:  # also NaN
             raise ValueError("time_limit must be positive")
 
 
@@ -111,6 +110,11 @@ class _Exhausted(Exception):
     pass
 
 
+# Matrices of pairs are built in row blocks of about _BLOCK_ELEMS pairs, which
+# keeps the temporaries small (256 KiB per 8-byte array) and in cache.
+_BLOCK_ELEMS = 1 << 15
+
+
 def _relabel(matrix: np.ndarray) -> tuple[list[int], list[int]]:
     """Relabel into descending degeneracy order; returns (new_adj, new_to_old).
 
@@ -120,6 +124,7 @@ def _relabel(matrix: np.ndarray) -> tuple[list[int], list[int]]:
     vertex's degree is pinned above every live one.  The relabeled matrix
     becomes the Python-int bitset rows the search runs on.
     """
+    matrix = np.ascontiguousarray(matrix)  # row updates below are 5x slower in Fortran order
     deg = matrix.sum(axis=1, dtype=np.int64)
     removed = np.iinfo(np.int64).max
     order = np.empty(len(matrix), dtype=np.intp)
@@ -172,16 +177,21 @@ def _subproblems(g: MaterializedGraph) -> Iterator[_Subproblem]:
     Translations move any clique onto vertex 0, and Stab(0) then moves its
     member of the earliest class onto that class's representative.
     """
-    packed, nverts = g.packed, g.num_vertices
-    allowed = _unpacked(packed[0], nverts)
+    row0 = g.row0
+    allowed = row0.copy()
     classes = _stabilizer_classes(g.spec, allowed)
     if not classes:
         yield _Subproblem((0,), [], [], [])
         return
+    vecs = np.arange(g.num_vertices)
     for members in classes:
         rep = int(members[0])
-        verts = np.flatnonzero(allowed & _unpacked(packed[rep], nverts))
-        adj, sub_to_vert = _relabel(_unpacked(packed[verts], nverts)[:, verts])
+        verts = np.flatnonzero(allowed & row0[vecs ^ rep])
+        matrix = np.empty((len(verts), len(verts)), dtype=bool)
+        step = max(1, _BLOCK_ELEMS // max(1, len(verts)))
+        for start in range(0, len(verts), step):
+            matrix[start : start + step] = row0[verts[start : start + step, None] ^ verts]
+        adj, sub_to_vert = _relabel(matrix)
         yield _Subproblem((0, rep), adj, verts[sub_to_vert].tolist(), [1] * len(adj))
         allowed[members] = False
 
@@ -444,9 +454,6 @@ def cyclic_orbits(n: int) -> tuple[OrbitVertex, ...]:
     return tuple(out)
 
 
-_COMPAT_BLOCK_ELEMS = 1 << 15
-
-
 def _orbit_compatibility(
     n: int, orbits: Sequence[OrbitVertex]
 ) -> tuple[list[OrbitVertex], np.ndarray]:
@@ -472,9 +479,7 @@ def _orbit_compatibility(
     # size(B)), so testing all of them adds no condition; e = 0 clears the diagonal
     columns = [rotated[keep] for rotated in shifted]
     compat = np.ones((len(keep), len(keep)), dtype=bool)
-    # row blocks of about _COMPAT_BLOCK_ELEMS pairs keep the edge test's
-    # temporaries small (256 KiB per uint64 array) and in cache
-    step = max(1, _COMPAT_BLOCK_ELEMS // max(1, len(keep)))
+    step = max(1, _BLOCK_ELEMS // max(1, len(keep)))
     for start in range(0, len(keep), step):
         block = compat[start : start + step]
         for rotated in columns:

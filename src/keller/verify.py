@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import CubeVector, GraphVariant, KellerGraphSpec, _digit_columns, _edge, _low_mask
+from .core import CubeVector, GraphVariant, KellerGraphSpec, _digit_columns, _low_mask
 from .core import _missing_pairs
 from .construction import VectorSet
 
@@ -117,7 +117,7 @@ def verify_clique(s: VectorSet, spec: KellerGraphSpec) -> MissingEdgeReport:
     return MissingEdgeReport(spec=spec, pairs=pairs)
 
 
-def verify_tiling_cells(s: VectorSet, *, max_dim: int = MAX_CELL_DIM) -> CellCoverResult:
+def verify_tiling_cells(s: VectorSet) -> CellCoverResult:
     """Exact cover check of the 4^n torus cells by the half-open cubes of s.
 
     Each cube covers the 2^n cells at per-coordinate offsets {-1, 0} mod 4
@@ -126,9 +126,9 @@ def verify_tiling_cells(s: VectorSet, *, max_dim: int = MAX_CELL_DIM) -> CellCov
     index order.  Independent of the graph predicates.
     """
     n = s.dim
-    if n > max_dim:
+    if n > MAX_CELL_DIM:
         raise ValueError(
-            f"cell oracle guarded at dim {max_dim}: scanning 4**{n} = {4**n:.2e} "
+            f"cell oracle guarded at dim {MAX_CELL_DIM}: scanning 4**{n} = {4**n:.2e} "
             f"cells would take too long"
         )
     low = min(n, _SLAB_DIM)
@@ -176,12 +176,9 @@ def face_statistics(s: VectorSet) -> FaceHistogram:
 def facet_free(s: VectorSet) -> bool:
     """True when no pair differs in exactly one coordinate by exactly 2.
 
-    Such a pair is exactly an edge of G_n that is not an edge of G*_n.  For
+    Such a pair is exactly an edge of G_n that is not an edge of G*_n, and
+    exactly a pair of the face histogram with n - 1 gap-0 coordinates.  For
     a 2^n set that is a clique in G_n this coincides with being a clique in
     G*_n.
     """
-    for i, u in enumerate(s.packed.tolist()):
-        x = s.packed[i + 1 :] ^ u
-        if (_edge(x, s.dim, False) & ~_edge(x, s.dim, True)).any():
-            return False
-    return True
+    return face_statistics(s).as_dict().get(s.dim - 1, 0) == 0

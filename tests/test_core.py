@@ -273,33 +273,33 @@ def test_plain_degree_regularity(dim):
 def test_materialize_guard():
     with pytest.raises(ValueError):
         materialize(KellerGraphSpec(9, STAR))
-    with pytest.raises(ValueError):
-        materialize(KellerGraphSpec(5, STAR), max_dim=4)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("variant", [PLAIN, STAR])
 def test_packed_rows_match_edge_kernel(dim, variant):
-    # dim 1 has fewer than the 8 rows the build gathers from
+    # row u of the graph is the vertex-0 row gathered at the packed xors vecs ^ u
     g = materialize(KellerGraphSpec(dim, variant))
     vecs = np.arange(4**dim, dtype=np.uint64)
-    assert g.packed.shape == (4**dim, (4**dim + 7) // 8) and g.packed.dtype == np.uint8
+    assert g.row0.shape == (4**dim,) and g.row0.dtype == bool
+    assert np.array_equal(g.row0, _edge(vecs, dim, variant is STAR))
     for u in range(4**dim):
-        want = np.packbits(_edge(vecs ^ u, dim, variant is STAR), bitorder="little")
-        assert np.array_equal(g.packed[u], want)
+        assert np.array_equal(g.row0[vecs ^ u], _edge(vecs ^ u, dim, variant is STAR))
 
 
-def test_packed_matrix_is_read_only():
+def test_row0_is_read_only():
     g = materialize(KellerGraphSpec(3, STAR))
-    assert not g.packed.flags.writeable
+    assert not g.row0.flags.writeable
     with pytest.raises(ValueError):
-        g.packed[0, 0] = 1
+        g.row0[0] = True
 
 
 def test_materialized_graph_is_computed_from_its_spec():
     spec = KellerGraphSpec(2, STAR)
     with pytest.raises(TypeError):
         MaterializedGraph(spec, adjacency=(0,) * 16)
+    with pytest.raises(TypeError):
+        MaterializedGraph(spec, row0=np.zeros(16, dtype=bool))
     g = MaterializedGraph(spec)
     assert g == materialize(spec) and hash(g) == hash(materialize(spec))
     assert g != materialize(KellerGraphSpec(2, PLAIN))

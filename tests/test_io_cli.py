@@ -165,6 +165,18 @@ def test_cli_verify_mutated_file_fails_with_witness(tmp_path, capsys, s10):
     assert "missing:" in report
 
 
+def test_cli_verify_truncates_missing_pairs(tmp_path, capsys):
+    # all 16 vectors of dim 2: 120 pairs, 40 of them G*_2 edges
+    path = tmp_path / "all2.txt"
+    write_vector_set(path, VectorSet(2, (CubeVector.from_index(2, i) for i in range(16))))
+    code = main(["verify", "--in", str(path), "--graph", "Gstar"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert lines[0] == "clique: FAIL (80 missing pairs)"
+    assert sum(line.startswith("missing: ") for line in lines) == 20
+    assert lines[21] == "... 60 more"
+
+
 def test_cli_build12_verify_full_report(tmp_path, capsys):
     out = tmp_path / "s12.txt"
     assert main(["build", "--dim", "12", "--out", str(out)]) == 0
@@ -209,6 +221,23 @@ def test_cli_search_budget_exhaustion_exit_1(capsys):
     report = capsys.readouterr().out
     assert code == 1
     assert "status: BUDGET_EXHAUSTED" in report
+
+
+def test_cli_search_nan_budget_exit_2(capsys):
+    # NaN passes a "<= 0" check; it must not mean an unlimited run
+    code = main(["search", "--dim", "3", "--budget-secs", "nan"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "error: time_limit must be positive" in captured.err
+
+
+def test_cli_cyclic_invariant_requires_target(capsys):
+    code = main(["search", "--dim", "3", "--cyclic-invariant"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "error: --cyclic-invariant requires --target" in captured.err
 
 
 def test_cli_search_interrupt_exit_1(capsys, monkeypatch):
@@ -334,6 +363,17 @@ def test_cli_lift_pipeline(tmp_path, capsys):
     assert code == 0
     assert "clique: OK" in report and "cell-cover: EXACT" in report
     assert read_vector_set(dst).dim == 11
+
+
+def test_cli_lift_without_disjoint_rotation_exit_1(tmp_path, capsys):
+    # the four dim-1 vectors fill the space, so every rotation image meets them
+    src = tmp_path / "all1.txt"
+    dst = tmp_path / "lifted.txt"
+    write_vector_set(src, VectorSet.from_strings(1, ["0", "1", "2", "3"]))
+    code = main(["lift", "--in", str(src), "--out", str(dst)])
+    assert code == 1
+    assert capsys.readouterr().out == "lift: no single-coordinate rotation gives a disjoint image\n"
+    assert not dst.exists()
 
 
 def test_cli_export(tmp_path, capsys):

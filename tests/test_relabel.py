@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from keller import search as search_module
 from keller.core import GraphVariant, KellerGraphSpec, materialize
 from keller.search import (
     _orbit_compatibility,
@@ -70,9 +71,10 @@ def bool_matrix(rows, nverts):
     return np.array([[(row >> j) & 1 for j in range(nverts)] for row in rows], dtype=bool)
 
 
-def packed_rows(g):
+def graph_rows(g):
     """The graph's rows as Python-int bitsets: bit j of row i is edge {i, j}."""
-    return [int.from_bytes(row.tobytes(), "little") for row in g.packed]
+    nverts = g.num_vertices
+    return [sum(1 << v for v in range(nverts) if g.has_edge_index(u, v)) for u in range(nverts)]
 
 
 def int_rows(matrix):
@@ -101,30 +103,33 @@ def assert_same_relabel(matrix, rows):
 @pytest.mark.parametrize("variant", [GraphVariant.PLAIN, GraphVariant.STAR])
 def test_relabel_matches_reference_on_keller_graphs(n, variant):
     g = materialize(KellerGraphSpec(n, variant))
-    rows = packed_rows(g)
+    rows = graph_rows(g)
     assert_same_relabel(bool_matrix(rows, g.num_vertices), rows)
 
 
 @pytest.mark.parametrize("n", [4, 5])
-def test_every_stabilizer_subproblem_matches_reference(n):
-    # the candidates of class k: N(0) & N(rep_k) minus the earlier classes
+def test_every_stabilizer_subproblem_matches_reference(monkeypatch, n):
+    # the candidates of class k: N(0) & N(rep_k) minus the earlier classes;
+    # the induced matrices are built in blocks from one row to the whole matrix
     g = materialize(KellerGraphSpec(n, GraphVariant.STAR))
-    rows = packed_rows(g)
+    rows = graph_rows(g)
     row0 = np.array([g.has_edge_index(0, v) for v in range(g.num_vertices)])
     classes = _stabilizer_classes(g.spec, row0)
-    subs = list(_subproblems(g))
-    assert len(subs) == len(classes) > 1
+    assert len(classes) > 1
+    want = []
     allowed = rows[0]
-    for members, sub in zip(classes, subs):
+    for members in classes:
         rep = int(members[0])
         cand = allowed & rows[rep]
         verts = [v for v in range(g.num_vertices) if (cand >> v) & 1]
         adj, sub_to_vert = reference_relabel(induced(rows, verts))
-        assert sub.prefix == (0, rep)
-        assert sub.adj == adj
-        assert sub.new_to_old == [verts[i] for i in sub_to_vert]
+        want.append(((0, rep), adj, [verts[i] for i in sub_to_vert]))
         for v in members.tolist():
             allowed &= ~(1 << v)
+    for block_elems in (1, 300, search_module._BLOCK_ELEMS):
+        monkeypatch.setattr(search_module, "_BLOCK_ELEMS", block_elems)
+        subs = list(_subproblems(g))
+        assert [(sub.prefix, sub.adj, sub.new_to_old) for sub in subs] == want
 
 
 @pytest.mark.parametrize("n", [6, 7])

@@ -188,6 +188,8 @@ def test_budget_validation():
         SearchBudget(node_limit=0)
     with pytest.raises(ValueError):
         SearchBudget(time_limit=0.0)
+    with pytest.raises(ValueError, match="time_limit must be positive"):
+        SearchBudget(time_limit=float("nan"))
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +336,16 @@ def test_budgeted_decision_keeps_a_real_incumbent():
     assert verify_clique(out.best_clique, g.spec).is_clique
 
 
+def test_time_limit_exhaustion_keeps_a_real_incumbent():
+    # the clock is read every 1024 nodes, so a run stopped by its time limit
+    # stops at a multiple of 1024; decide 29 runs for minutes
+    g = materialize(KellerGraphSpec(5, STAR))
+    out = clique_decision(g, 29, SearchBudget(time_limit=0.2))
+    assert out.status is SearchStatus.BUDGET_EXHAUSTED
+    assert out.nodes_explored > 0 and out.nodes_explored % 1024 == 0
+    assert out.best_clique and verify_clique(out.best_clique, g.spec).is_clique
+
+
 # ---------------------------------------------------------------------------
 # orbits
 # ---------------------------------------------------------------------------
@@ -381,7 +393,7 @@ def test_orbit_compatibility_matches_definition(monkeypatch, n, block_elems):
     # admissible: every internal pair adjacent; compatible: every cross pair
     # adjacent (a vector is not adjacent to itself, so the diagonal is clear);
     # the blocks run from one row to the whole matrix
-    monkeypatch.setattr(search_module, "_COMPAT_BLOCK_ELEMS", block_elems)
+    monkeypatch.setattr(search_module, "_BLOCK_ELEMS", block_elems)
     g = materialize(KellerGraphSpec(n, STAR))
     adjacency = keller_matrix(g)
     orbits = cyclic_orbits(n)

@@ -166,8 +166,6 @@ def test_cells_wrong_cardinality_never_exact():
 
 def test_cells_guard():
     with pytest.raises(ValueError):
-        verify_tiling_cells(vs(2, ["00"]), max_dim=1)
-    with pytest.raises(ValueError):
         verify_tiling_cells(VectorSet(14, ()))
 
 
