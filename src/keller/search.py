@@ -1,22 +1,28 @@
 """Exact clique search on Keller graphs.
 
 One weighted branch and bound over Python-int bitsets serves every search,
-in the style of the BBMC family: candidates are colored greedily in vertex
-order, then branched highest color first, pruning when the current clique
-plus the color bound cannot beat the incumbent (or reach the decision
-target).  A clique's size is its total vertex weight and a color class's
-bound is the running sum of each class's heaviest weight, so with unit
-weights (every Keller-graph search) the bound is the color number.  A node
-is one coloring of a non-empty candidate set; a branch whose candidate set
-is empty is a leaf and is not counted.  Every node entered is a clique, so
-it updates the incumbent: a decision run that runs out of budget still
-reports the largest clique it reached.  Vertices are relabeled once into
-descending degeneracy order (reverse of the repeated-minimum-degree removal
-sequence, ties to the smallest index), so search trees and node counts are
-reproducible.  Up to each subproblem the graph is handled as numpy arrays:
-classes, candidate sets and induced subgraphs are gathers on the graph's
-vertex-0 row (u ~ v iff row0[u ^ v]), and only the relabeled subgraph
-becomes the Python-int bitset rows the search runs on.
+in the style of the BBMC family: candidates are colored greedily in
+descending degeneracy order, then branched highest color first, pruning
+when the current clique plus the color bound cannot beat the incumbent (or
+reach the decision target).  A clique's size is its total vertex weight and
+a color class's bound is the running sum of each class's heaviest weight,
+so with unit weights (every Keller-graph search) the bound is the color
+number.  A node is one coloring of a non-empty candidate set; a branch whose
+candidate set is empty is a leaf and is not counted.  Every node entered is
+a clique, so it updates the incumbent: a decision run that runs out of
+budget still reports the largest clique it reached.
+
+Each subproblem's bitsets are over positions in the repeated-minimum-degree
+removal order (ties to the smallest index), so descending degeneracy order
+is descending bit order and a set's next vertex is its highest bit, found by
+``int.bit_length`` without allocating.  Coloring then costs two big-int
+operations per vertex: one AND with a prebuilt positive mask that drops the
+vertex and its neighbours, one OR with a prebuilt single bit.  The order is
+fixed, so search trees and node counts are reproducible.  Up to each
+subproblem the graph is handled as numpy arrays: classes, candidate sets and
+induced subgraphs are gathers on the graph's vertex-0 row (u ~ v iff
+row0[u ^ v]), and only the reordered subgraph becomes the bitset rows the
+search runs on.
 
 The search is symmetry-broken.  Every translation m -> m ^ c is an
 automorphism, so some optimal clique contains vertex 0; the automorphisms
@@ -116,36 +122,45 @@ _BLOCK_ELEMS = 1 << 15
 
 
 def _relabel(matrix: np.ndarray) -> tuple[list[int], list[int]]:
-    """Relabel into descending degeneracy order; returns (new_adj, new_to_old).
+    """Degeneracy order and the bitset rows in it; returns (rows, order).
 
     ``matrix`` is a dense symmetric boolean adjacency with a clear diagonal.
-    The order reverses the repeated removal of a minimum-degree vertex,
-    smallest index on ties (``argmin`` returns the first minimum); a removed
-    vertex's degree is pinned above every live one.  The relabeled matrix
-    becomes the Python-int bitset rows the search runs on.
+    ``order`` is the repeated removal of a minimum-degree vertex, smallest
+    index on ties (``argmin`` returns the first minimum); a removed vertex's
+    degree is pinned above every live one.  Position p names vertex
+    ``order[p]``, and bit q of ``rows[p]`` is set iff order[p] ~ order[q]:
+    the last vertex removed is the top bit, so a bitset's highest set bit is
+    its next vertex in descending degeneracy order.  The rows are permuted
+    and packed in row blocks, so the only full-size array is ``matrix``.
     """
     matrix = np.ascontiguousarray(matrix)  # row updates below are 5x slower in Fortran order
+    nverts = len(matrix)
     deg = matrix.sum(axis=1, dtype=np.int64)
     removed = np.iinfo(np.int64).max
-    order = np.empty(len(matrix), dtype=np.intp)
-    for i in range(len(matrix)):
+    order = np.empty(nverts, dtype=np.intp)
+    for i in range(nverts):
         v = int(np.argmin(deg))
         order[i] = v
         deg -= matrix[v]
         deg[v] = removed
-    new_to_old = order[::-1]
-    packed = np.packbits(matrix[np.ix_(new_to_old, new_to_old)], axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed], new_to_old.tolist()
+    rows: list[int] = []
+    step = max(1, _BLOCK_ELEMS // max(1, nverts))
+    for start in range(0, nverts, step):
+        block = matrix[order[start : start + step]].take(order, axis=1)  # faster than [:, order]
+        packed = np.packbits(block, axis=1, bitorder="little")
+        rows.extend(int.from_bytes(row.tobytes(), "little") for row in packed)
+    return rows, order.tolist()
 
 
 @dataclass(frozen=True)
 class _Subproblem:
     """Extend the clique ``prefix`` (original vertex ids) within a candidate set.
 
-    ``adj`` is the relabeled subgraph induced on the candidates, all of them
-    adjacent to every prefix vertex; ``new_to_old`` maps its labels back to
-    original vertex ids, and ``weights[v]`` is label v's weight (all 1 for a
-    plain clique search).  Each prefix vertex weighs 1.
+    ``adj`` is the subgraph induced on the candidates, all of them adjacent
+    to every prefix vertex, as ``_relabel`` rows: one bit per position in
+    degeneracy removal order.  ``new_to_old[p]`` is position p's original
+    vertex id and ``weights[p]`` its weight (all 1 for a plain clique
+    search).  Each prefix vertex weighs 1.
     """
 
     prefix: tuple[int, ...]
@@ -204,6 +219,13 @@ class _CliqueSearch:
     (incumbent, target, ``on_improve``) count the subproblem's prefix.  With
     a target, a branch is pruned unless its bound reaches the target, and no
     vertex is added that would overshoot it.
+
+    Bitsets are over ``_relabel`` positions, so a set's highest bit is its
+    next vertex in descending degeneracy order and ``int.bit_length`` finds
+    it without allocating.  Coloring a vertex p costs two big-int operations:
+    ``q &= nonadj[p]`` drops p and its neighbours with a positive mask (a
+    negative ``~adj[p]`` operand would make CPython build a two's-complement
+    temporary on every AND), and ``cls |= bits[p]`` takes a prebuilt bit.
     """
 
     def __init__(
@@ -221,6 +243,8 @@ class _CliqueSearch:
         )
         self.on_improve = on_improve
         self.adj: Sequence[int] = ()
+        self.nonadj: list[int] = []
+        self.bits: list[int] = []
         self.weights: Sequence[int] = ()
         self.heavy: list[tuple[int, int]] = []
         self.light = 1
@@ -242,22 +266,21 @@ class _CliqueSearch:
             raise _Exhausted
 
     def _color_sort(self, cand: int) -> list[tuple[int, int]]:
-        """Greedy color classes of cand in label order, each with its bound.
+        """Greedy color classes of cand from the top bit down, each with its bound.
 
         A class's bound is the sum of the maximum weights of it and every
         earlier class: the color number when all weights are 1.
         """
-        adj, light, heavy = self.adj, self.light, self.heavy
+        nonadj, bits, light, heavy = self.nonadj, self.bits, self.light, self.heavy
         classes: list[tuple[int, int]] = []
         bound = 0
         while cand:
             q = cand
             cls = 0
             while q:
-                lsb = q & -q
-                q &= ~adj[lsb.bit_length() - 1]
-                q ^= lsb
-                cls |= lsb
+                p = q.bit_length() - 1
+                q &= nonadj[p]
+                cls |= bits[p]
             cand ^= cls
             weight = light
             for level, members in heavy:
@@ -278,8 +301,8 @@ class _CliqueSearch:
     def _expand(self, rmask: int, rsize: int, cand: int) -> None:
         """One node: color the non-empty candidate set and branch on it.
 
-        Classes are branched last first, and within a class the highest
-        label first, until the bound cannot beat the threshold.
+        Classes are branched last first, and within a class the lowest
+        position first, until the bound cannot beat the threshold.
         """
         self._tick()
         if rsize > self.best_size:
@@ -290,12 +313,12 @@ class _CliqueSearch:
             if rsize + bound <= threshold:
                 return
             while cls:
-                v = cls.bit_length() - 1
-                bit = 1 << v
+                bit = cls & -cls
+                p = bit.bit_length() - 1
                 cls ^= bit
-                size = rsize + weights[v]
+                size = rsize + weights[p]
                 if size <= cap:
-                    sub = cand & adj[v]
+                    sub = cand & adj[p]
                     if sub:
                         self._expand(rmask | bit, size, sub)
                         threshold = max(self.best_size, self.floor)
@@ -307,12 +330,15 @@ class _CliqueSearch:
 
     def _enter(self, sub: _Subproblem) -> None:
         self.sub, self.adj, self.weights = sub, sub.adj, sub.weights
-        # per weight level, heaviest first, the labels of that weight; the
+        self.bits = [1 << p for p in range(len(sub.adj))]
+        full = (1 << len(sub.adj)) - 1
+        self.nonadj = [full ^ row ^ bit for row, bit in zip(sub.adj, self.bits)]  # no self-loops
+        # per weight level, heaviest first, the positions of that weight; the
         # lightest level needs no mask, it is what a color class falls back to
         levels = sorted(set(sub.weights), reverse=True) or [1]
         self.light = levels[-1]
         self.heavy = [
-            (w, sum(1 << v for v, wv in enumerate(sub.weights) if wv == w)) for w in levels[:-1]
+            (w, sum(bit for bit, wp in zip(self.bits, sub.weights) if wp == w)) for w in levels[:-1]
         ]
 
     def run(self, subproblems: Iterable[_Subproblem]) -> SearchStatus:

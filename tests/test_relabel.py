@@ -2,12 +2,14 @@
 
 ``reference_relabel`` is the earlier Python-int implementation, kept as the
 oracle: a heap of (degree, vertex) pairs with lazy deletion, then a remap of
-every row one bit at a time.  The search's node counts depend on the exact
-order, so ``_relabel`` must return the same labels and rows on every graph,
-including graphs with many degree ties.
+every row one bit at a time into removal-order positions.  The search's node
+counts depend on the exact order, so ``_relabel`` must return the same order
+and every row on every graph, including graphs with many degree ties.
 """
 
 import heapq
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -50,21 +52,25 @@ def reference_removal_order(adjacency):
 
 
 def reference_relabel(adjacency):
-    """Relabel into descending degeneracy order; returns (new_adj, new_to_old)."""
-    new_to_old = list(reversed(reference_removal_order(adjacency)))
-    old_to_new = [0] * len(new_to_old)
-    for new, old in enumerate(new_to_old):
-        old_to_new[old] = new
-    new_adj = [0] * len(new_to_old)
-    for new, old in enumerate(new_to_old):
+    """Rows over removal-order positions; returns (rows, order).
+
+    Position p names vertex order[p], and bit q of rows[p] is set iff
+    order[p] ~ order[q].
+    """
+    order = reference_removal_order(adjacency)
+    position = [0] * len(order)
+    for p, old in enumerate(order):
+        position[old] = p
+    rows = [0] * len(order)
+    for p, old in enumerate(order):
         row = adjacency[old]
         acc = 0
         while row:
             lsb = row & -row
-            acc |= 1 << old_to_new[lsb.bit_length() - 1]
+            acc |= 1 << position[lsb.bit_length() - 1]
             row ^= lsb
-        new_adj[new] = acc
-    return new_adj, new_to_old
+        rows[p] = acc
+    return rows, order
 
 
 def bool_matrix(rows, nverts):
@@ -95,8 +101,7 @@ def induced(rows, verts):
 
 
 def assert_same_relabel(matrix, rows):
-    adj, new_to_old = _relabel(matrix)
-    assert (adj, new_to_old) == reference_relabel(rows)
+    assert _relabel(matrix) == reference_relabel(rows)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -139,6 +144,21 @@ def test_relabel_matches_reference_on_orbit_graphs(n):
     assert_same_relabel(matrix, int_rows(matrix))
 
 
+def test_relabel_memory_is_bounded():
+    # the rows are permuted and packed in blocks: no second full-size matrix
+    # (a one-shot permutation peaks above the input's own size)
+    rng = np.random.default_rng(7)
+    matrix = np.triu(rng.random((1500, 1500)) < 0.35, 1)
+    matrix |= matrix.T
+    tracemalloc.start()
+    try:
+        _relabel(matrix)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < matrix.nbytes / 3
+
+
 @st.composite
 def symmetric_graphs(draw):
     """A small symmetric boolean matrix with a clear diagonal; few distinct degrees."""
@@ -149,6 +169,8 @@ def symmetric_graphs(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(symmetric_graphs())
-def test_relabel_matches_reference_on_random_graphs(matrix):
-    assert_same_relabel(matrix, int_rows(matrix))
+@given(symmetric_graphs(), st.sampled_from([1, 50, search_module._BLOCK_ELEMS]))
+def test_relabel_matches_reference_on_random_graphs(matrix, block_elems):
+    # the rows are permuted and packed in blocks from one row to the whole matrix
+    with mock.patch.object(search_module, "_BLOCK_ELEMS", block_elems):
+        assert_same_relabel(matrix, int_rows(matrix))

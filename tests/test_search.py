@@ -1,5 +1,6 @@
 """Branch-and-bound search, orbits, and the cyclic-invariant restriction."""
 
+import hashlib
 import itertools
 import math
 import random
@@ -316,14 +317,23 @@ def test_clique_number_ground_truth():
     assert (out.status, len(out.best_clique)) == (SearchStatus.OPTIMAL, 1)
 
 
+def packed_values(clique):
+    return sorted(clique.packed.tolist())
+
+
 def test_g5_star_has_a_28_clique():
-    # Corradi-Szabo (1990): the clique number of G*_5 is 28
+    # Corradi-Szabo (1990): the clique number of G*_5 is 28; the node count
+    # and the witness pin the search order exactly
     g = materialize(KellerGraphSpec(5, STAR))
     out = clique_decision(g, 28)
     assert out.status is SearchStatus.TARGET_FOUND
     assert len(out.best_clique) >= 28
     assert verify_clique(out.best_clique, g.spec).is_clique
     assert out.nodes_explored == 86_126
+    assert packed_values(out.best_clique) == [
+        0, 24, 30, 86, 123, 148, 159, 306, 313, 397, 435, 437, 470, 507,
+        541, 560, 595, 597, 619, 724, 735, 882, 889, 925, 944, 966, 1016, 1022,
+    ]
 
 
 def test_budgeted_decision_keeps_a_real_incumbent():
@@ -334,6 +344,7 @@ def test_budgeted_decision_keeps_a_real_incumbent():
     assert (out.status, out.nodes_explored) == (SearchStatus.BUDGET_EXHAUSTED, 30_000)
     assert len(out.best_clique) == 13
     assert verify_clique(out.best_clique, g.spec).is_clique
+    assert packed_values(out.best_clique) == [0, 86, 143, 397, 491, 513, 522, 546, 612, 645, 651, 707, 1002]
 
 
 def test_time_limit_exhaustion_keeps_a_real_incumbent():
@@ -499,6 +510,16 @@ def test_invariant_budget_exhaustion_keeps_incumbent():
     assert verify_clique(out.best_clique, KellerGraphSpec(6, STAR)).is_clique
     shifted = {CubeVector.from_digits(v.digits[1:] + v.digits[:1]) for v in members}
     assert shifted == members
+
+
+def test_invariant_n7_budgeted_incumbent_is_pinned():
+    # the 50 000-node n = 7 run reaches a 77-vector incumbent; its vectors,
+    # sorted by packed value, pin the search order exactly
+    out = invariant_clique_search(7, 128, SearchBudget(node_limit=50_000))
+    assert (out.status, out.nodes_explored, len(out.best_clique)) == (SearchStatus.BUDGET_EXHAUSTED, 50_000, 77)
+    digest = hashlib.sha256(",".join(map(str, packed_values(out.best_clique))).encode()).hexdigest()
+    assert digest == "05b908fc2750b231c4c7a52510005cf3b9281e2014392a4254709b296233ca4d"
+    assert verify_clique(out.best_clique, KellerGraphSpec(7, STAR)).is_clique
 
 
 def test_invariant_budget_exhaustion_clean():
