@@ -38,10 +38,11 @@ The cyclic-invariant search looks for cliques closed under rotating the
 coordinates.  Such a clique is a union of whole rotation orbits, so the
 search runs on the orbit compatibility graph: one vertex per orbit whose
 internal pairs are all adjacent, weighted by the orbit size, an edge when
-every cross pair is adjacent, and a target on the total weight that no
-branch may overshoot.  It is one subproblem, built inside the search so that
-Ctrl-C during the build ends it cleanly.  Its node counts are lower than in
-versions that counted leaves as nodes wherever a run reaches leaves.
+every cross pair is adjacent (both tests gather on G*_n's vertex-0 row), and
+a target on the total weight that no branch may overshoot.  It is one
+subproblem, built inside the search so that Ctrl-C during the build ends it
+cleanly.  Every search has one front end: a position carries the packed
+vectors it adds to a clique, so the incumbent is the witness that is checked.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ from .core import (
     KellerGraphSpec,
     MaterializedGraph,
     _digit_columns,
-    _edge,
+    materialize,
 )
 from .construction import VectorSet
 from .verify import verify_clique
@@ -152,21 +153,31 @@ def _relabel(matrix: np.ndarray) -> tuple[list[int], list[int]]:
     return rows, order.tolist()
 
 
+def _gather(row0: np.ndarray, rows: np.ndarray, columns: Sequence[np.ndarray]) -> np.ndarray:
+    """M[i, j] = AND over c in ``columns`` of ``row0[rows[i] ^ c[j]]``, in row blocks."""
+    matrix = np.ones((len(rows), len(columns[0])), dtype=bool)
+    step = max(1, _BLOCK_ELEMS // max(1, matrix.shape[1]))
+    for start in range(0, len(rows), step):
+        block = matrix[start : start + step]
+        for c in columns:
+            block &= row0[rows[start : start + step, None] ^ c]
+    return matrix
+
+
 @dataclass(frozen=True)
 class _Subproblem:
-    """Extend the clique ``prefix`` (original vertex ids) within a candidate set.
+    """Extend the clique ``prefix`` (packed vectors) within a candidate set.
 
     ``adj`` is the subgraph induced on the candidates, all of them adjacent
-    to every prefix vertex, as ``_relabel`` rows: one bit per position in
-    degeneracy removal order.  ``new_to_old[p]`` is position p's original
-    vertex id and ``weights[p]`` its weight (all 1 for a plain clique
-    search).  Each prefix vertex weighs 1.
+    to every prefix vector, as ``_relabel`` rows: one bit per position in
+    degeneracy removal order.  ``vectors[p]`` is the tuple of packed vectors
+    that position p adds to a clique, and its length is p's weight: ``(v,)``
+    for a Keller-graph vertex, a whole orbit group for the orbit graph.
     """
 
     prefix: tuple[int, ...]
     adj: list[int]
-    new_to_old: list[int]
-    weights: Sequence[int]
+    vectors: Sequence[tuple[int, ...]]
 
 
 def _stabilizer_classes(spec: KellerGraphSpec, row0: np.ndarray) -> list[np.ndarray]:
@@ -196,18 +207,14 @@ def _subproblems(g: MaterializedGraph) -> Iterator[_Subproblem]:
     allowed = row0.copy()
     classes = _stabilizer_classes(g.spec, allowed)
     if not classes:
-        yield _Subproblem((0,), [], [], [])
+        yield _Subproblem((0,), [], [])
         return
     vecs = np.arange(g.num_vertices)
     for members in classes:
         rep = int(members[0])
         verts = np.flatnonzero(allowed & row0[vecs ^ rep])
-        matrix = np.empty((len(verts), len(verts)), dtype=bool)
-        step = max(1, _BLOCK_ELEMS // max(1, len(verts)))
-        for start in range(0, len(verts), step):
-            matrix[start : start + step] = row0[verts[start : start + step, None] ^ verts]
-        adj, sub_to_vert = _relabel(matrix)
-        yield _Subproblem((0, rep), adj, verts[sub_to_vert].tolist(), [1] * len(adj))
+        adj, sub_to_vert = _relabel(_gather(row0, verts, [verts]))
+        yield _Subproblem((0, rep), adj, [(v,) for v in verts[sub_to_vert].tolist()])
         allowed[members] = False
 
 
@@ -245,11 +252,11 @@ class _CliqueSearch:
         self.adj: Sequence[int] = ()
         self.nonadj: list[int] = []
         self.bits: list[int] = []
-        self.weights: Sequence[int] = ()
+        self.weights: list[int] = []
         self.heavy: list[tuple[int, int]] = []
         self.light = 1
         self.sub: Optional[_Subproblem] = None
-        self.best: Optional[tuple[_Subproblem, int]] = None
+        self.best: tuple[_Subproblem, int] = (_Subproblem((), [], []), 0)
         self.best_size = 0
         self.nodes = 0
         self.note: Optional[str] = None
@@ -329,23 +336,25 @@ class _CliqueSearch:
                 cand ^= bit
 
     def _enter(self, sub: _Subproblem) -> None:
-        self.sub, self.adj, self.weights = sub, sub.adj, sub.weights
+        self.sub, self.adj = sub, sub.adj
+        self.weights = [len(vectors) for vectors in sub.vectors]
         self.bits = [1 << p for p in range(len(sub.adj))]
         full = (1 << len(sub.adj)) - 1
         self.nonadj = [full ^ row ^ bit for row, bit in zip(sub.adj, self.bits)]  # no self-loops
         # per weight level, heaviest first, the positions of that weight; the
         # lightest level needs no mask, it is what a color class falls back to
-        levels = sorted(set(sub.weights), reverse=True) or [1]
+        levels = sorted(set(self.weights), reverse=True) or [1]
         self.light = levels[-1]
         self.heavy = [
-            (w, sum(bit for bit, wp in zip(self.bits, sub.weights) if wp == w)) for w in levels[:-1]
+            (w, sum(bit for bit, wp in zip(self.bits, self.weights) if wp == w)) for w in levels[:-1]
         ]
 
     def run(self, subproblems: Iterable[_Subproblem]) -> SearchStatus:
         """Search every subproblem; Ctrl-C ends it like an exhausted budget.
 
         Subproblems may be built lazily: Ctrl-C while the next one is being
-        built ends the search the same way.
+        built ends the search the same way.  The time limit is also checked
+        after each subproblem, so a run past its deadline builds no more.
         """
         try:
             for sub in subproblems:
@@ -355,6 +364,8 @@ class _CliqueSearch:
                     self._expand(0, size, (1 << len(sub.adj)) - 1)
                 elif size > self.best_size:
                     self._improve(0, size)
+                if self.deadline is not None and time.monotonic() > self.deadline:
+                    raise _Exhausted
         except _Found:
             return SearchStatus.TARGET_FOUND
         except _Exhausted:
@@ -366,42 +377,27 @@ class _CliqueSearch:
             return SearchStatus.TARGET_REFUTED
         return SearchStatus.OPTIMAL
 
-    def best_vertices(self) -> list[int]:
-        """Original vertex ids of the incumbent clique."""
-        if self.best is None:
-            return []
+    def best_vectors(self) -> list[int]:
+        """Packed vectors of the incumbent clique."""
         sub, mask = self.best
         out = list(sub.prefix)
         while mask:
             lsb = mask & -mask
-            out.append(sub.new_to_old[lsb.bit_length() - 1])
+            out.extend(sub.vectors[lsb.bit_length() - 1])
             mask ^= lsb
         return out
 
 
-def _checked_outcome(
-    clique: VectorSet,
-    spec: KellerGraphSpec,
-    status: SearchStatus,
-    nodes: int,
-    note: Optional[str] = None,
+def _search(
+    spec: KellerGraphSpec, search: _CliqueSearch, subproblems: Iterable[_Subproblem]
 ) -> SearchOutcome:
+    """Run the search and return its incumbent as a witness checked against spec."""
+    status = search.run(subproblems)
+    clique = VectorSet._from_packed(spec.dim, search.best_vectors())
     report = verify_clique(clique, spec)
     if not report.is_clique:
         raise AssertionError(f"search returned a non-clique; missing pairs {report.pairs[:3]}")
-    return SearchOutcome(clique, status, nodes, note)
-
-
-def _search(
-    g: MaterializedGraph,
-    target: Optional[int],
-    budget: SearchBudget,
-    on_improve: Optional[Callable[[int, int], None]],
-) -> SearchOutcome:
-    search = _CliqueSearch(target, budget, on_improve)
-    status = search.run(_subproblems(g))
-    clique = VectorSet._from_packed(g.spec.dim, search.best_vertices())  # vertex id = packed value
-    return _checked_outcome(clique, g.spec, status, search.nodes, search.note)
+    return SearchOutcome(clique, status, search.nodes, search.note)
 
 
 def max_clique(
@@ -416,7 +412,7 @@ def max_clique(
     Ctrl-C ends the search as BUDGET_EXHAUSTED with note "interrupted",
     keeping the incumbent.
     """
-    return _search(g, None, budget, on_improve)
+    return _search(g.spec, _CliqueSearch(None, budget, on_improve), _subproblems(g))
 
 
 def clique_decision(
@@ -433,7 +429,7 @@ def clique_decision(
     """
     if size < 1:
         raise ValueError("target size must be positive")
-    return _search(g, size, budget, on_improve)
+    return _search(g.spec, _CliqueSearch(size, budget, on_improve), _subproblems(g))
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +450,7 @@ class OrbitVertex:
 
 
 def _rotate(x, n: int):
-    """Packed image of the shift (m1,...,mn) -> (m2,...,mn,m1): an int or a uint64 array."""
+    """Packed image of the shift (m1,...,mn) -> (m2,...,mn,m1): an int or an integer array."""
     return (x >> 2) | ((x & 3) << (2 * (n - 1)))
 
 
@@ -481,36 +477,28 @@ def cyclic_orbits(n: int) -> tuple[OrbitVertex, ...]:
 
 
 def _orbit_compatibility(
-    n: int, orbits: Sequence[OrbitVertex]
+    g: MaterializedGraph, orbits: Sequence[OrbitVertex]
 ) -> tuple[list[OrbitVertex], np.ndarray]:
     """Filter internally-clique orbits and build their compatibility matrix.
 
     Orbit A is compatible with orbit B iff every cross pair is adjacent in
-    G*_n; by shift-invariance that reduces to the representative of A
+    g (G*_n); by shift-invariance that reduces to the representative of A
     against the first size(B) shifts of the representative of B.
     """
-    reps = np.array([o.representative.packed for o in orbits], dtype=np.uint64)
-    sizes = np.array([o.size for o in orbits], dtype=np.int64)
+    reps = np.array([o.representative.packed for o in orbits], dtype=np.intp)
+    sizes = np.array([o.size for o in orbits], dtype=np.intp)
     shifted = [reps]  # shifted[e]: every representative rotated e times
     for _ in range(1, int(sizes.max(initial=1))):
-        shifted.append(_rotate(shifted[-1], n))
+        shifted.append(_rotate(shifted[-1], g.spec.dim))
     # an orbit is a clique iff its representative is adjacent to its other shifts
     internal = np.ones(len(orbits), dtype=bool)
     for e in range(1, len(shifted)):
-        internal &= (sizes <= e) | _edge(reps ^ shifted[e], n, True)
+        internal &= (sizes <= e) | g.row0[reps ^ shifted[e]]
     keep = np.flatnonzero(internal)
-    admissible = [orbits[i] for i in keep.tolist()]
-    reps = reps[keep]
     # every shift e of B's representative is a member of B (shift e mod
     # size(B)), so testing all of them adds no condition; e = 0 clears the diagonal
-    columns = [rotated[keep] for rotated in shifted]
-    compat = np.ones((len(keep), len(keep)), dtype=bool)
-    step = max(1, _BLOCK_ELEMS // max(1, len(keep)))
-    for start in range(0, len(keep), step):
-        block = compat[start : start + step]
-        for rotated in columns:
-            block &= _edge(reps[start : start + step, None] ^ rotated, n, True)
-    return admissible, compat
+    compat = _gather(g.row0, reps[keep], [rotated[keep] for rotated in shifted])
+    return [orbits[i] for i in keep.tolist()], compat
 
 
 def _weight_reachable(weights: Sequence[int], target: int) -> bool:
@@ -577,19 +565,16 @@ def invariant_clique_search(
             f"it enumerates all 4**{n} = {4**n} vectors"
         )
     search = _CliqueSearch(target, budget, on_improve)
-    members: list[list[CubeVector]] = []  # orbit-graph vertex -> its vectors
 
     def build() -> Iterator[_Subproblem]:
         # runs inside search.run(), so that Ctrl-C here ends the search too
-        admissible, compat = _orbit_compatibility(n, cyclic_orbits(n))
+        admissible, compat = _orbit_compatibility(materialize(spec), cyclic_orbits(n))
         if not _weight_reachable([o.size for o in admissible], target):
             search.note = f"target {target} is not a sum of admissible orbit sizes"
             return
         groups, matrix = _orbit_groups(n, target, admissible, compat)
-        members.extend([v for i in g for v in admissible[i].orbit] for g in groups)
-        adj, new_to_old = _relabel(matrix)
-        yield _Subproblem((), adj, new_to_old, [len(members[old]) for old in new_to_old])
+        adj, order = _relabel(matrix)
+        vectors = [tuple(v.packed for i in groups[u] for v in admissible[i].orbit) for u in order]
+        yield _Subproblem((), adj, vectors)
 
-    status = search.run(build())
-    clique = VectorSet(n, (v for u in search.best_vertices() for v in members[u]))
-    return _checked_outcome(clique, spec, status, search.nodes, search.note)
+    return _search(spec, search, build())

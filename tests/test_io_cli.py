@@ -261,7 +261,7 @@ def test_cli_search_interrupt_exit_1(capsys, monkeypatch):
 def test_cli_cyclic_search_interrupted_while_building(capsys, monkeypatch):
     from keller import search
 
-    def interrupt(n, orbits):
+    def interrupt(g, orbits):
         raise KeyboardInterrupt
 
     monkeypatch.setattr(search, "_orbit_compatibility", interrupt)

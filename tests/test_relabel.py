@@ -128,18 +128,18 @@ def test_every_stabilizer_subproblem_matches_reference(monkeypatch, n):
         cand = allowed & rows[rep]
         verts = [v for v in range(g.num_vertices) if (cand >> v) & 1]
         adj, sub_to_vert = reference_relabel(induced(rows, verts))
-        want.append(((0, rep), adj, [verts[i] for i in sub_to_vert]))
+        want.append(((0, rep), adj, [(verts[i],) for i in sub_to_vert]))
         for v in members.tolist():
             allowed &= ~(1 << v)
     for block_elems in (1, 300, search_module._BLOCK_ELEMS):
         monkeypatch.setattr(search_module, "_BLOCK_ELEMS", block_elems)
         subs = list(_subproblems(g))
-        assert [(sub.prefix, sub.adj, sub.new_to_old) for sub in subs] == want
+        assert [(sub.prefix, sub.adj, sub.vectors) for sub in subs] == want
 
 
 @pytest.mark.parametrize("n", [6, 7])
 def test_relabel_matches_reference_on_orbit_graphs(n):
-    admissible, compat = _orbit_compatibility(n, cyclic_orbits(n))
+    admissible, compat = _orbit_compatibility(materialize(KellerGraphSpec(n, GraphVariant.STAR)), cyclic_orbits(n))
     _, matrix = _orbit_groups(n, 2**n, admissible, compat)
     assert_same_relabel(matrix, int_rows(matrix))
 

@@ -175,7 +175,7 @@ def test_interrupt_in_weighted_search(monkeypatch):
 
 
 def test_interrupt_while_building_orbit_graph(monkeypatch):
-    def interrupt(n, orbits):
+    def interrupt(g, orbits):
         raise KeyboardInterrupt
 
     monkeypatch.setattr(search_module, "_orbit_compatibility", interrupt)
@@ -250,10 +250,10 @@ def keller_matrix(g):
 
 def unreduced(matrix, target):
     """The B&B engine on a whole relabeled boolean matrix: (status, best clique)."""
-    adj, new_to_old = _relabel(matrix)
+    adj, order = _relabel(matrix)
     search = _CliqueSearch(target, SearchBudget())
-    status = search.run([_Subproblem((), adj, new_to_old, [1] * len(adj))])
-    best = search.best_vertices()
+    status = search.run([_Subproblem((), adj, [(v,) for v in order])])
+    best = search.best_vectors()
     assert len(best) == search.best_size
     assert (matrix[np.ix_(best, best)] | np.eye(len(best), dtype=bool)).all()
     return status, best
@@ -348,13 +348,23 @@ def test_budgeted_decision_keeps_a_real_incumbent():
 
 
 def test_time_limit_exhaustion_keeps_a_real_incumbent():
-    # the clock is read every 1024 nodes, so a run stopped by its time limit
-    # stops at a multiple of 1024; decide 29 runs for minutes
+    # the clock is read every 1024 nodes and after each subproblem; decide
+    # 29 runs for minutes and its first subproblem alone for over 200 000
+    # nodes, so a run stopped by its time limit stops at a multiple of 1024
     g = materialize(KellerGraphSpec(5, STAR))
     out = clique_decision(g, 29, SearchBudget(time_limit=0.2))
     assert out.status is SearchStatus.BUDGET_EXHAUSTED
     assert out.nodes_explored > 0 and out.nodes_explored % 1024 == 0
     assert out.best_clique and verify_clique(out.best_clique, g.spec).is_clique
+
+
+def test_time_limit_is_checked_between_subproblems():
+    # the first G*_6 subproblem refutes 4096 at its root node; a spent time
+    # limit then stops the run before it builds the other 19 subproblems,
+    # which it would otherwise all build and refute at one node each
+    g = materialize(KellerGraphSpec(6, STAR))
+    out = clique_decision(g, 4096, SearchBudget(time_limit=1e-9))
+    assert (out.status, out.nodes_explored, len(out.best_clique)) == (SearchStatus.BUDGET_EXHAUSTED, 1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +419,7 @@ def test_orbit_compatibility_matches_definition(monkeypatch, n, block_elems):
     adjacency = keller_matrix(g)
     orbits = cyclic_orbits(n)
     members = [[v.packed for v in o.orbit] for o in orbits]
-    admissible, compat = search_module._orbit_compatibility(n, orbits)
+    admissible, compat = search_module._orbit_compatibility(g, orbits)
     keep = [i for i, m in enumerate(members) if (adjacency[np.ix_(m, m)] | np.eye(len(m), dtype=bool)).all()]
     assert admissible == [orbits[i] for i in keep]
     expected = [[adjacency[np.ix_(members[a], members[b])].all() for b in keep] for a in keep]
@@ -420,10 +430,11 @@ def test_orbit_compatibility_matches_definition(monkeypatch, n, block_elems):
 def test_orbit_compatibility_memory_is_bounded(n, admissible, limit_mib):
     # a one-shot build holds several admissible x admissible uint64
     # temporaries: a 68.5 MiB peak at n = 7 and 142 MiB per temporary at n = 8
+    g = materialize(KellerGraphSpec(n, STAR))
     orbits = cyclic_orbits(n)
     tracemalloc.start()
     try:
-        adm, compat = search_module._orbit_compatibility(n, orbits)
+        adm, compat = search_module._orbit_compatibility(g, orbits)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -460,7 +471,7 @@ def brute_invariant_exists(n, target):
     return False
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3])
 def test_invariant_search_matches_brute_force(n):
     for target in range(1, 2**n + 1):
         out = invariant_clique_search(n, target)
