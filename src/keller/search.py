@@ -34,19 +34,22 @@ and grows inside N(0) & N(r), minus the classes already done.  One node
 counter, budget and incumbent span all subproblems.  Node counts and witness
 cliques therefore differ from versions without this reduction.
 
-The cyclic-invariant search looks for cliques closed under rotating the
-coordinates.  Such a clique is a union of whole rotation orbits, so the
-search runs on the orbit compatibility graph: one vertex per orbit whose
-internal pairs are all adjacent, weighted by the orbit size, an edge when
-every cross pair is adjacent (both tests gather on G*_n's vertex-0 row), and
-a target on the total weight that no branch may overshoot.  It is one
+The cyclic-invariant search looks for cliques closed under the coordinate
+shift, an ``Automorphism``: unions of whole shift orbits, held as one packed
+table whose rows walk the shift from each orbit's lexicographic minimum.  It
+runs on the orbit compatibility graph: one vertex per orbit whose internal
+pairs are all adjacent, weighted by the orbit size, an edge when every cross
+pair is adjacent (both tests gather the table on G*_n's vertex-0 row), and a
+target on the total weight that no branch may overshoot.  It is one
 subproblem, built inside the search so that Ctrl-C during the build ends it
-cleanly.  Every search has one front end: a position carries the packed
-vectors it adds to a clique, so the incumbent is the witness that is checked.
+cleanly.  Every search has one front end: subproblems come as builders, and
+a position carries the packed vectors it adds to a clique, so the incumbent
+is the witness that is checked.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import sys
 import time
@@ -58,6 +61,7 @@ import numpy as np
 
 from .core import (
     MAX_MATERIALIZE_DIM,
+    Automorphism,
     CubeVector,
     GraphVariant,
     KellerGraphSpec,
@@ -197,24 +201,30 @@ def _stabilizer_classes(spec: KellerGraphSpec, row0: np.ndarray) -> list[np.ndar
     return classes
 
 
-def _subproblems(g: MaterializedGraph) -> Iterator[_Subproblem]:
-    """One subproblem per Stab(0) class of N(0), built lazily.
+def _induced(row0: np.ndarray, prefix: tuple[int, ...], verts: np.ndarray) -> _Subproblem:
+    """The subproblem extending prefix within verts, one vertex per position."""
+    adj, sub_to_vert = _relabel(_gather(row0, verts, [verts]))
+    return _Subproblem(prefix, adj, [(v,) for v in verts[sub_to_vert].tolist()])
+
+
+def _subproblems(g: MaterializedGraph) -> Iterator[Callable[[], _Subproblem]]:
+    """One subproblem per Stab(0) class of N(0), each yielded as its builder.
 
     Translations move any clique onto vertex 0, and Stab(0) then moves its
-    member of the earliest class onto that class's representative.
+    member of the earliest class onto that class's representative.  A
+    builder holds its candidate vertices; the gather and relabel wait until
+    it is called.
     """
     row0 = g.row0
     allowed = row0.copy()
     classes = _stabilizer_classes(g.spec, allowed)
     if not classes:
-        yield _Subproblem((0,), [], [])
+        yield lambda: _Subproblem((0,), [], [])
         return
     vecs = np.arange(g.num_vertices)
     for members in classes:
-        rep = int(members[0])
-        verts = np.flatnonzero(allowed & row0[vecs ^ rep])
-        adj, sub_to_vert = _relabel(_gather(row0, verts, [verts]))
-        yield _Subproblem((0, rep), adj, [(v,) for v in verts[sub_to_vert].tolist()])
+        verts = np.flatnonzero(allowed & row0[vecs ^ members[0]])
+        yield functools.partial(_induced, row0, (0, int(members[0])), verts)
         allowed[members] = False
 
 
@@ -349,23 +359,25 @@ class _CliqueSearch:
             (w, sum(bit for bit, wp in zip(self.bits, self.weights) if wp == w)) for w in levels[:-1]
         ]
 
-    def run(self, subproblems: Iterable[_Subproblem]) -> SearchStatus:
-        """Search every subproblem; Ctrl-C ends it like an exhausted budget.
+    def run(self, builders: Iterable[Callable[[], _Subproblem]]) -> SearchStatus:
+        """Build and search each subproblem in turn; Ctrl-C ends it like an exhausted budget.
 
-        Subproblems may be built lazily: Ctrl-C while the next one is being
-        built ends the search the same way.  The time limit is also checked
-        after each subproblem, so a run past its deadline builds no more.
+        Ctrl-C while a subproblem is being built ends the search the same
+        way.  The time limit is also checked before each further build, so a
+        run past its deadline builds no more, and one that finished its last
+        subproblem is complete whatever the clock says.
         """
         try:
-            for sub in subproblems:
+            for i, build in enumerate(builders):
+                if i and self.deadline is not None and time.monotonic() > self.deadline:
+                    raise _Exhausted
+                sub = build()
                 self._enter(sub)
                 size = len(sub.prefix)
                 if sub.adj:
                     self._expand(0, size, (1 << len(sub.adj)) - 1)
                 elif size > self.best_size:
                     self._improve(0, size)
-                if self.deadline is not None and time.monotonic() > self.deadline:
-                    raise _Exhausted
         except _Found:
             return SearchStatus.TARGET_FOUND
         except _Exhausted:
@@ -389,10 +401,10 @@ class _CliqueSearch:
 
 
 def _search(
-    spec: KellerGraphSpec, search: _CliqueSearch, subproblems: Iterable[_Subproblem]
+    spec: KellerGraphSpec, search: _CliqueSearch, builders: Iterable[Callable[[], _Subproblem]]
 ) -> SearchOutcome:
     """Run the search and return its incumbent as a witness checked against spec."""
-    status = search.run(subproblems)
+    status = search.run(builders)
     clique = VectorSet._from_packed(spec.dim, search.best_vectors())
     report = verify_clique(clique, spec)
     if not report.is_clique:
@@ -449,56 +461,48 @@ class OrbitVertex:
     size: int
 
 
-def _rotate(x, n: int):
-    """Packed image of the shift (m1,...,mn) -> (m2,...,mn,m1): an int or an integer array."""
-    return (x >> 2) | ((x & 3) << (2 * (n - 1)))
+def _shift(n: int) -> Automorphism:
+    """The coordinate shift (m1,...,mn) -> (m2,...,mn,m1): coordinate i moves to i - 1."""
+    return Automorphism(tuple((i - 1) % n for i in range(n)), Automorphism.identity(n).label_maps)
+
+
+def _orbit_table(a: Automorphism) -> tuple[np.ndarray, np.ndarray]:
+    """The orbits of <a> on all 4^n packed vectors as table rows, and their sizes.
+
+    Row i is r, a(r), a^2(r), ... up to the order of a, for r the orbit's
+    lexicographic minimum; rows ascend by r, and each repeats with period
+    equal to its orbit size.  Entries are intp, so they index without a cast.
+    """
+    vecs = VectorSet._from_packed(a.dim, np.arange(4**a.dim)).packed.astype(np.intp)  # lexicographic
+    walk = [vecs]
+    while not np.array_equal(image := a._apply_packed(walk[-1]), vecs):
+        walk.append(image)
+    table = np.stack(walk, axis=1)
+    ranks = np.argsort(vecs)[table]  # lexicographic rank of every entry
+    table = table[ranks.min(axis=1) == ranks[:, 0]]
+    return table, table.shape[1] // (table == table[:, :1]).sum(axis=1)
 
 
 def cyclic_orbits(n: int) -> tuple[OrbitVertex, ...]:
     """Partition all 4^n vectors into coordinate-rotation orbits."""
-    seen: set[int] = set()
-    out = []
-    # in lexicographic order the first vector met of each orbit is its minimum
-    for rep in VectorSet._from_packed(n, np.arange(4**n)).packed.tolist():
-        if rep in seen:
-            continue
-        orbit = [rep]
-        while (w := _rotate(orbit[-1], n)) != rep:
-            orbit.append(w)
-        seen.update(orbit)
-        out.append(
-            OrbitVertex(
-                representative=CubeVector(n, rep),
-                orbit=frozenset(CubeVector(n, w) for w in orbit),
-                size=len(orbit),
-            )
-        )
-    return tuple(out)
+    table, sizes = _orbit_table(_shift(n))
+    return tuple(
+        OrbitVertex(CubeVector(n, row[0]), frozenset(CubeVector(n, w) for w in row[:size]), size)
+        for row, size in zip(table.tolist(), sizes.tolist())
+    )
 
 
-def _orbit_compatibility(
-    g: MaterializedGraph, orbits: Sequence[OrbitVertex]
-) -> tuple[list[OrbitVertex], np.ndarray]:
-    """Filter internally-clique orbits and build their compatibility matrix.
+def _orbit_compatibility(row0: np.ndarray, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of the orbits that are cliques, and their compatibility matrix.
 
-    Orbit A is compatible with orbit B iff every cross pair is adjacent in
-    g (G*_n); by shift-invariance that reduces to the representative of A
-    against the first size(B) shifts of the representative of B.
+    ``table`` is the ``_orbit_table`` of an automorphism of the graph with
+    vertex-0 row row0.  It maps A's representative onto each member of A and
+    B onto itself, so every cross pair of orbits A and B is adjacent iff A's
+    representative is adjacent to every entry of B's row.
     """
-    reps = np.array([o.representative.packed for o in orbits], dtype=np.intp)
-    sizes = np.array([o.size for o in orbits], dtype=np.intp)
-    shifted = [reps]  # shifted[e]: every representative rotated e times
-    for _ in range(1, int(sizes.max(initial=1))):
-        shifted.append(_rotate(shifted[-1], g.spec.dim))
-    # an orbit is a clique iff its representative is adjacent to its other shifts
-    internal = np.ones(len(orbits), dtype=bool)
-    for e in range(1, len(shifted)):
-        internal &= (sizes <= e) | g.row0[reps ^ shifted[e]]
-    keep = np.flatnonzero(internal)
-    # every shift e of B's representative is a member of B (shift e mod
-    # size(B)), so testing all of them adds no condition; e = 0 clears the diagonal
-    compat = _gather(g.row0, reps[keep], [rotated[keep] for rotated in shifted])
-    return [orbits[i] for i in keep.tolist()], compat
+    reps = table[:, :1]
+    keep = np.flatnonzero(((table == reps) | row0[table ^ reps]).all(axis=1))
+    return keep, _gather(row0, reps[keep, 0], np.ascontiguousarray(table[keep].T))
 
 
 def _weight_reachable(weights: Sequence[int], target: int) -> bool:
@@ -512,7 +516,7 @@ def _weight_reachable(weights: Sequence[int], target: int) -> bool:
 
 
 def _orbit_groups(
-    n: int, target: int, admissible: Sequence[OrbitVertex], compat: np.ndarray
+    n: int, target: int, sizes: Sequence[int], compat: np.ndarray
 ) -> tuple[list[tuple[int, ...]], np.ndarray]:
     """Vertices of the orbit graph, as tuples of admissible orbits, and its adjacency.
 
@@ -520,14 +524,14 @@ def _orbit_groups(
     exactly two constant vectors: then the compatible constant pairs join as
     weight-2 vertices instead of four singletons.
     """
-    groups: list[tuple[int, ...]] = [(i,) for i in range(len(admissible))]
-    fixed = [i for i, o in enumerate(admissible) if o.size == 1]
+    groups: list[tuple[int, ...]] = [(i,) for i in range(len(sizes))]
+    fixed = [i for i, size in enumerate(sizes) if size == 1]
     # counts of constants a solution can contain: residue of target modulo
     # the only other available orbit size
     feasible_counts = {f for f in range(len(fixed) + 1) if f <= target and (target - f) % n == 0}
-    if sorted({o.size for o in admissible if o.size > 1}) != [n] or feasible_counts != {2}:
+    if sorted({size for size in sizes if size > 1}) != [n] or feasible_counts != {2}:
         return groups, compat
-    groups = [(i,) for i, o in enumerate(admissible) if o.size > 1]
+    groups = [(i,) for i, size in enumerate(sizes) if size > 1]
     groups += [(a, b) for a, b in itertools.combinations(fixed, 2) if compat[a, b]]
     # a group is compatible with another when both its first and last orbit are
     first = [g[0] for g in groups]
@@ -566,15 +570,17 @@ def invariant_clique_search(
         )
     search = _CliqueSearch(target, budget, on_improve)
 
-    def build() -> Iterator[_Subproblem]:
+    def build() -> _Subproblem:
         # runs inside search.run(), so that Ctrl-C here ends the search too
-        admissible, compat = _orbit_compatibility(materialize(spec), cyclic_orbits(n))
-        if not _weight_reachable([o.size for o in admissible], target):
+        table, sizes = _orbit_table(_shift(n))
+        keep, compat = _orbit_compatibility(materialize(spec).row0, table)
+        sizes = sizes[keep].tolist()
+        if not _weight_reachable(sizes, target):
             search.note = f"target {target} is not a sum of admissible orbit sizes"
-            return
-        groups, matrix = _orbit_groups(n, target, admissible, compat)
+            return _Subproblem((), [], [])
+        groups, matrix = _orbit_groups(n, target, sizes, compat)
         adj, order = _relabel(matrix)
-        vectors = [tuple(v.packed for i in groups[u] for v in admissible[i].orbit) for u in order]
-        yield _Subproblem((), adj, vectors)
+        members = [row[:size] for row, size in zip(table[keep].tolist(), sizes)]
+        return _Subproblem((), adj, [tuple(v for i in groups[u] for v in members[i]) for u in order])
 
-    return _search(spec, search, build())
+    return _search(spec, search, [build])

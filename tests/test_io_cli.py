@@ -261,7 +261,7 @@ def test_cli_search_interrupt_exit_1(capsys, monkeypatch):
 def test_cli_cyclic_search_interrupted_while_building(capsys, monkeypatch):
     from keller import search
 
-    def interrupt(g, orbits):
+    def interrupt(row0, table):
         raise KeyboardInterrupt
 
     monkeypatch.setattr(search, "_orbit_compatibility", interrupt)
@@ -314,7 +314,7 @@ def test_cli_cyclic_invariant_dimension_guard(capsys, monkeypatch):
     def enumerate_all(*args):
         raise AssertionError("the guard must reject n = 9 before enumerating")
 
-    monkeypatch.setattr(search, "cyclic_orbits", enumerate_all)
+    monkeypatch.setattr(search, "_orbit_table", enumerate_all)
     code = main(["search", "--dim", "9", "--target", "512", "--cyclic-invariant"])
     captured = capsys.readouterr()
     assert code == 2

@@ -20,10 +20,11 @@ from keller.core import GraphVariant, KellerGraphSpec, materialize
 from keller.search import (
     _orbit_compatibility,
     _orbit_groups,
+    _orbit_table,
     _relabel,
+    _shift,
     _stabilizer_classes,
     _subproblems,
-    cyclic_orbits,
 )
 
 
@@ -133,14 +134,15 @@ def test_every_stabilizer_subproblem_matches_reference(monkeypatch, n):
             allowed &= ~(1 << v)
     for block_elems in (1, 300, search_module._BLOCK_ELEMS):
         monkeypatch.setattr(search_module, "_BLOCK_ELEMS", block_elems)
-        subs = list(_subproblems(g))
+        subs = [build() for build in _subproblems(g)]
         assert [(sub.prefix, sub.adj, sub.vectors) for sub in subs] == want
 
 
 @pytest.mark.parametrize("n", [6, 7])
 def test_relabel_matches_reference_on_orbit_graphs(n):
-    admissible, compat = _orbit_compatibility(materialize(KellerGraphSpec(n, GraphVariant.STAR)), cyclic_orbits(n))
-    _, matrix = _orbit_groups(n, 2**n, admissible, compat)
+    table, sizes = _orbit_table(_shift(n))
+    admissible, compat = _orbit_compatibility(materialize(KellerGraphSpec(n, GraphVariant.STAR)).row0, table)
+    _, matrix = _orbit_groups(n, 2**n, sizes[admissible].tolist(), compat)
     assert_same_relabel(matrix, int_rows(matrix))
 
 

@@ -175,7 +175,7 @@ def test_interrupt_in_weighted_search(monkeypatch):
 
 
 def test_interrupt_while_building_orbit_graph(monkeypatch):
-    def interrupt(g, orbits):
+    def interrupt(row0, table):
         raise KeyboardInterrupt
 
     monkeypatch.setattr(search_module, "_orbit_compatibility", interrupt)
@@ -237,7 +237,7 @@ def test_stabilizer_orbits_are_digit_count_classes(n, variant):
 
 def test_reduction_only_on_keller_adjacency():
     g = materialize(KellerGraphSpec(3, STAR))
-    subs = list(_subproblems(g))
+    subs = [build() for build in _subproblems(g)]
     assert len(subs) == len(_stabilizer_classes(g.spec, neighbors_of_zero(g)))
     assert all(sub.prefix[0] == 0 and len(sub.prefix) == 2 for sub in subs)
 
@@ -252,7 +252,7 @@ def unreduced(matrix, target):
     """The B&B engine on a whole relabeled boolean matrix: (status, best clique)."""
     adj, order = _relabel(matrix)
     search = _CliqueSearch(target, SearchBudget())
-    status = search.run([_Subproblem((), adj, [(v,) for v in order])])
+    status = search.run([lambda: _Subproblem((), adj, [(v,) for v in order])])
     best = search.best_vectors()
     assert len(best) == search.best_size
     assert (matrix[np.ix_(best, best)] | np.eye(len(best), dtype=bool)).all()
@@ -317,6 +317,24 @@ def test_clique_number_ground_truth():
     assert (out.status, len(out.best_clique)) == (SearchStatus.OPTIMAL, 1)
 
 
+@pytest.mark.parametrize("n, nverts, nedges", [(4, 171, 9435), (5, 776, 225_990)])
+def test_neighbourhood_of_zero_is_dimacs_keller(n, nverts, nedges):
+    # G*_n induced on N(0) has the published sizes of the DIMACS keller4 and
+    # keller5 instances, whose clique number is omega(G*_n) - 1
+    row0 = materialize(KellerGraphSpec(n, STAR)).row0
+    verts = np.flatnonzero(row0)
+    matrix = search_module._gather(row0, verts, [verts])
+    assert (len(verts), int(matrix.sum()) // 2) == (nverts, nedges)
+    if n == 4:
+        adj, order = _relabel(matrix)
+        search = _CliqueSearch(None, SearchBudget())
+        status = search.run([lambda: _Subproblem((), adj, [(int(verts[p]),) for p in order])])
+        assert (status, search.best_size, search.nodes) == (SearchStatus.OPTIMAL, 11, 11_585)
+        # with vertex 0 it is a maximum clique of G*_4
+        clique = VectorSet._from_packed(n, [0, *search.best_vectors()])
+        assert verify_clique(clique, KellerGraphSpec(n, STAR)).is_clique
+
+
 def packed_values(clique):
     return sorted(clique.packed.tolist())
 
@@ -348,7 +366,7 @@ def test_budgeted_decision_keeps_a_real_incumbent():
 
 
 def test_time_limit_exhaustion_keeps_a_real_incumbent():
-    # the clock is read every 1024 nodes and after each subproblem; decide
+    # the clock is read every 1024 nodes and before each further subproblem; decide
     # 29 runs for minutes and its first subproblem alone for over 200 000
     # nodes, so a run stopped by its time limit stops at a multiple of 1024
     g = materialize(KellerGraphSpec(5, STAR))
@@ -365,6 +383,18 @@ def test_time_limit_is_checked_between_subproblems():
     g = materialize(KellerGraphSpec(6, STAR))
     out = clique_decision(g, 4096, SearchBudget(time_limit=1e-9))
     assert (out.status, out.nodes_explored, len(out.best_clique)) == (SearchStatus.BUDGET_EXHAUSTED, 1, 2)
+
+
+def test_search_finished_past_its_time_limit_is_complete():
+    # the cyclic n = 5 refutation is one subproblem; with a spent time limit
+    # the clock is read at nodes 1024, 2048, ... only, so the 304-node tree
+    # is finished and the refutation stands
+    out = invariant_clique_search(5, 8, SearchBudget(time_limit=1e-6))
+    assert (out.status, out.nodes_explored) == (SearchStatus.TARGET_REFUTED, 304)
+    # G_1 is two edges, so N(0) = {2} is one Stab(0) class and its
+    # subproblem, the last one, ends the search
+    out = max_clique(materialize(KellerGraphSpec(1, PLAIN)), SearchBudget(time_limit=1e-9))
+    assert (out.status, out.nodes_explored, len(out.best_clique)) == (SearchStatus.OPTIMAL, 0, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -394,18 +424,34 @@ def test_cyclic_orbits_composite_n4():
     assert sizes == {1: 4, 2: 6, 4: 60}
 
 
+def rotated(v):
+    return CubeVector.from_digits(v.digits[1:] + v.digits[:1])
+
+
 def test_orbits_partition_and_reps_minimal():
+    # one coordinate: the shift is the identity
+    assert [(o.representative.packed, len(o.orbit), o.size) for o in cyclic_orbits(1)] == [(i, 1, 1) for i in range(4)]
     for n in (2, 3, 4):
         orbits = cyclic_orbits(n)
         everything = [v for o in orbits for v in o.orbit]
         assert len(everything) == 4**n
         assert len(set(everything)) == 4**n
+        reps = [o.representative.digits for o in orbits]
+        assert reps == sorted(reps)
         for o in orbits:
             assert o.representative.digits == min(v.digits for v in o.orbit)
-            shifted = {
-                CubeVector.from_digits(v.digits[1:] + v.digits[:1]) for v in o.orbit
-            }
-            assert shifted == set(o.orbit)
+            assert {rotated(v) for v in o.orbit} == set(o.orbit)
+    for n in range(1, 6):
+        shift = search_module._shift(n)
+        vecs = [CubeVector.from_index(n, i) for i in range(4**n)]
+        assert [shift.apply(v) for v in vecs] == [rotated(v) for v in vecs]
+        # row i walks the shift from its representative: its first size
+        # entries are distinct, and then it repeats them
+        table, sizes = search_module._orbit_table(shift)
+        assert table.shape == (len(cyclic_orbits(n)), n)
+        for row, size in zip(table.tolist(), sizes.tolist()):
+            assert len(set(row[:size])) == size
+            assert row == row[:size] * (n // size)
 
 
 @pytest.mark.parametrize("block_elems", [1, 300, 1 << 15])
@@ -417,11 +463,11 @@ def test_orbit_compatibility_matches_definition(monkeypatch, n, block_elems):
     monkeypatch.setattr(search_module, "_BLOCK_ELEMS", block_elems)
     g = materialize(KellerGraphSpec(n, STAR))
     adjacency = keller_matrix(g)
-    orbits = cyclic_orbits(n)
-    members = [[v.packed for v in o.orbit] for o in orbits]
-    admissible, compat = search_module._orbit_compatibility(g, orbits)
+    members = [[v.packed for v in o.orbit] for o in cyclic_orbits(n)]
+    table, _ = search_module._orbit_table(search_module._shift(n))
+    admissible, compat = search_module._orbit_compatibility(g.row0, table)
     keep = [i for i, m in enumerate(members) if (adjacency[np.ix_(m, m)] | np.eye(len(m), dtype=bool)).all()]
-    assert admissible == [orbits[i] for i in keep]
+    assert admissible.tolist() == keep
     expected = [[adjacency[np.ix_(members[a], members[b])].all() for b in keep] for a in keep]
     assert compat.tolist() == expected
 
@@ -431,10 +477,10 @@ def test_orbit_compatibility_memory_is_bounded(n, admissible, limit_mib):
     # a one-shot build holds several admissible x admissible uint64
     # temporaries: a 68.5 MiB peak at n = 7 and 142 MiB per temporary at n = 8
     g = materialize(KellerGraphSpec(n, STAR))
-    orbits = cyclic_orbits(n)
+    table, _ = search_module._orbit_table(search_module._shift(n))
     tracemalloc.start()
     try:
-        adm, compat = search_module._orbit_compatibility(g, orbits)
+        adm, compat = search_module._orbit_compatibility(g.row0, table)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -494,8 +540,7 @@ def test_invariant_found_set_is_shift_closed():
     out = invariant_clique_search(3, 5)
     assert out.status is SearchStatus.TARGET_FOUND
     members = set(out.best_clique)
-    shifted = {CubeVector.from_digits(v.digits[1:] + v.digits[:1]) for v in members}
-    assert shifted == members
+    assert {rotated(v) for v in members} == members
 
 
 def test_invariant_weighted_node_counts():
@@ -519,8 +564,7 @@ def test_invariant_budget_exhaustion_keeps_incumbent():
     members = set(out.best_clique)
     assert members
     assert verify_clique(out.best_clique, KellerGraphSpec(6, STAR)).is_clique
-    shifted = {CubeVector.from_digits(v.digits[1:] + v.digits[:1]) for v in members}
-    assert shifted == members
+    assert {rotated(v) for v in members} == members
 
 
 def test_invariant_n7_budgeted_incumbent_is_pinned():
@@ -531,6 +575,17 @@ def test_invariant_n7_budgeted_incumbent_is_pinned():
     digest = hashlib.sha256(",".join(map(str, packed_values(out.best_clique))).encode()).hexdigest()
     assert digest == "05b908fc2750b231c4c7a52510005cf3b9281e2014392a4254709b296233ca4d"
     assert verify_clique(out.best_clique, KellerGraphSpec(7, STAR)).is_clique
+
+
+@pytest.mark.slow
+def test_invariant_n7_complete_refutation():
+    # G*_7 has no rotation-invariant 128-clique, consistent with its clique
+    # number 124 (Debroni et al., SODA 2011); 64-87 s on a 2-vCPU VM
+    out = invariant_clique_search(7, 128)
+    assert (out.status, out.nodes_explored, len(out.best_clique)) == (SearchStatus.TARGET_REFUTED, 2_406_805, 77)
+    assert verify_clique(out.best_clique, KellerGraphSpec(7, STAR)).is_clique
+    members = set(out.best_clique)
+    assert {rotated(v) for v in members} == members
 
 
 def test_invariant_budget_exhaustion_clean():
@@ -551,7 +606,7 @@ def test_invariant_search_dimension_guard(monkeypatch):
     def enumerate_all(*args):
         raise AssertionError("the guard must reject n = 9 before enumerating")
 
-    monkeypatch.setattr(search_module, "cyclic_orbits", enumerate_all)
+    monkeypatch.setattr(search_module, "_orbit_table", enumerate_all)
     monkeypatch.setattr(search_module, "_orbit_compatibility", enumerate_all)
     with pytest.raises(ValueError, match="guarded at dim 8"):
         invariant_clique_search(9, 512)
