@@ -12,6 +12,7 @@ from .core import (
     GraphVariant,
     KellerGraphSpec,
     MaterializedGraph,
+    VectorSet,
     apply_automorphism,
     digit_gap,
     has_edge,
@@ -24,7 +25,6 @@ from .construction import (
     BlockSystem,
     Label,
     TemplateVector,
-    VectorSet,
     block_swap_automorphism,
     build_counterexample,
     check_block_conditions,

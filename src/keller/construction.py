@@ -8,24 +8,28 @@ a^3 + 3abc + 3acd + c^3 = 2^12 vectors forming a clique in G*_12.  A 16-row
 4-column variant with labels 0,0',1,1',2,3 and only the middle two columns
 expanded yields 2^10 vectors forming a clique in G*_10.  Stacking two
 translated copies lifts any counterexample one dimension up.
+
+Block sets are ``core.VectorSet``s, and the three block conditions are
+checked on their packed arrays with the certifier's ``verify_clique``.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .core import Automorphism, CubeVector, _digit_columns, _missing_pairs, _packed_dtype
+from .core import Automorphism, CubeVector, GraphVariant, KellerGraphSpec, VectorSet
+from .verify import verify_clique
 
 __all__ = [
     "Label",
     "TemplateVector",
     "BlockSystem",
-    "VectorSet",
     "BlockConditionReport",
     "table1",
     "table2",
@@ -102,25 +106,22 @@ class TemplateVector:
 
 
 class BlockSystem:
-    """Label-indexed sets of k-digit blocks used by substitution."""
+    """Label-indexed sets of k-digit blocks used by substitution, one VectorSet each."""
 
     def __init__(self, k: int, sets: Mapping[Label, Iterable[CubeVector]]):
         self.k = k
-        self._sets: dict[Label, tuple[CubeVector, ...]] = {}
+        self._sets: dict[Label, VectorSet] = {}
         for label, vecs in sets.items():
-            vt = tuple(vecs)
-            for v in vt:
-                if v.dim != k:
-                    raise ValueError(f"block {v} in S_{label} has dim {v.dim}, expected {k}")
-            if len(set(vt)) != len(vt):
-                raise ValueError(f"duplicate block inside S_{label}")
-            self._sets[label] = vt
+            try:
+                self._sets[label] = VectorSet(k, vecs)
+            except ValueError as exc:
+                raise ValueError(f"S_{label}: {exc}") from None
 
     @property
     def labels(self) -> tuple[Label, ...]:
         return tuple(self._sets)
 
-    def get(self, label: Label) -> tuple[CubeVector, ...]:
+    def get(self, label: Label) -> VectorSet:
         try:
             return self._sets[label]
         except KeyError:
@@ -134,83 +135,7 @@ class BlockSystem:
 
     def replace(self, label: Label, vecs: Iterable[CubeVector]) -> "BlockSystem":
         """Copy with one set swapped out (handy for adversarial checks)."""
-        new = dict(self._sets)
-        new[label] = tuple(vecs)
-        return BlockSystem(self.k, new)
-
-
-class VectorSet:
-    """A duplicate-free set of equal-dimension cube vectors.
-
-    ``packed`` holds the members' packed values, read-only, sorted
-    lexicographically by digit sequence: uint64 up to dimension 32, Python
-    ints above.  ``members`` and iteration build the CubeVector objects on
-    demand.  Equality is set equality.
-    """
-
-    __slots__ = ("dim", "packed")
-
-    def __init__(self, dim: int, members: Iterable[CubeVector]):
-        values = []
-        for v in members:
-            if v.dim != dim:
-                raise ValueError(f"vector {v} has dim {v.dim}, expected {dim}")
-            values.append(v.packed)
-        self._assign(dim, values)
-
-    @classmethod
-    def _from_packed(cls, dim: int, values) -> "VectorSet":
-        """The set of packed values (Python ints or an array) of dimension dim."""
-        s = cls.__new__(cls)
-        s._assign(dim, values)
-        return s
-
-    def _assign(self, dim: int, values) -> None:
-        if dim < 1:
-            raise ValueError(f"dimension must be positive, got {dim}")
-        packed = np.array(values, dtype=_packed_dtype(dim))
-        packed = packed[np.lexsort(_digit_columns(packed, dim).T[::-1])]  # coordinate 0 first
-        dup = np.flatnonzero(packed[1:] == packed[:-1])
-        if dup.size:
-            raise ValueError(f"duplicate vector {CubeVector(dim, int(packed[dup[0]]))}")
-        packed.flags.writeable = False
-        self.dim = dim
-        self.packed = packed
-
-    @classmethod
-    def from_strings(cls, dim: int, strings: Iterable[str]) -> "VectorSet":
-        return cls(dim, (CubeVector.from_string(s) for s in strings))
-
-    @property
-    def members(self) -> tuple[CubeVector, ...]:
-        return tuple(self)
-
-    def __len__(self) -> int:
-        return len(self.packed)
-
-    def __iter__(self) -> Iterator[CubeVector]:
-        return (CubeVector(self.dim, p) for p in self.packed.tolist())
-
-    def __contains__(self, v: object) -> bool:
-        if not isinstance(v, CubeVector) or v.dim != self.dim:
-            return False
-        return bool((self.packed == v.packed).any())
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, VectorSet):
-            return NotImplemented
-        return self.dim == other.dim and np.array_equal(self.packed, other.packed)
-
-    def __hash__(self) -> int:
-        return hash((self.dim, tuple(self.packed.tolist())))
-
-    def __repr__(self) -> str:
-        return f"VectorSet(dim={self.dim}, count={len(self)})"
-
-    def apply(self, a: Automorphism) -> "VectorSet":
-        if a.dim != self.dim:
-            raise ValueError(f"dimension mismatch: automorphism {a.dim}, set {self.dim}")
-        return VectorSet._from_packed(self.dim, a._apply_packed(self.packed))
+        return BlockSystem(self.k, {**self._sets, label: vecs})
 
 
 # ---------------------------------------------------------------------------
@@ -271,10 +196,7 @@ def table1() -> tuple[TemplateVector, ...]:
 def table2() -> BlockSystem:
     """The six block columns S_0, S_0', S_2, S_1, S_1', S_3 (k = 4)."""
     _check_tables()
-    sets = {
-        Label.parse(name): tuple(CubeVector.from_string(s) for s in col)
-        for name, col in _TABLE2_COLUMNS
-    }
+    sets = {Label.parse(name): VectorSet.from_strings(4, col) for name, col in _TABLE2_COLUMNS}
     return BlockSystem(4, sets)
 
 
@@ -317,32 +239,29 @@ class BlockConditionReport:
 def check_block_conditions(
     bs: BlockSystem, pairs_for_iii: Sequence[tuple[Label, Label]]
 ) -> BlockConditionReport:
-    """Check conditions (i)-(iii) over all sets present in the system."""
-    k = bs.k
-    clique_failures = []
-    for label in bs.labels:
-        vecs = bs.get(label)
-        for i, j in _missing_pairs([v.packed for v in vecs], k, True):
-            clique_failures.append((label, vecs[i], vecs[j]))
+    """Check conditions (i)-(iii) over all sets present in the system.
 
-    overlap_failures = []
-    labels = bs.labels
-    for i in range(len(labels)):
-        si = set(bs.get(labels[i]))
-        for j in range(i + 1, len(labels)):
-            for v in VectorSet(k, si & set(bs.get(labels[j]))):
-                overlap_failures.append((labels[i], labels[j], v))
-
-    union_failures = []
-    for la, lb in pairs_for_iii:
-        union = VectorSet(k, set(bs.get(la)) | set(bs.get(lb)))
-        members = union.members
-        for i, j in _missing_pairs(union.packed, k, False):
-            union_failures.append((la, lb, members[i], members[j]))
-
-    return BlockConditionReport(
-        tuple(clique_failures), tuple(overlap_failures), tuple(union_failures)
+    Witnesses are in lexicographic order: sets in label order, and within a
+    set or union its missing pairs as ``verify_clique`` lists them.
+    """
+    k, labels, get = bs.k, bs.labels, bs.get
+    star, plain = KellerGraphSpec(k, GraphVariant.STAR), KellerGraphSpec(k, GraphVariant.PLAIN)
+    clique_failures = tuple(
+        (label, u, v) for label in labels for u, v in verify_clique(get(label), star).pairs
     )
+    overlap_failures = tuple(
+        (la, lb, v)
+        for la, lb in itertools.combinations(labels, 2)
+        for v in VectorSet._from_packed(k, np.intersect1d(get(la).packed, get(lb).packed))
+    )
+    union_failures = tuple(
+        (la, lb, u, v)
+        for la, lb in pairs_for_iii
+        for u, v in verify_clique(
+            VectorSet._from_packed(k, np.union1d(get(la).packed, get(lb).packed)), plain
+        ).pairs
+    )
+    return BlockConditionReport(clique_failures, overlap_failures, union_failures)
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +279,8 @@ def substitute(
     of the column label's set, independently per column; other columns must
     hold unprimed labels and are emitted as literal digits.  The result has
     dimension (#literal columns) + k * (#expanded columns) and exactly
-    sum over templates of prod over expanded columns of |S_label| members.
+    sum over templates of prod over expanded columns of |S_label| members;
+    a collision among them (overlapping block sets) is an error.
     """
     expand = frozenset(expand_columns)
     if not templates:
@@ -373,18 +293,13 @@ def substitute(
         raise ValueError(f"expand column out of range for {ncols}-column templates")
 
     out_dim = (ncols - len(expand)) + bs.k * len(expand)
-    expected = 0
     members: list[int] = []
     for t in templates:
-        count = 1
-        for c in expand:
-            count *= len(bs.get(t.labels[c]))
-        expected += count
         partial = [0]  # packed prefixes; the next column starts at bit `shift`
         shift = 0
         for c, label in enumerate(t.labels):
             if c in expand:
-                blocks = [blk.packed << shift for blk in bs.get(label)]
+                blocks = [blk << shift for blk in bs.get(label).packed.tolist()]
                 partial = [p | b for p in partial for b in blocks]
                 shift += 2 * bs.k
             else:
@@ -396,7 +311,7 @@ def substitute(
                 shift += 2
         members.extend(partial)
 
-    if len(set(members)) != expected:
+    if len(set(members)) != len(members):
         raise ValueError(
             "substitution produced colliding vectors; block sets are not disjoint"
         )

@@ -1,4 +1,4 @@
-"""Cube vectors, Keller graphs, and their automorphisms.
+"""Cube vectors, vector sets, Keller graphs, and their automorphisms.
 
 A cube class in a 4Z^n-periodic tiling by side-2 cubes is named by a vector
 over {0,1,2,3}, one digit per coordinate.  Two graphs live on the 4^n such
@@ -15,6 +15,8 @@ Vectors are stored packed, 2 bits per coordinate, coordinate 0 in the low
 bits.  The packed value doubles as the canonical vertex index
 ``index(m) = sum_i m_i * 4**i``.  Many vectors form a numpy array of packed
 values: uint64 up to 32 coordinates, Python ints (an object array) above.
+A ``VectorSet`` is such an array, duplicate-free and in lexicographic order;
+it is what the construction builds, the certifier checks and the files hold.
 One edge test, on the packed xor of two vectors, serves a single pair and
 whole arrays of either kind.
 """
@@ -33,6 +35,7 @@ __all__ = [
     "KellerGraphSpec",
     "CubeVector",
     "Automorphism",
+    "VectorSet",
     "MaterializedGraph",
     "digit_gap",
     "has_edge",
@@ -195,17 +198,6 @@ def has_edge(spec: KellerGraphSpec, m: CubeVector, m2: CubeVector) -> bool:
     return _edge(m.packed ^ m2.packed, spec.dim, spec.variant is GraphVariant.STAR)
 
 
-def _missing_pairs(packed, dim: int, star: bool) -> Iterator[tuple[int, int]]:
-    """Index pairs i < j, in ascending order, of non-adjacent vectors of packed.
-
-    ``packed`` is a list or an array of packed vectors of dimension dim.
-    """
-    packed = np.asarray(packed, dtype=_packed_dtype(dim))
-    for i, u in enumerate(packed.tolist()):
-        for j in np.flatnonzero(~_edge(packed[i + 1 :] ^ u, dim, star)).tolist():
-            yield i, i + 1 + j
-
-
 # ---------------------------------------------------------------------------
 # Automorphisms
 # ---------------------------------------------------------------------------
@@ -321,6 +313,84 @@ class Automorphism:
 def apply_automorphism(a: Automorphism, m: CubeVector) -> CubeVector:
     """Image of m under a; see Automorphism for the composition order."""
     return a.apply(m)
+
+
+# ---------------------------------------------------------------------------
+# Vector sets
+# ---------------------------------------------------------------------------
+
+class VectorSet:
+    """A duplicate-free set of equal-dimension cube vectors.
+
+    ``packed`` holds the members' packed values, read-only, sorted
+    lexicographically by digit sequence: uint64 up to dimension 32, Python
+    ints above.  ``members`` and iteration build the CubeVector objects on
+    demand.  Equality is set equality.
+    """
+
+    __slots__ = ("dim", "packed")
+
+    def __init__(self, dim: int, members: Iterable[CubeVector]):
+        values = []
+        for v in members:
+            if v.dim != dim:
+                raise ValueError(f"vector {v} has dim {v.dim}, expected {dim}")
+            values.append(v.packed)
+        self._assign(dim, values)
+
+    @classmethod
+    def _from_packed(cls, dim: int, values) -> "VectorSet":
+        """The set of packed values (Python ints or an array) of dimension dim."""
+        s = cls.__new__(cls)
+        s._assign(dim, values)
+        return s
+
+    def _assign(self, dim: int, values) -> None:
+        if dim < 1:
+            raise ValueError(f"dimension must be positive, got {dim}")
+        packed = np.array(values, dtype=_packed_dtype(dim))
+        packed = packed[np.lexsort(_digit_columns(packed, dim).T[::-1])]  # coordinate 0 first
+        dup = np.flatnonzero(packed[1:] == packed[:-1])
+        if dup.size:
+            raise ValueError(f"duplicate vector {CubeVector(dim, int(packed[dup[0]]))}")
+        packed.flags.writeable = False
+        self.dim = dim
+        self.packed = packed
+
+    @classmethod
+    def from_strings(cls, dim: int, strings: Iterable[str]) -> "VectorSet":
+        return cls(dim, (CubeVector.from_string(s) for s in strings))
+
+    @property
+    def members(self) -> tuple[CubeVector, ...]:
+        return tuple(self)
+
+    def __len__(self) -> int:
+        return len(self.packed)
+
+    def __iter__(self) -> Iterator[CubeVector]:
+        return (CubeVector(self.dim, p) for p in self.packed.tolist())
+
+    def __contains__(self, v: object) -> bool:
+        if not isinstance(v, CubeVector) or v.dim != self.dim:
+            return False
+        return bool((self.packed == v.packed).any())
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, VectorSet):
+            return NotImplemented
+        return self.dim == other.dim and np.array_equal(self.packed, other.packed)
+
+    def __hash__(self) -> int:
+        return hash((self.dim, tuple(self.packed.tolist())))
+
+    def __repr__(self) -> str:
+        return f"VectorSet(dim={self.dim}, count={len(self)})"
+
+    def apply(self, a: Automorphism) -> "VectorSet":
+        if a.dim != self.dim:
+            raise ValueError(f"dimension mismatch: automorphism {a.dim}, set {self.dim}")
+        return VectorSet._from_packed(self.dim, a._apply_packed(self.packed))
 
 
 # ---------------------------------------------------------------------------

@@ -15,11 +15,11 @@ from .core import (
     GraphVariant,
     KellerGraphSpec,
     MaterializedGraph,
+    VectorSet,
     materialize,
     plain_degree,
     star_degree,
 )
-from .construction import VectorSet
 
 __all__ = [
     "VectorSetFileError",

@@ -66,10 +66,10 @@ from .core import (
     GraphVariant,
     KellerGraphSpec,
     MaterializedGraph,
+    VectorSet,
     _digit_columns,
     materialize,
 )
-from .construction import VectorSet
 from .verify import verify_clique
 
 __all__ = [
@@ -319,17 +319,18 @@ class _CliqueSearch:
         """One node: color the non-empty candidate set and branch on it.
 
         Classes are branched last first, and within a class the lowest
-        position first, until the bound cannot beat the threshold.
+        position first.  Before each child its class bound is tested against
+        the incumbent (or the target's floor); no later child has a higher
+        bound, so the first failing test ends the node.
         """
         self._tick()
         if rsize > self.best_size:
             self._improve(rmask, rsize)
         adj, weights, cap = self.adj, self.weights, self.cap
-        threshold = max(self.best_size, self.floor)
         for cls, bound in reversed(self._color_sort(cand)):
-            if rsize + bound <= threshold:
-                return
             while cls:
+                if rsize + bound <= max(self.best_size, self.floor):
+                    return
                 bit = cls & -cls
                 p = bit.bit_length() - 1
                 cls ^= bit
@@ -338,9 +339,6 @@ class _CliqueSearch:
                     sub = cand & adj[p]
                     if sub:
                         self._expand(rmask | bit, size, sub)
-                        threshold = max(self.best_size, self.floor)
-                        if rsize + bound <= threshold:  # no later vertex has a higher bound
-                            return
                     elif size > self.best_size:  # a leaf, not counted as a node
                         self._improve(rmask | bit, size)
                 cand ^= bit

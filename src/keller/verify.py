@@ -1,7 +1,7 @@
 """Independent certification of vector sets.
 
 Two routes certify a counterexample: an exhaustive pairwise clique check
-against the graph predicates, and a discrete torus cell-cover oracle that
+against the packed edge test, and a discrete torus cell-cover oracle that
 never consults the graph layer.  The oracle models each vector m as the
 half-open cube prod_i [m_i - 1, m_i + 1) on (R/4Z)^n, discretized to the
 4^n unit cells; a set tiles iff every cell is covered exactly once.  The
@@ -11,6 +11,9 @@ memory does not grow with the dimension.
 Face statistics report, over all pairs whose coordinates differ only by 0
 or 2, how many coordinates agree; the maximum such count bounds the largest
 shared-face dimension of the tiling.
+
+This module imports only ``core``, so no certificate rests on the
+construction or search code it checks.
 """
 
 from __future__ import annotations
@@ -21,9 +24,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import CubeVector, GraphVariant, KellerGraphSpec, _digit_columns, _low_mask
-from .core import _missing_pairs
-from .construction import VectorSet
+from .core import CubeVector, GraphVariant, KellerGraphSpec, VectorSet
+from .core import _digit_columns, _edge, _low_mask
 
 __all__ = [
     "MissingEdgeReport",
@@ -109,10 +111,11 @@ def verify_clique(s: VectorSet, spec: KellerGraphSpec) -> MissingEdgeReport:
     if s.dim != spec.dim:
         raise ValueError(f"dimension mismatch: set {s.dim}, graph {spec.dim}")
     star = spec.variant is GraphVariant.STAR
-    members = s.packed.tolist()
+    members = s.members
     pairs = tuple(
-        (CubeVector(s.dim, members[i]), CubeVector(s.dim, members[j]))
-        for i, j in _missing_pairs(s.packed, s.dim, star)
+        (members[i], members[i + 1 + j])
+        for i, u in enumerate(s.packed.tolist())
+        for j in np.flatnonzero(~_edge(s.packed[i + 1 :] ^ u, s.dim, star)).tolist()
     )
     return MissingEdgeReport(spec=spec, pairs=pairs)
 

@@ -163,6 +163,55 @@ def test_broken_union_condition_is_witnessed():
     assert report.union_failures and not report.overlap_failures
 
 
+def lex(vecs):
+    return sorted(vecs, key=lambda v: v.digits)
+
+
+def oracle_block_conditions(bs, pairs_for_iii):
+    """(i)-(iii) failures by has_edge over all pairs and by set intersection."""
+    star, plain = KellerGraphSpec(bs.k, STAR), KellerGraphSpec(bs.k, PLAIN)
+
+    def missing(vecs, spec):
+        return [(u, v) for u, v in itertools.combinations(lex(vecs), 2) if not has_edge(spec, u, v)]
+
+    sets = {lab: set(bs.get(lab)) for lab in bs.labels}
+    clique = [(lab, u, v) for lab in bs.labels for u, v in missing(sets[lab], star)]
+    overlap = [
+        (la, lb, v) for la, lb in itertools.combinations(bs.labels, 2) for v in lex(sets[la] & sets[lb])
+    ]
+    union = [(la, lb, u, v) for la, lb in pairs_for_iii for u, v in missing(sets[la] | sets[lb], plain)]
+    return [clique, overlap, union]
+
+
+def test_block_conditions_match_brute_force_oracle():
+    def blocks(*strings):
+        return [CubeVector.from_string(s) for s in strings]
+
+    bs = table2()
+    systems = [
+        bs,
+        bs.replace(L1, bs.get(L0)),  # overlap
+        bs.replace(L2, blocks("0211", "0011", "1132", "1133")),  # clique and union, out of order
+        bs.replace(L0P, blocks("3001", "0002", "2222", "1113", "0000")),  # all three
+    ]
+    seen = [False] * 3
+    for system in systems:
+        report = check_block_conditions(system, UNION_PAIRS)
+        got = (report.clique_failures, report.overlap_failures, report.union_failures)
+        expected = oracle_block_conditions(system, UNION_PAIRS)
+        assert [list(failures) for failures in got] == expected
+        seen = [s or bool(failures) for s, failures in zip(seen, got)]
+    assert seen == [True, True, True]
+
+
+def test_block_system_names_the_rejected_set():
+    with pytest.raises(ValueError, match=r"^S_1': vector 021 has dim 3, expected 4$"):
+        BlockSystem(4, {L2: table2().get(L2), L1P: [CubeVector.from_string("021")]})
+    with pytest.raises(ValueError, match=r"^S_2: duplicate vector 0211$"):
+        table2().replace(L2, [CubeVector.from_string(s) for s in ("0211", "1132", "0211")])
+    assert isinstance(table2().get(L2), VectorSet)
+
+
 # ---------------------------------------------------------------------------
 # substitution
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from collections import Counter
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from keller import search as search_module
 from keller.construction import VectorSet
@@ -333,6 +334,65 @@ def test_neighbourhood_of_zero_is_dimacs_keller(n, nverts, nedges):
         # with vertex 0 it is a maximum clique of G*_4
         clique = VectorSet._from_packed(n, [0, *search.best_vectors()])
         assert verify_clique(clique, KellerGraphSpec(n, STAR)).is_clique
+
+
+class ClassStartBound(_CliqueSearch):
+    """The engine with its earlier bound test: once at each class start and
+    after each recursive child, against a threshold held in a local."""
+
+    def _expand(self, rmask, rsize, cand):
+        self._tick()
+        if rsize > self.best_size:
+            self._improve(rmask, rsize)
+        adj, weights, cap = self.adj, self.weights, self.cap
+        threshold = max(self.best_size, self.floor)
+        for cls, bound in reversed(self._color_sort(cand)):
+            if rsize + bound <= threshold:
+                return
+            while cls:
+                bit = cls & -cls
+                p = bit.bit_length() - 1
+                cls ^= bit
+                size = rsize + weights[p]
+                if size <= cap:
+                    sub = cand & adj[p]
+                    if sub:
+                        self._expand(rmask | bit, size, sub)
+                        threshold = max(self.best_size, self.floor)
+                        if rsize + bound <= threshold:
+                            return
+                    elif size > self.best_size:
+                        self._improve(rmask | bit, size)
+                cand ^= bit
+
+
+@st.composite
+def weighted_graphs(draw):
+    """A symmetric boolean matrix on 1-20 vertices with a weight of 1-3 per vertex."""
+    nverts = draw(st.integers(1, 20))
+    upper = draw(st.lists(st.booleans(), min_size=nverts * nverts, max_size=nverts * nverts))
+    matrix = np.triu(np.array(upper, dtype=bool).reshape(nverts, nverts), 1)
+    weights = draw(st.lists(st.integers(1, 3), min_size=nverts, max_size=nverts))
+    return matrix | matrix.T, weights
+
+
+@settings(max_examples=200, deadline=None)
+@given(weighted_graphs(), st.data())
+def test_bound_test_before_every_child_matches_class_start_test(graph, data):
+    # testing the bound before every child prunes only children that are
+    # leaves of the first class and no heavier than the incumbent, so the
+    # trees, incumbents and improvement logs are the same
+    matrix, weights = graph
+    adj, order = _relabel(matrix)
+    vectors = [tuple(range(3 * v, 3 * v + weights[v])) for v in order]
+    for target in (None, data.draw(st.integers(1, sum(weights) + 1))):
+        runs = []
+        for engine in (_CliqueSearch, ClassStartBound):
+            log = []
+            search = engine(target, SearchBudget(), lambda size, nodes: log.append((size, nodes)))
+            status = search.run([lambda: _Subproblem((), adj, vectors)])
+            runs.append((status, search.nodes, search.best_vectors(), log))
+        assert runs[0] == runs[1]
 
 
 def packed_values(clique):

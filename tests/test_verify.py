@@ -1,13 +1,16 @@
 """Clique reports, the torus cell oracle, face statistics, facet freeness."""
 
+import ast
 import itertools
 import random
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import keller
 from keller import verify as verify_module
 from keller.construction import VectorSet, find_lift_shift, lift
 from keller.core import (
@@ -440,3 +443,29 @@ def test_wide_lift_matches_digit_oracle():
         "2" * 20 + "1" * 20 + "0",
         "3" + "2" * 19 + "1" * 20 + "2",
     ]
+
+
+# ---------------------------------------------------------------------------
+# independence of the certifier
+# ---------------------------------------------------------------------------
+
+def package_imports(name):
+    """The keller modules that keller/<name>.py imports, relatively or by name."""
+    tree = ast.parse((Path(keller.__file__).parent / f"{name}.py").read_text())
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.split(".")[0] == "keller"):
+            module = (node.module or "").removeprefix("keller").lstrip(".")
+            found.update([module.split(".")[0]] if module else [a.name for a in node.names])
+        elif isinstance(node, ast.Import):
+            found.update(a.name.split(".")[1] for a in node.names if a.name.startswith("keller."))
+    return found
+
+
+def test_certifier_depends_on_core_only():
+    # the clique check and the cell oracle must not rest on the construction
+    # they certify; the search reuses the clique check for its witnesses
+    assert package_imports("verify") == {"core"}
+    assert package_imports("files") == {"core"}
+    assert package_imports("search") == {"core", "verify"}
+    assert keller.construction.VectorSet is keller.core.VectorSet is keller.VectorSet
