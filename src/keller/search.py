@@ -40,17 +40,18 @@ table whose rows walk the shift from each orbit's lexicographic minimum.  It
 runs on the orbit compatibility graph: one vertex per orbit whose internal
 pairs are all adjacent, weighted by the orbit size, an edge when every cross
 pair is adjacent (both tests gather the table on G*_n's vertex-0 row), and a
-target on the total weight that no branch may overshoot.  It is one
-subproblem, built inside the search so that Ctrl-C during the build ends it
-cleanly.  Every search has one front end: subproblems come as builders, and
-a position carries the packed vectors it adds to a clique, so the incumbent
-is the witness that is checked.
+target on the total weight that no branch may overshoot.  When the target
+forces exactly two constant vectors, the clique starts from {0^n, 2^n}, as
+the Stab(0) subproblems start from {0, r}.  It is one subproblem, built
+inside the search so that Ctrl-C during the build ends it cleanly.  Every
+search has one front end: subproblems come as builders, and a position
+carries the packed vectors it adds to a clique, so the incumbent is the
+witness that is checked.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import sys
 import time
 from dataclasses import dataclass
@@ -176,7 +177,11 @@ class _Subproblem:
     to every prefix vector, as ``_relabel`` rows: one bit per position in
     degeneracy removal order.  ``vectors[p]`` is the tuple of packed vectors
     that position p adds to a clique, and its length is p's weight: ``(v,)``
-    for a Keller-graph vertex, a whole orbit group for the orbit graph.
+    for a Keller-graph vertex, one whole orbit for the orbit graph.  Both
+    searches fix vectors only through the prefix: {0, r} for a Stab(0)
+    class, and {0^n, 2^n} on the orbit graph when exactly two constants are
+    forced (the uniform x -> x + 1, an ``Automorphism`` commuting with the
+    shift, maps the other adjacent constant pair {1^n, 3^n} onto it).
     """
 
     prefix: tuple[int, ...]
@@ -513,31 +518,6 @@ def _weight_reachable(weights: Sequence[int], target: int) -> bool:
     return (reach >> target) & 1 == 1
 
 
-def _orbit_groups(
-    n: int, target: int, sizes: Sequence[int], compat: np.ndarray
-) -> tuple[list[tuple[int, ...]], np.ndarray]:
-    """Vertices of the orbit graph, as tuples of admissible orbits, and its adjacency.
-
-    Each orbit is a vertex of its own, unless the residue arithmetic forces
-    exactly two constant vectors: then the compatible constant pairs join as
-    weight-2 vertices instead of four singletons.
-    """
-    groups: list[tuple[int, ...]] = [(i,) for i in range(len(sizes))]
-    fixed = [i for i, size in enumerate(sizes) if size == 1]
-    # counts of constants a solution can contain: residue of target modulo
-    # the only other available orbit size
-    feasible_counts = {f for f in range(len(fixed) + 1) if f <= target and (target - f) % n == 0}
-    if sorted({size for size in sizes if size > 1}) != [n] or feasible_counts != {2}:
-        return groups, compat
-    groups = [(i,) for i, size in enumerate(sizes) if size > 1]
-    groups += [(a, b) for a, b in itertools.combinations(fixed, 2) if compat[a, b]]
-    # a group is compatible with another when both its first and last orbit are
-    first = [g[0] for g in groups]
-    last = [g[-1] for g in groups]
-    rows = compat[first] & compat[last]
-    return groups, rows[:, first] & rows[:, last]
-
-
 def invariant_clique_search(
     n: int,
     target: int,
@@ -551,12 +531,15 @@ def invariant_clique_search(
     internal pairs are all adjacent becomes a vertex weighted by its size,
     and the goal is a pairwise-compatible family with weights summing
     exactly to the target.  When the residue arithmetic forces exactly two
-    constant vectors, the two adjacent constant pairs join as weight-2
-    super-vertices instead of four singletons.  Ctrl-C, also while the orbit
-    graph is being built, ends the search as BUDGET_EXHAUSTED with note
-    "interrupted".  ``on_improve(size, nodes)`` is called whenever the
-    incumbent grows; its size counts vectors (the orbit weights).  Guarded
-    at dimension 8 like ``materialize``: the orbits cover all 4^n vectors.
+    constant vectors, the clique starts from the prefix {0^n, 2^n}: the two
+    must be adjacent, so they are {0^n, 2^n} or {1^n, 3^n}, and the uniform
+    label map x -> x + 1, an ``Automorphism`` that commutes with the shift,
+    maps invariant cliques to invariant cliques and {1^n, 3^n} onto
+    {2^n, 0^n}.  Ctrl-C, also while the orbit graph is being built, ends the
+    search as BUDGET_EXHAUSTED with note "interrupted".  ``on_improve(size,
+    nodes)`` is called whenever the incumbent grows; its size counts vectors
+    (the orbit weights and the prefix).  Guarded at dimension 8 like
+    ``materialize``: the orbits cover all 4^n vectors.
     """
     if target < 1:
         raise ValueError("target must be positive")
@@ -572,13 +555,26 @@ def invariant_clique_search(
         # runs inside search.run(), so that Ctrl-C here ends the search too
         table, sizes = _orbit_table(_shift(n))
         keep, compat = _orbit_compatibility(materialize(spec).row0, table)
-        sizes = sizes[keep].tolist()
-        if not _weight_reachable(sizes, target):
+        table, sizes = table[keep], sizes[keep]
+        if not _weight_reachable(sizes.tolist(), target):
             search.note = f"target {target} is not a sum of admissible orbit sizes"
             return _Subproblem((), [], [])
-        groups, matrix = _orbit_groups(n, target, sizes, compat)
-        adj, order = _relabel(matrix)
-        members = [row[:size] for row, size in zip(table[keep].tolist(), sizes)]
-        return _Subproblem((), adj, [tuple(v for i in groups[u] for v in members[i]) for u in order])
+        prefix, cand = (), np.arange(len(sizes))
+        # counts of constants a solution can contain: the residue of target
+        # modulo the only other orbit size, up to the four constants
+        counts = {f for f in range(5) if f <= target and (target - f) % n == 0}
+        if set(sizes[sizes > 1].tolist()) == {n} and counts == {2}:
+            # The two constants are adjacent: {0^n, 2^n} or {1^n, 3^n}.  The
+            # uniform label map x -> x + 1 is an Automorphism commuting with
+            # the shift, so it maps invariant cliques to invariant cliques,
+            # and {1^n, 3^n} onto {2^n, 0^n}: fix 0^n (row 0) and 2^n.  The
+            # orbits compatible with both exclude every constant.
+            two = np.flatnonzero(sizes == 1)[2]  # rows ascend by representative
+            prefix, cand = (0, int(table[two, 0])), np.flatnonzero(compat[0] & compat[two])
+            compat = compat[np.ix_(cand, cand)]
+        adj, order = _relabel(compat)
+        verts = cand[order]
+        vectors = [tuple(row[:size]) for row, size in zip(table[verts].tolist(), sizes[verts].tolist())]
+        return _Subproblem(prefix, adj, vectors)
 
     return _search(spec, search, [build])

@@ -18,13 +18,11 @@ from hypothesis import given, settings, strategies as st
 from keller import search as search_module
 from keller.core import GraphVariant, KellerGraphSpec, materialize
 from keller.search import (
-    _orbit_compatibility,
-    _orbit_groups,
-    _orbit_table,
+    SearchBudget,
     _relabel,
-    _shift,
     _stabilizer_classes,
     _subproblems,
+    invariant_clique_search,
 )
 
 
@@ -140,9 +138,12 @@ def test_every_stabilizer_subproblem_matches_reference(monkeypatch, n):
 
 @pytest.mark.parametrize("n", [6, 7])
 def test_relabel_matches_reference_on_orbit_graphs(n):
-    table, sizes = _orbit_table(_shift(n))
-    admissible, compat = _orbit_compatibility(materialize(KellerGraphSpec(n, GraphVariant.STAR)).row0, table)
-    _, matrix = _orbit_groups(n, 2**n, sizes[admissible].tolist(), compat)
+    # the matrix the target-2^n search relabels: at n = 7 the orbits
+    # compatible with the fixed constants 0^n and 2^n
+    with mock.patch.object(search_module, "_relabel", wraps=_relabel) as spy:
+        invariant_clique_search(n, 2**n, SearchBudget(node_limit=1))
+    (matrix,), _ = spy.call_args
+    assert len(matrix) == {6: 296, 7: 1228}[n]
     assert_same_relabel(matrix, int_rows(matrix))
 
 

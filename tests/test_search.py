@@ -168,11 +168,23 @@ def test_interrupt_in_weighted_search(monkeypatch):
         raise KeyboardInterrupt
 
     monkeypatch.setattr(_CliqueSearch, "_color_sort", interrupt)
-    out = invariant_clique_search(3, 5)
+    out = invariant_clique_search(3, 4)  # one constant or four: the pair rule does not fire
     assert out.status is SearchStatus.BUDGET_EXHAUSTED
     assert out.note == "interrupted"
     assert out.nodes_explored == 1
     assert len(out.best_clique) == 0
+
+
+def test_interrupt_in_forced_pair_search(monkeypatch):
+    # 5 = 3 + 2 forces two constants, so the clique starts from {000, 222}
+    # and the root node's incumbent is that prefix
+    def interrupt(self, cand):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(_CliqueSearch, "_color_sort", interrupt)
+    out = invariant_clique_search(3, 5)
+    assert (out.status, out.note, out.nodes_explored) == (SearchStatus.BUDGET_EXHAUSTED, "interrupted", 1)
+    assert out.best_clique == VectorSet.from_strings(3, ["000", "222"])
 
 
 def test_interrupt_while_building_orbit_graph(monkeypatch):
@@ -318,10 +330,10 @@ def test_clique_number_ground_truth():
     assert (out.status, len(out.best_clique)) == (SearchStatus.OPTIMAL, 1)
 
 
-@pytest.mark.parametrize("n, nverts, nedges", [(4, 171, 9435), (5, 776, 225_990)])
+@pytest.mark.parametrize("n, nverts, nedges", [(4, 171, 9435), (5, 776, 225_990), (6, 3361, 4_619_898)])
 def test_neighbourhood_of_zero_is_dimacs_keller(n, nverts, nedges):
-    # G*_n induced on N(0) has the published sizes of the DIMACS keller4 and
-    # keller5 instances, whose clique number is omega(G*_n) - 1
+    # G*_n induced on N(0) has the published sizes of the DIMACS keller4,
+    # keller5 and keller6 instances, whose clique number is omega(G*_n) - 1
     row0 = materialize(KellerGraphSpec(n, STAR)).row0
     verts = np.flatnonzero(row0)
     matrix = search_module._gather(row0, verts, [verts])
@@ -611,6 +623,39 @@ def test_invariant_weighted_node_counts():
     assert (out.status, out.nodes_explored) == (SearchStatus.TARGET_REFUTED, 1496)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_uniform_step_commutes_with_shift_and_swaps_constant_pairs(n):
+    # the ground of the forced-pair rule: x -> x + 1 on every coordinate maps
+    # rotation-invariant cliques to rotation-invariant cliques, and
+    # {1^n, 3^n} onto {0^n, 2^n}
+    up, shift = Automorphism(tuple(range(n)), ((1, 2, 3, 0),) * n), search_module._shift(n)
+    vecs = VectorSet._from_packed(n, np.arange(4**n)).packed
+    assert np.array_equal(up._apply_packed(shift._apply_packed(vecs)), shift._apply_packed(up._apply_packed(vecs)))
+    odd = VectorSet(n, [CubeVector.from_digits((d,) * n) for d in (1, 3)])
+    assert odd.apply(up) == VectorSet(n, [CubeVector.from_digits((d,) * n) for d in (0, 2)])
+
+
+def unreduced_invariant_status(n, target):
+    """The orbit search with no pair rule: every admissible orbit a singleton position."""
+    table, sizes = search_module._orbit_table(search_module._shift(n))
+    keep, compat = search_module._orbit_compatibility(materialize(KellerGraphSpec(n, STAR)).row0, table)
+    adj, order = _relabel(compat)
+    vectors = [tuple(table[keep[u], : sizes[keep[u]]].tolist()) for u in order]
+    return _CliqueSearch(target, SearchBudget()).run([lambda: _Subproblem((), adj, vectors)])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+def test_forced_pair_prefix_matches_unreduced_search(n):
+    # the pair rule fires for prime n > 2 and target = 2 mod n; at n = 7
+    # four such targets are run
+    zeros, twos = CubeVector.from_digits((0,) * n), CubeVector.from_digits((2,) * n)
+    for target in (2, 9, 58, 121) if n == 7 else range(1, 2**n + 1):
+        out = invariant_clique_search(n, target)
+        assert out.status is unreduced_invariant_status(n, target), target
+        if out.status is SearchStatus.TARGET_FOUND and n in (3, 5, 7) and target % n == 2:
+            assert zeros in out.best_clique and twos in out.best_clique
+
+
 def test_invariant_infeasible_residue_reported_without_search():
     out = invariant_clique_search(7, 131)  # 131 % 7 = 5 > four available constants
     assert out.status is SearchStatus.TARGET_REFUTED
@@ -628,21 +673,21 @@ def test_invariant_budget_exhaustion_keeps_incumbent():
 
 
 def test_invariant_n7_budgeted_incumbent_is_pinned():
-    # the 50 000-node n = 7 run reaches a 77-vector incumbent; its vectors,
+    # the 50 000-node n = 7 run reaches a 79-vector incumbent; its vectors,
     # sorted by packed value, pin the search order exactly
     out = invariant_clique_search(7, 128, SearchBudget(node_limit=50_000))
-    assert (out.status, out.nodes_explored, len(out.best_clique)) == (SearchStatus.BUDGET_EXHAUSTED, 50_000, 77)
+    assert (out.status, out.nodes_explored, len(out.best_clique)) == (SearchStatus.BUDGET_EXHAUSTED, 50_000, 79)
     digest = hashlib.sha256(",".join(map(str, packed_values(out.best_clique))).encode()).hexdigest()
-    assert digest == "05b908fc2750b231c4c7a52510005cf3b9281e2014392a4254709b296233ca4d"
+    assert digest == "0f20bef7d9958e21502bf951719a7902c7262bb28211da9bc53f2113a79fa7f2"
     assert verify_clique(out.best_clique, KellerGraphSpec(7, STAR)).is_clique
 
 
 @pytest.mark.slow
 def test_invariant_n7_complete_refutation():
     # G*_7 has no rotation-invariant 128-clique, consistent with its clique
-    # number 124 (Debroni et al., SODA 2011); 64-87 s on a 2-vCPU VM
+    # number 124 (Debroni et al., SODA 2011); 21-32 s on a 2-vCPU VM
     out = invariant_clique_search(7, 128)
-    assert (out.status, out.nodes_explored, len(out.best_clique)) == (SearchStatus.TARGET_REFUTED, 2_406_805, 77)
+    assert (out.status, out.nodes_explored, len(out.best_clique)) == (SearchStatus.TARGET_REFUTED, 1_181_121, 79)
     assert verify_clique(out.best_clique, KellerGraphSpec(7, STAR)).is_clique
     members = set(out.best_clique)
     assert {rotated(v) for v in members} == members
