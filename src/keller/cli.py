@@ -33,6 +33,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     spec = KellerGraphSpec(s.dim, _VARIANTS[args.graph])
     ok = True
 
+    # the cell oracle runs first, so that its dimension guard fails before
+    # any other work or output
+    cells = verify_tiling_cells(s) if args.cells else None
     report = verify_clique(s, spec)
     if report.is_clique:
         print("clique: OK")
@@ -44,19 +47,18 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         if len(report.pairs) > _MAX_WITNESS_LINES:
             print(f"... {len(report.pairs) - _MAX_WITNESS_LINES} more")
 
-    if args.cells:
-        result = verify_tiling_cells(s)
-        if result.status is CellCoverStatus.EXACT_COVER:
+    if cells is not None:
+        if cells.status is CellCoverStatus.EXACT_COVER:
             print("cell-cover: EXACT")
         else:
             ok = False
-            print(f"cell-cover: {result.status.name} at cell {result.witness}")
+            print(f"cell-cover: {cells.status.name} at cell {cells.witness}")
 
     if args.faces:
         hist = face_statistics(s)
         for k, count in hist.counts:
             print(f"shared-face dim {k}: {count} pairs")
-        print(f"max shared face dim: {hist.max_shared}")
+        print(f"max shared face dim: {'none' if hist.max_shared is None else hist.max_shared}")
 
     return 0 if ok else 1
 

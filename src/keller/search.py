@@ -30,9 +30,13 @@ fixing 0 (coordinate permutations times per-coordinate x -> -x) split N(0)
 into classes keyed by the counts of digits 0 and 2, and each class is one
 orbit.  So the search runs one subproblem per class, largest class first: the
 clique starts as {0, r} for the class representative r (its smallest vertex)
-and grows inside N(0) & N(r), minus the classes already done.  One node
-counter, budget and incumbent span all subproblems.  Node counts and witness
-cliques therefore differ from versions without this reduction.
+and grows inside N(0) & N(r), minus the classes already done.  That candidate
+set is a union of orbits of Stab(0, r), the automorphisms fixing 0 and r, so
+at each subproblem's root a searched child p drops its whole Stab(0, r) orbit
+from the candidates, not just p: an automorphism fixing 0 and r maps a clique
+through another member of the orbit onto one through p, already searched.
+One node counter, budget and incumbent span all subproblems.  Node counts and
+witness cliques therefore differ from versions without these reductions.
 
 The cyclic-invariant search looks for cliques closed under the coordinate
 shift, an ``Automorphism``: unions of whole shift orbits, held as one packed
@@ -149,13 +153,23 @@ def _relabel(matrix: np.ndarray) -> tuple[list[int], list[int]]:
         order[i] = v
         deg -= matrix[v]
         deg[v] = removed
-    rows: list[int] = []
-    step = max(1, _BLOCK_ELEMS // max(1, nverts))
-    for start in range(0, nverts, step):
-        block = matrix[order[start : start + step]].take(order, axis=1)  # faster than [:, order]
-        packed = np.packbits(block, axis=1, bitorder="little")
-        rows.extend(int.from_bytes(row.tobytes(), "little") for row in packed)
+    # take(order, axis=1) is faster than [:, order]
+    rows = _pack_rows(nverts, nverts, lambda a, b: matrix[order[a:b]].take(order, axis=1))
     return rows, order.tolist()
+
+
+def _pack_rows(nrows: int, ncols: int, block: Callable[[int, int], np.ndarray]) -> list[int]:
+    """A boolean matrix's rows as Python ints, column j in bit j.
+
+    ``block(a, b)`` returns rows a to b - 1 (b may pass the last row); the
+    blocks have about _BLOCK_ELEMS entries, so the whole matrix never exists.
+    """
+    rows: list[int] = []
+    step = max(1, _BLOCK_ELEMS // max(1, ncols))
+    for start in range(0, nrows, step):
+        packed = np.packbits(block(start, start + step), axis=1, bitorder="little")
+        rows.extend(int.from_bytes(row.tobytes(), "little") for row in packed)
+    return rows
 
 
 def _gather(row0: np.ndarray, rows: np.ndarray, columns: Sequence[np.ndarray]) -> np.ndarray:
@@ -182,11 +196,18 @@ class _Subproblem:
     class, and {0^n, 2^n} on the orbit graph when exactly two constants are
     forced (the uniform x -> x + 1, an ``Automorphism`` commuting with the
     shift, maps the other adjacent constant pair {1^n, 3^n} onto it).
+
+    ``orbit[p]`` is the bitmask of the positions in p's orbit under the
+    automorphisms that fix the prefix, a positive int holding p's own bit;
+    the candidates are a union of these orbits.  A Stab(0) subproblem keys
+    them with ``_pair_stabilizer_key``.  Empty means no symmetry is known,
+    as on the orbit graph, and each position is its own orbit.
     """
 
     prefix: tuple[int, ...]
     adj: list[int]
     vectors: Sequence[tuple[int, ...]]
+    orbit: Sequence[int] = ()
 
 
 def _stabilizer_classes(spec: KellerGraphSpec, row0: np.ndarray) -> list[np.ndarray]:
@@ -197,19 +218,51 @@ def _stabilizer_classes(spec: KellerGraphSpec, row0: np.ndarray) -> list[np.ndar
     N(0) (row0 is vertex 0's boolean adjacency row).  Each class is sorted;
     ties in size keep the ascending order of the key.
     """
-    n = spec.dim
     nbrs = np.flatnonzero(row0)
-    digits = _digit_columns(nbrs, n)
-    key = (digits == 0).sum(axis=1) * (n + 1) + (digits == 2).sum(axis=1)
+    key = _pair_stabilizer_key(spec.dim, 0, nbrs)  # Stab(0, 0) = Stab(0)
     classes = [nbrs[key == k] for k in np.unique(key)]
     classes.sort(key=len, reverse=True)
     return classes
 
 
-def _induced(row0: np.ndarray, prefix: tuple[int, ...], verts: np.ndarray) -> _Subproblem:
-    """The subproblem extending prefix within verts, one vertex per position."""
+def _pair_stabilizer_key(n: int, r: int, vecs: np.ndarray) -> np.ndarray:
+    """A key on packed vectors whose classes are the orbits of Stab(0, r).
+
+    An automorphism fixing 0 moves each coordinate i to pi(i) and multiplies
+    it by a sign s = +-1 there (x -> -x swaps 1 and 3).  It also fixes r iff
+    pi keeps each of r's digit classes {0}, {2} and {1, 3}, with the sign
+    s = r_pi(i) * r_i (mod 4) forced on r's odd coordinates.  So on r's 0-
+    and on its 2-coordinates a vector's digits are permuted and negated
+    freely, which keeps their counts of 0 and of 2; on r's odd coordinates
+    they are permuted with forced signs, which keeps the count of each value
+    v_i * r_i (mod 4).  Any two vectors with equal counts are one orbit.
+    """
+    digits = _digit_columns(vecs, n)
+    r_digits = _digit_columns(np.array([r]), n)[0]
+    odd = r_digits & 1 == 1
+    counts = []
+    for coords in (r_digits == 0, r_digits == 2):
+        counts += [(digits[:, coords] == 0).sum(axis=1), (digits[:, coords] == 2).sum(axis=1)]
+    signed = (digits[:, odd] * r_digits[odd]) & 3
+    counts += [(signed == x).sum(axis=1) for x in (0, 1, 2)]
+    key = np.zeros(len(vecs), dtype=np.intp)
+    for count in counts:
+        key = key * (n + 1) + count
+    return key
+
+
+def _induced(row0: np.ndarray, n: int, r: int, verts: np.ndarray) -> _Subproblem:
+    """The subproblem extending {0, r} within verts, one vertex per position.
+
+    Each position's orbit mask holds the positions of its Stab(0, r) orbit.
+    """
     adj, sub_to_vert = _relabel(_gather(row0, verts, [verts]))
-    return _Subproblem(prefix, adj, [(v,) for v in verts[sub_to_vert].tolist()])
+    verts = verts[sub_to_vert]
+    keys, orbit_of = np.unique(_pair_stabilizer_key(n, r, verts), return_inverse=True)
+    ids = np.arange(len(keys))[:, None]
+    masks = _pack_rows(len(keys), len(verts), lambda a, b: orbit_of == ids[a:b])
+    orbit = [masks[k] for k in orbit_of.tolist()]
+    return _Subproblem((0, r), adj, [(v,) for v in verts.tolist()], orbit)
 
 
 def _subproblems(g: MaterializedGraph) -> Iterator[Callable[[], _Subproblem]]:
@@ -217,8 +270,8 @@ def _subproblems(g: MaterializedGraph) -> Iterator[Callable[[], _Subproblem]]:
 
     Translations move any clique onto vertex 0, and Stab(0) then moves its
     member of the earliest class onto that class's representative.  A
-    builder holds its candidate vertices; the gather and relabel wait until
-    it is called.
+    builder holds its candidate vertices; the gather, the relabel and the
+    Stab(0, r) orbit masks wait until it is called.
     """
     row0 = g.row0
     allowed = row0.copy()
@@ -229,7 +282,7 @@ def _subproblems(g: MaterializedGraph) -> Iterator[Callable[[], _Subproblem]]:
     vecs = np.arange(g.num_vertices)
     for members in classes:
         verts = np.flatnonzero(allowed & row0[vecs ^ members[0]])
-        yield functools.partial(_induced, row0, (0, int(members[0])), verts)
+        yield functools.partial(_induced, row0, g.spec.dim, int(members[0]), verts)
         allowed[members] = False
 
 
@@ -240,7 +293,8 @@ class _CliqueSearch:
     subproblems under one node counter, budget and incumbent; sizes
     (incumbent, target, ``on_improve``) count the subproblem's prefix.  With
     a target, a branch is pruned unless its bound reaches the target, and no
-    vertex is added that would overshoot it.
+    vertex is added that would overshoot it.  A subproblem's root node drops
+    searched children's whole orbits; every other node drops single bits.
 
     Bitsets are over ``_relabel`` positions, so a set's highest bit is its
     next vertex in descending degeneracy order and ``int.bit_length`` finds
@@ -267,6 +321,7 @@ class _CliqueSearch:
         self.adj: Sequence[int] = ()
         self.nonadj: list[int] = []
         self.bits: list[int] = []
+        self.orbit: Sequence[int] = ()
         self.weights: list[int] = []
         self.heavy: list[tuple[int, int]] = []
         self.light = 1
@@ -320,38 +375,52 @@ class _CliqueSearch:
         if size >= self.cap:
             raise _Found
 
-    def _expand(self, rmask: int, rsize: int, cand: int) -> None:
+    def _expand(self, rmask: int, rsize: int, cand: int, drop: Sequence[int]) -> None:
         """One node: color the non-empty candidate set and branch on it.
 
         Classes are branched last first, and within a class the lowest
         position first.  Before each child its class bound is tested against
         the incumbent (or the target's floor); no later child has a higher
-        bound, so the first failing test ends the node.
+        bound, so the first failing test ends the node.  A searched child p
+        removes ``drop[p]`` from cand, and each class is masked with cand.
+        Inner nodes pass the single bits.  A subproblem's root passes the
+        orbit masks, so once p is searched no later child is in p's orbit.
+        The orbits are those of automorphisms fixing the prefix, and the
+        root's cand is a union of them, so it stays one and the XOR removes
+        exactly p's orbit.  Sound: let p be the first searched child whose
+        orbit a clique meets.  An automorphism fixing the prefix maps the
+        clique's member there onto p, and the clique onto one through p that
+        meets no earlier child's orbit, so one inside cand as it was when p
+        was searched.  A clique that meets no searched orbit lies in what is
+        left of cand, which the color bounds still cover: removal only
+        loosens them.
         """
         self._tick()
         if rsize > self.best_size:
             self._improve(rmask, rsize)
-        adj, weights, cap = self.adj, self.weights, self.cap
+        adj, weights, cap, bits = self.adj, self.weights, self.cap, self.bits
         for cls, bound in reversed(self._color_sort(cand)):
+            cls &= cand
             while cls:
                 if rsize + bound <= max(self.best_size, self.floor):
                     return
                 bit = cls & -cls
                 p = bit.bit_length() - 1
-                cls ^= bit
                 size = rsize + weights[p]
                 if size <= cap:
                     sub = cand & adj[p]
                     if sub:
-                        self._expand(rmask | bit, size, sub)
+                        self._expand(rmask | bit, size, sub, bits)
                     elif size > self.best_size:  # a leaf, not counted as a node
                         self._improve(rmask | bit, size)
-                cand ^= bit
+                cand ^= drop[p]
+                cls &= cand
 
     def _enter(self, sub: _Subproblem) -> None:
         self.sub, self.adj = sub, sub.adj
         self.weights = [len(vectors) for vectors in sub.vectors]
         self.bits = [1 << p for p in range(len(sub.adj))]
+        self.orbit = sub.orbit or self.bits
         full = (1 << len(sub.adj)) - 1
         self.nonadj = [full ^ row ^ bit for row, bit in zip(sub.adj, self.bits)]  # no self-loops
         # per weight level, heaviest first, the positions of that weight; the
@@ -378,7 +447,7 @@ class _CliqueSearch:
                 self._enter(sub)
                 size = len(sub.prefix)
                 if sub.adj:
-                    self._expand(0, size, (1 << len(sub.adj)) - 1)
+                    self._expand(0, size, (1 << len(sub.adj)) - 1, self.orbit)
                 elif size > self.best_size:
                     self._improve(0, size)
         except _Found:

@@ -321,6 +321,24 @@ def test_cli_cyclic_invariant_dimension_guard(capsys, monkeypatch):
     assert "error: cyclic-invariant search guarded at dim 8" in captured.err
 
 
+@pytest.mark.parametrize("vectors", [[], ["012"]])
+def test_cli_verify_faces_without_a_pair(tmp_path, capsys, vectors):
+    # no pair shares a face: the report names no dimension, in a defined token
+    src = tmp_path / "few.txt"
+    src.write_text(f"dim=3 count={len(vectors)}\n" + "".join(v + "\n" for v in vectors))
+    assert main(["verify", "--in", str(src), "--faces"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["clique: OK", "max shared face dim: none"]
+
+
+def test_cli_verify_cells_guard_fails_before_any_output(tmp_path, capsys):
+    src = tmp_path / "wide14.txt"
+    src.write_text("dim=14 count=2\n" + "0" * 14 + "\n" + "2" * 14 + "\n")
+    assert main(["verify", "--in", str(src), "--cells", "--faces"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cell oracle guarded at dim 13")
+
+
 WIDE40 = ["0" * 40, "2" * 20 + "1" * 20, "1" * 40]
 
 
@@ -333,7 +351,7 @@ def test_cli_verify_and_lift_above_32_coordinates(tmp_path, capsys):
             "clique: FAIL (2 missing pairs)",
             f"missing: {'0' * 40} {'1' * 40}",
             f"missing: {'1' * 40} {'2' * 20 + '1' * 20}",
-            "max shared face dim: None",
+            "max shared face dim: none",
         ]
     dst = tmp_path / "wide41.txt"
     assert main(["lift", "--in", str(src), "--out", str(dst)]) == 0

@@ -28,6 +28,7 @@ from keller.search import (
     SearchStatus,
     _CliqueSearch,
     _relabel,
+    _pair_stabilizer_key,
     _stabilizer_classes,
     _Subproblem,
     _subproblems,
@@ -128,23 +129,23 @@ def test_determinism_same_nodes_and_outcome():
 
 def test_budget_exhaustion_statuses():
     g = materialize(KellerGraphSpec(4, STAR))
-    out = clique_decision(g, 16, SearchBudget(node_limit=50))
+    out = clique_decision(g, 16, SearchBudget(node_limit=20))
     assert out.status is SearchStatus.BUDGET_EXHAUSTED
-    assert out.nodes_explored == 50
+    assert out.nodes_explored == 20
     out = max_clique(g, SearchBudget(node_limit=10))
     assert out.status is SearchStatus.BUDGET_EXHAUSTED
     assert verify_clique(out.best_clique, g.spec).is_clique
 
 
 def test_budget_is_shared_across_subproblems():
-    # G*_4 decide 16 runs over nine Stab(0) subproblems in 98 nodes; every
+    # G*_4 decide 16 runs over nine Stab(0) subproblems in 34 nodes; every
     # limit below that stops at exactly the limit
     g = materialize(KellerGraphSpec(4, STAR))
-    for limit in (1, 2, 3, 50, 97):
+    for limit in (1, 2, 3, 20, 33):
         out = clique_decision(g, 16, SearchBudget(node_limit=limit))
         assert (out.status, out.nodes_explored) == (SearchStatus.BUDGET_EXHAUSTED, limit)
-    out = clique_decision(g, 16, SearchBudget(node_limit=98))
-    assert (out.status, out.nodes_explored) == (SearchStatus.TARGET_REFUTED, 98)
+    out = clique_decision(g, 16, SearchBudget(node_limit=34))
+    assert (out.status, out.nodes_explored) == (SearchStatus.TARGET_REFUTED, 34)
 
 
 def test_interrupt_keeps_incumbent():
@@ -255,6 +256,39 @@ def test_reduction_only_on_keller_adjacency():
     assert all(sub.prefix[0] == 0 and len(sub.prefix) == 2 for sub in subs)
 
 
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("variant", [PLAIN, STAR])
+def test_pair_stabilizer_key_classes_are_orbits(n, variant):
+    # for each r in N(0), the key's classes on all 4^n vectors are the orbits
+    # of the automorphisms fixing both 0 and r; the search only keys class
+    # representatives, whose odd digits are all 1, so r ranges wider to pin
+    # the sign that a 3 forces
+    g = materialize(KellerGraphSpec(n, variant))
+    zero = CubeVector.from_index(n, 0)
+    stab = [a for a in enumerate_automorphisms(n) if a.apply(zero) == zero]
+    for packed in np.flatnonzero(neighbors_of_zero(g)).tolist():
+        r = CubeVector.from_index(n, packed)
+        pair = [a for a in stab if a.apply(r) == r]
+        key = _pair_stabilizer_key(n, r.packed, np.arange(4**n)).tolist()
+        for v in range(4**n):
+            orbit = {a.apply(CubeVector.from_index(n, v)).packed for a in pair}
+            assert orbit == {w for w in range(4**n) if key[w] == key[v]}
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("variant", [PLAIN, STAR])
+def test_orbit_masks_are_the_key_classes_of_positions(n, variant):
+    # position p's mask holds exactly the positions whose vertex shares p's
+    # key: the masks partition the positions, one key per mask
+    g = materialize(KellerGraphSpec(n, variant))
+    for sub in (build() for build in _subproblems(g)):
+        verts = np.array([v for (v,) in sub.vectors], dtype=np.intp)
+        key = _pair_stabilizer_key(n, sub.prefix[1], verts).tolist()
+        assert len(sub.orbit) == len(verts)
+        for p, mask in enumerate(sub.orbit):
+            assert [q for q in range(len(verts)) if mask >> q & 1] == [q for q in range(len(verts)) if key[q] == key[p]]
+
+
 def keller_matrix(g):
     """The dense boolean adjacency matrix of g, one edge query per pair."""
     nverts = g.num_vertices
@@ -314,9 +348,9 @@ def test_reduced_search_matches_unreduced_g4_star(target):
 def test_reduced_search_node_counts_g4_star():
     # the unreduced engine needs 748 322, 108 280 and 748 342 nodes here
     g = materialize(KellerGraphSpec(4, STAR))
-    assert clique_decision(g, 13).nodes_explored == 477
-    assert clique_decision(g, 16).nodes_explored == 98
-    assert max_clique(g).nodes_explored == 556
+    assert clique_decision(g, 13).nodes_explored == 151
+    assert clique_decision(g, 16).nodes_explored == 34
+    assert max_clique(g).nodes_explored == 184
 
 
 def test_clique_number_ground_truth():
@@ -352,30 +386,31 @@ class ClassStartBound(_CliqueSearch):
     """The engine with its earlier bound test: once at each class start and
     after each recursive child, against a threshold held in a local."""
 
-    def _expand(self, rmask, rsize, cand):
+    def _expand(self, rmask, rsize, cand, drop):
         self._tick()
         if rsize > self.best_size:
             self._improve(rmask, rsize)
-        adj, weights, cap = self.adj, self.weights, self.cap
+        adj, weights, cap, bits = self.adj, self.weights, self.cap, self.bits
         threshold = max(self.best_size, self.floor)
         for cls, bound in reversed(self._color_sort(cand)):
+            cls &= cand
             if rsize + bound <= threshold:
                 return
             while cls:
                 bit = cls & -cls
                 p = bit.bit_length() - 1
-                cls ^= bit
                 size = rsize + weights[p]
                 if size <= cap:
                     sub = cand & adj[p]
                     if sub:
-                        self._expand(rmask | bit, size, sub)
+                        self._expand(rmask | bit, size, sub, bits)
                         threshold = max(self.best_size, self.floor)
                         if rsize + bound <= threshold:
                             return
                     elif size > self.best_size:
                         self._improve(rmask | bit, size)
-                cand ^= bit
+                cand ^= drop[p]
+                cls &= cand
 
 
 @st.composite
@@ -393,16 +428,19 @@ def weighted_graphs(draw):
 def test_bound_test_before_every_child_matches_class_start_test(graph, data):
     # testing the bound before every child prunes only children that are
     # leaves of the first class and no heavier than the incumbent, so the
-    # trees, incumbents and improvement logs are the same
+    # trees, incumbents and improvement logs are the same; the root drops a
+    # drawn partition of the positions as its orbits
     matrix, weights = graph
     adj, order = _relabel(matrix)
     vectors = [tuple(range(3 * v, 3 * v + weights[v])) for v in order]
+    block = data.draw(st.lists(st.integers(0, 3), min_size=len(order), max_size=len(order)))
+    orbit = [sum(1 << q for q, b in enumerate(block) if b == block[p]) for p in range(len(order))]
     for target in (None, data.draw(st.integers(1, sum(weights) + 1))):
         runs = []
         for engine in (_CliqueSearch, ClassStartBound):
             log = []
             search = engine(target, SearchBudget(), lambda size, nodes: log.append((size, nodes)))
-            status = search.run([lambda: _Subproblem((), adj, vectors)])
+            status = search.run([lambda: _Subproblem((), adj, vectors, orbit)])
             runs.append((status, search.nodes, search.best_vectors(), log))
         assert runs[0] == runs[1]
 
