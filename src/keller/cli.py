@@ -80,9 +80,10 @@ def _cmd_lift(args: argparse.Namespace) -> int:
 
 def _cmd_search(args: argparse.Namespace) -> int:
     budget = SearchBudget(node_limit=args.budget_nodes, time_limit=args.budget_secs)
-    progress = None
+    progress = heartbeat = None
     if args.progress:
         progress = lambda size, nodes: print(f"incumbent: size={size} nodes={nodes}")
+        heartbeat = lambda nodes, rate: print(f"progress: nodes={nodes} nodes/s={rate:.0f}")
     if args.cyclic_invariant:
         if args.target is None:
             print("error: --cyclic-invariant requires --target", file=sys.stderr)
@@ -90,14 +91,18 @@ def _cmd_search(args: argparse.Namespace) -> int:
         if args.graph not in (None, "Gstar"):
             print("error: --cyclic-invariant searches G*_n only (--graph Gstar)", file=sys.stderr)
             return 2
-        outcome = invariant_clique_search(args.dim, args.target, budget, on_improve=progress)
+        outcome = invariant_clique_search(
+            args.dim, args.target, budget, on_improve=progress, on_progress=heartbeat
+        )
     else:
         spec = KellerGraphSpec(args.dim, _VARIANTS[args.graph or "Gstar"])
         g = materialize(spec)
         if args.target is not None:
-            outcome = clique_decision(g, args.target, budget, on_improve=progress)
+            outcome = clique_decision(
+                g, args.target, budget, on_improve=progress, on_progress=heartbeat
+            )
         else:
-            outcome = max_clique(g, budget, on_improve=progress)
+            outcome = max_clique(g, budget, on_improve=progress, on_progress=heartbeat)
 
     print(f"status: {outcome.status.name}")
     print(f"best clique size: {len(outcome.best_clique)}")
@@ -150,7 +155,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="restrict to cliques invariant under coordinate rotation")
     p.add_argument("--budget-nodes", type=int, default=None)
     p.add_argument("--budget-secs", type=float, default=None)
-    p.add_argument("--progress", action="store_true", help="print incumbent improvements")
+    p.add_argument("--progress", action="store_true",
+                   help="print incumbent improvements and a node-rate heartbeat")
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("export", help="write a Keller graph in DIMACS edge format")

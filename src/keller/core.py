@@ -439,10 +439,15 @@ class MaterializedGraph:
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """All edges as (u, v) with u < v, ascending."""
+        for u, higher in self._higher_neighbours():
+            for v in higher.tolist():
+                yield u, v
+
+    def _higher_neighbours(self) -> Iterator[tuple[int, np.ndarray]]:
+        """Each vertex u with its neighbours v > u, ascending: the edges() scan."""
         vecs = self._vecs()
         for u in range(self.num_vertices):
-            for v in np.flatnonzero(self.row0[vecs[u + 1 :] ^ u]).tolist():
-                yield u, u + 1 + v
+            yield u, u + 1 + np.flatnonzero(self.row0[vecs[u + 1 :] ^ u])
 
 
 def materialize(spec: KellerGraphSpec) -> MaterializedGraph:

@@ -11,11 +11,14 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
 
+import numpy as np
+
 from .core import (
     GraphVariant,
     KellerGraphSpec,
     MaterializedGraph,
     VectorSet,
+    _digit_columns,
     materialize,
     plain_degree,
     star_degree,
@@ -61,9 +64,11 @@ _HEADER_RE = re.compile(r"dim=(\d+) count=(\d+)\Z")
 
 def write_vector_set(path: PathLike, s: VectorSet) -> None:
     """Write ``dim=<n> count=<c>`` then one sorted digit-string line per vector."""
-    lines = [f"dim={s.dim} count={len(s)}"]
-    lines.extend(str(v) for v in s)  # members are kept lexicographically sorted
-    Path(path).write_text("\n".join(lines) + "\n")
+    # members are kept lexicographically sorted; one row of ASCII digits and
+    # a newline per vector, coordinate 0 first
+    body = np.full((len(s), s.dim + 1), ord("\n"), dtype=np.uint8)
+    body[:, :-1] = _digit_columns(s.packed, s.dim) + ord("0")
+    Path(path).write_bytes(f"dim={s.dim} count={len(s)}\n".encode() + body.tobytes())
 
 
 def read_vector_set(path: PathLike) -> VectorSet:
@@ -81,7 +86,7 @@ def read_vector_set(path: PathLike) -> VectorSet:
     body = lines[1:]
     seen: set[str] = set()
     for lineno, line in enumerate(body, start=2):
-        if len(line) != dim or any(c not in "0123" for c in line):
+        if len(line) != dim or line.strip("0123"):
             raise VectorLineError(
                 f"line {lineno}: expected {dim} digits over 0123, got {line!r}"
             )
@@ -125,6 +130,10 @@ def export_dimacs(
         f.write(f"c keller graph {spec.variant.value} dim {spec.dim}\n")
         f.write("c vertex id = 1 + sum_i digit_i * 4^i\n")
         f.write(f"p edge {nverts} {nedges}\n")
-        for u, v in g.edges():
-            f.write(f"e {u + 1} {v + 1}\n")
+        # one chunk of lines per vertex, so the file is never held whole
+        names = np.arange(1, nverts + 1).astype(str)
+        for u, higher in g._higher_neighbours():
+            if higher.size:
+                pre = f"e {names[u]} "
+                f.write(pre + ("\n" + pre).join(names[higher].tolist()) + "\n")
     return DimacsFile(path=out, num_vertices=nverts, num_edges=nedges)

@@ -122,6 +122,11 @@ class _Found(Exception):
     pass
 
 
+# With ``on_progress``, the search reports its node count and rate every this
+# many nodes; a multiple of the 1024-node poll that also checks the deadline.
+_PROGRESS_EVERY = 1 << 16
+
+
 class _Exhausted(Exception):
     pass
 
@@ -309,6 +314,7 @@ class _CliqueSearch:
         target: Optional[int],
         budget: SearchBudget,
         on_improve: Optional[Callable[[int, int], None]] = None,
+        on_progress: Optional[Callable[[int, float], None]] = None,
     ):
         self.target = target
         self.cap = target if target is not None else sys.maxsize
@@ -318,6 +324,11 @@ class _CliqueSearch:
             time.monotonic() + budget.time_limit if budget.time_limit is not None else None
         )
         self.on_improve = on_improve
+        self.on_progress = on_progress
+        self.start = time.monotonic()
+        # one flag, so a run with neither a deadline nor a heartbeat does no
+        # extra work per node
+        self.poll = self.deadline is not None or on_progress is not None
         self.adj: Sequence[int] = ()
         self.nonadj: list[int] = []
         self.bits: list[int] = []
@@ -335,11 +346,14 @@ class _CliqueSearch:
         if self.node_limit is not None and self.nodes >= self.node_limit:
             raise _Exhausted
         self.nodes += 1
-        if (
-            self.deadline is not None
-            and (self.nodes & 1023) == 0
-            and time.monotonic() > self.deadline
-        ):
+        if self.poll and (self.nodes & 1023) == 0:
+            self._poll()
+
+    def _poll(self) -> None:
+        now = time.monotonic()
+        if self.on_progress is not None and self.nodes % _PROGRESS_EVERY == 0:
+            self.on_progress(self.nodes, self.nodes / max(now - self.start, 1e-9))
+        if self.deadline is not None and now > self.deadline:
             raise _Exhausted
 
     def _color_sort(self, cand: int) -> list[tuple[int, int]]:
@@ -489,14 +503,16 @@ def max_clique(
     budget: SearchBudget = SearchBudget(),
     *,
     on_improve: Optional[Callable[[int, int], None]] = None,
+    on_progress: Optional[Callable[[int, float], None]] = None,
 ) -> SearchOutcome:
     """Largest clique of g; OPTIMAL unless the budget runs out first.
 
-    ``on_improve(size, nodes)`` is called whenever the incumbent grows.
+    ``on_improve(size, nodes)`` is called whenever the incumbent grows, and
+    ``on_progress(nodes, nodes_per_second)`` every ``_PROGRESS_EVERY`` nodes.
     Ctrl-C ends the search as BUDGET_EXHAUSTED with note "interrupted",
     keeping the incumbent.
     """
-    return _search(g.spec, _CliqueSearch(None, budget, on_improve), _subproblems(g))
+    return _search(g.spec, _CliqueSearch(None, budget, on_improve, on_progress), _subproblems(g))
 
 
 def clique_decision(
@@ -505,6 +521,7 @@ def clique_decision(
     budget: SearchBudget = SearchBudget(),
     *,
     on_improve: Optional[Callable[[int, int], None]] = None,
+    on_progress: Optional[Callable[[int, float], None]] = None,
 ) -> SearchOutcome:
     """Decide whether g contains a clique of the given size.
 
@@ -513,7 +530,7 @@ def clique_decision(
     """
     if size < 1:
         raise ValueError("target size must be positive")
-    return _search(g.spec, _CliqueSearch(size, budget, on_improve), _subproblems(g))
+    return _search(g.spec, _CliqueSearch(size, budget, on_improve, on_progress), _subproblems(g))
 
 
 # ---------------------------------------------------------------------------
@@ -593,6 +610,7 @@ def invariant_clique_search(
     budget: SearchBudget = SearchBudget(),
     *,
     on_improve: Optional[Callable[[int, int], None]] = None,
+    on_progress: Optional[Callable[[int, float], None]] = None,
 ) -> SearchOutcome:
     """Search G*_n for a clique of given size invariant under coordinate rotation.
 
@@ -607,7 +625,8 @@ def invariant_clique_search(
     {2^n, 0^n}.  Ctrl-C, also while the orbit graph is being built, ends the
     search as BUDGET_EXHAUSTED with note "interrupted".  ``on_improve(size,
     nodes)`` is called whenever the incumbent grows; its size counts vectors
-    (the orbit weights and the prefix).  Guarded at dimension 8 like
+    (the orbit weights and the prefix).  ``on_progress`` is as for
+    ``max_clique``.  Guarded at dimension 8 like
     ``materialize``: the orbits cover all 4^n vectors.
     """
     if target < 1:
@@ -618,7 +637,7 @@ def invariant_clique_search(
             f"cyclic-invariant search guarded at dim {MAX_MATERIALIZE_DIM}: "
             f"it enumerates all 4**{n} = {4**n} vectors"
         )
-    search = _CliqueSearch(target, budget, on_improve)
+    search = _CliqueSearch(target, budget, on_improve, on_progress)
 
     def build() -> _Subproblem:
         # runs inside search.run(), so that Ctrl-C here ends the search too

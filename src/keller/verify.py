@@ -5,12 +5,14 @@ against the packed edge test, and a discrete torus cell-cover oracle that
 never consults the graph layer.  The oracle models each vector m as the
 half-open cube prod_i [m_i - 1, m_i + 1) on (R/4Z)^n, discretized to the
 4^n unit cells; a set tiles iff every cell is covered exactly once.  The
-cells are counted in slabs of 4^9 that share their top coordinates, so
-memory does not grow with the dimension.
+cells are checked in slabs of 4^9 that share their top coordinates, so
+memory does not grow with the dimension: a slab of 4^9 incidences that
+marks every cell covers each exactly once, and only a bad slab is counted.
 
 Face statistics report, over all pairs whose coordinates differ only by 0
 or 2, how many coordinates agree; the maximum such count bounds the largest
-shared-face dimension of the tiling.
+shared-face dimension of the tiling.  Those are the pairs with equal digit
+parities, so only vectors of one parity class are paired.
 
 This module imports only ``core``, so no certificate rests on the
 construction or search code it checks.
@@ -40,12 +42,19 @@ __all__ = [
 ]
 
 # The guard limits time, not memory: the scan grows 4x per dimension, and at
-# 13 (the lift of the 12-dim tiling) it takes about 0.7 s on a 2-vCPU VM.
+# 13 (the lift of the 12-dim tiling) it takes about 0.4 s on a 2-vCPU VM
+# (0.08 s at 12).
 MAX_CELL_DIM = 13
 
-# The oracle counts 4^_SLAB_DIM cells at a time (a 2 MiB counter), keyed by
-# the remaining top coordinates, which are the most significant digits of the
-# cell index.
+# verify_clique tests pairs in row blocks of about _BLOCK_ELEMS pairs: small
+# enough to stay in cache, large enough to spread the per-call overhead.
+_BLOCK_ELEMS = 1 << 15
+
+# The oracle checks 4^_SLAB_DIM cells at a time, keyed by the remaining top
+# coordinates, which are the most significant digits of the cell index.  A
+# slab's cell incidences are one 2 MiB intp array; a slab with exactly 4^9 of
+# them is exact iff they mark every cell of a 256 KiB bool array, and only a
+# bad slab is counted (a 2 MiB bincount) to find its first bad cell.
 _SLAB_DIM = 9
 
 
@@ -107,17 +116,32 @@ class FaceHistogram:
 
 
 def verify_clique(s: VectorSet, spec: KellerGraphSpec) -> MissingEdgeReport:
-    """Exhaustive pairwise clique check of s against spec."""
+    """Exhaustive pairwise clique check of s against spec.
+
+    Rows are tested in blocks of about ``_BLOCK_ELEMS`` pairs, each row
+    against every vector from the block's first row on, with the pairs
+    j <= i masked as adjacent; so the missing pairs (i, j) come out in
+    lexicographic order.
+    """
     if s.dim != spec.dim:
         raise ValueError(f"dimension mismatch: set {s.dim}, graph {spec.dim}")
     star = spec.variant is GraphVariant.STAR
-    members = s.members
-    pairs = tuple(
-        (members[i], members[i + 1 + j])
-        for i, u in enumerate(s.packed.tolist())
-        for j in np.flatnonzero(~_edge(s.packed[i + 1 :] ^ u, s.dim, star)).tolist()
-    )
-    return MissingEdgeReport(spec=spec, pairs=pairs)
+    # up to 16 coordinates every 2-bit field fits a uint32, and the scan is
+    # memory-bound
+    packed = s.packed.astype(np.uint32) if s.dim <= 16 else s.packed
+    n = len(packed)
+    missing: list[tuple[int, int]] = []
+    a = 0
+    while a < n:
+        b = min(n, a + max(1, _BLOCK_ELEMS // (n - a)))
+        adj = _edge(packed[a:b, None] ^ packed[a:], s.dim, star)
+        adj[:, : b - a] |= np.tri(b - a, dtype=bool)
+        if not adj.all():
+            i, j = np.nonzero(~adj)
+            missing.extend(zip((i + a).tolist(), (j + a).tolist()))
+        a = b
+    members = s.members if missing else ()
+    return MissingEdgeReport(spec=spec, pairs=tuple((members[i], members[j]) for i, j in missing))
 
 
 def verify_tiling_cells(s: VectorSet) -> CellCoverResult:
@@ -136,42 +160,65 @@ def verify_tiling_cells(s: VectorSet) -> CellCoverResult:
         )
     low = min(n, _SLAB_DIM)
     nlow = 4**low
-    digits = _digit_columns(s.packed, n).astype(np.int64)
-    pow4 = 4 ** np.arange(low, dtype=np.int64)
+    digits = _digit_columns(s.packed, n).astype(np.intp)
+    pow4 = 4 ** np.arange(low, dtype=np.intp)
     corner = ((digits[:, :low] + 3) % 4) @ pow4  # low cell at offset -1 in every coordinate
     # stepping coordinate i from offset -1 to 0 adds 4^i, except when the
     # digit is 0 and the cell index wraps from 3*4^i down to 0
     deltas = np.where(digits[:, :low] == 0, -3 * pow4, pow4)
     top = digits[:, low:]
-    top_pow4 = 4 ** np.arange(n - low, dtype=np.int64)
+    top_pow4 = 4 ** np.arange(n - low, dtype=np.intp)
     for slab in range(4 ** (n - low)):
         # a cube meets the slab iff each top digit of the slab is the cube's
         # digit or the one below it, mod 4
         h = (slab // top_pow4) % 4
         meets = (((top - h) % 4) <= 1).all(axis=1)
-        idx = corner[meets, None]
         dl = deltas[meets]
+        # row r holds every cube's cell at the offsets of r's bits: the rows
+        # double once per coordinate, written in place
+        idx = np.empty((1 << low, len(dl)), dtype=np.intp)
+        idx[0] = corner[meets]
         for i in range(low):
-            idx = np.concatenate([idx, idx + dl[:, i : i + 1]], axis=1)
-        counts = np.bincount(idx.ravel(), minlength=nlow)
-        bad = np.flatnonzero(counts != 1)
-        if bad.size:
-            first = int(bad[0])
-            status = CellCoverStatus.GAP if counts[first] == 0 else CellCoverStatus.OVERLAP
-            return CellCoverResult(status, witness=CubeVector.from_index(n, slab * nlow + first))
+            np.add(idx[: 1 << i], dl[:, i], out=idx[1 << i : 2 << i])
+        idx = idx.ravel()
+        # exactly 4^low incidences that mark every cell cover each once
+        if idx.size == nlow:
+            marked = np.zeros(nlow, dtype=bool)
+            marked[idx] = True
+            if marked.all():
+                continue
+        counts = np.bincount(idx, minlength=nlow)
+        first = int(np.flatnonzero(counts != 1)[0])
+        status = CellCoverStatus.GAP if counts[first] == 0 else CellCoverStatus.OVERLAP
+        return CellCoverResult(status, witness=CubeVector.from_index(n, slab * nlow + first))
     return CellCoverResult(CellCoverStatus.EXACT_COVER)
 
 
 def face_statistics(s: VectorSet) -> FaceHistogram:
-    """Histogram of shared-face dimensions over all unordered pairs of s."""
+    """Histogram of shared-face dimensions over all unordered pairs of s.
+
+    A pair's gaps are all 0 or 2 iff its xor has no low bit in any 2-bit
+    field, that is iff the two vectors have the same digit parities.  So the
+    vectors are sorted by their parity bits and only equal-parity runs are
+    paired: the pairs at distance d in the sorted order whose parities
+    agree, for d = 1, 2, ... until none do.
+    """
     n = s.dim
     acc = np.zeros(n + 1, dtype=np.int64)
     low = _low_mask(n)
-    for i, u in enumerate(s.packed.tolist()):
-        x = s.packed[i + 1 :] ^ u
-        x = x[(x & low) == 0]
-        if x.size:
-            acc += np.bincount(n - _popcount64(x), minlength=n + 1)
+    parity = s.packed & low
+    order = np.argsort(parity)
+    packed, parity = s.packed[order], parity[order]
+    lo = np.arange(len(packed))
+    d = 1
+    while True:
+        lo = lo[lo + d < len(packed)]
+        lo = lo[parity[lo + d] == parity[lo]]
+        if not lo.size:
+            break
+        # each differing coordinate has gap 2, a single set bit
+        acc += np.bincount(n - _popcount64(packed[lo] ^ packed[lo + d]), minlength=n + 1)
+        d += 1
     counts = tuple((k, int(acc[k])) for k in range(n + 1) if acc[k])
     return FaceHistogram(dim=n, counts=counts)
 

@@ -3,6 +3,7 @@
 import hashlib
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,6 +17,7 @@ from keller.core import (
     CubeVector,
     GraphVariant,
     KellerGraphSpec,
+    has_edge,
     materialize,
     plain_degree,
     star_degree,
@@ -57,6 +59,16 @@ def test_file_layout_header_and_sorted_body(tmp_path, s10):
     assert lines[0] == "dim=10 count=1024"
     assert lines[1:] == sorted(lines[1:])
     assert len(lines) == 1025
+
+
+@pytest.mark.parametrize("dim", [1, 12, 33])
+def test_write_vector_set_matches_line_reference(tmp_path, dim):
+    rng = random.Random(700 + dim)
+    picks = {rng.randrange(4**dim) for _ in range(min(200, 4**dim))}
+    s = VectorSet(dim, (CubeVector.from_index(dim, j) for j in picks))
+    write_vector_set(tmp_path / "s.txt", s)
+    want = "\n".join([f"dim={dim} count={len(s)}", *(str(v) for v in s)]) + "\n"
+    assert (tmp_path / "s.txt").read_bytes() == want.encode()
 
 
 def test_empty_set_file(tmp_path):
@@ -127,6 +139,26 @@ def test_dimacs_edges_one_based_and_sorted(tmp_path):
     lines = (tmp_path / "g1.dimacs").read_text().splitlines()
     edge_lines = [l for l in lines if l.startswith("e ")]
     assert edge_lines == ["e 1 3", "e 2 4"]  # 02 and 13 as 1-based ids
+
+
+@pytest.mark.parametrize("variant", [PLAIN, STAR])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_dimacs_matches_per_edge_reference(tmp_path, dim, variant):
+    spec = KellerGraphSpec(dim, variant)
+    export_dimacs(spec, tmp_path / "g.dimacs")
+    vecs = [CubeVector.from_index(dim, i) for i in range(4**dim)]
+    edges = [
+        f"e {u + 1} {v + 1}\n"
+        for u in range(4**dim)
+        for v in range(u + 1, 4**dim)
+        if has_edge(spec, vecs[u], vecs[v])
+    ]
+    want = (
+        f"c keller graph {variant.value} dim {dim}\n"
+        "c vertex id = 1 + sum_i digit_i * 4^i\n"
+        f"p edge {4**dim} {len(edges)}\n" + "".join(edges)
+    )
+    assert (tmp_path / "g.dimacs").read_bytes() == want.encode()
 
 
 def test_dimacs_guard(tmp_path):
@@ -205,6 +237,19 @@ def test_cli_search_progress_lines(capsys):
     assert "incumbent: size=" in report
     assert "status: OPTIMAL" in report
     assert "best clique size: 4" in report
+
+
+def test_cli_search_progress_heartbeat(capsys, monkeypatch):
+    from keller import search
+
+    monkeypatch.setattr(search, "_PROGRESS_EVERY", 1024)
+    code = main(["search", "--dim", "5", "--target", "29", "--budget-nodes", "2500", "--progress"])
+    lines = capsys.readouterr().out.splitlines()
+    beats = [line for line in lines if line.startswith("progress: ")]
+    assert code == 1
+    assert [line.split()[1] for line in beats] == ["nodes=1024", "nodes=2048"]
+    assert all(re.fullmatch(r"progress: nodes=\d+ nodes/s=\d+", line) for line in beats)
+    assert "nodes explored: 2500" in lines
 
 
 def test_cli_cyclic_search_progress_lines(capsys):

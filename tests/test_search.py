@@ -475,6 +475,29 @@ def test_budgeted_decision_keeps_a_real_incumbent():
     assert packed_values(out.best_clique) == [0, 86, 143, 397, 491, 513, 522, 546, 612, 645, 651, 707, 1002]
 
 
+def test_progress_heartbeat_every_progress_every_nodes(monkeypatch):
+    monkeypatch.setattr(search_module, "_PROGRESS_EVERY", 1024)
+    g = materialize(KellerGraphSpec(5, STAR))
+    beats = []
+    out = clique_decision(
+        g, 29, SearchBudget(node_limit=3500), on_progress=lambda n, r: beats.append((n, r))
+    )
+    assert [n for n, _ in beats] == [1024, 2048, 3072]
+    assert all(r > 0 for _, r in beats)
+    # the heartbeat only observes: the same tree and incumbent as without it
+    quiet = clique_decision(g, 29, SearchBudget(node_limit=3500))
+    assert (out.status, out.nodes_explored, out.best_clique) == (
+        quiet.status, quiet.nodes_explored, quiet.best_clique
+    )
+    beats.clear()
+    out = invariant_clique_search(6, 64, on_progress=lambda n, r: beats.append((n, r)))
+    assert out.nodes_explored > 1024
+    assert [n for n, _ in beats] == list(range(1024, out.nodes_explored + 1, 1024))
+    # with neither a deadline nor a heartbeat, no node polls the clock
+    assert not _CliqueSearch(29, SearchBudget()).poll
+    assert _CliqueSearch(29, SearchBudget(time_limit=1.0)).poll
+
+
 def test_time_limit_exhaustion_keeps_a_real_incumbent():
     # the clock is read every 1024 nodes and before each further subproblem; decide
     # 29 runs for minutes and its first subproblem alone for over 200 000

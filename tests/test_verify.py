@@ -193,6 +193,34 @@ def test_cells_multi_slab_match_oracle(monkeypatch, slab_dim):
     assert beyond_first_slab >= 15
 
 
+@pytest.mark.parametrize("slab_dim", [1, 2])
+def test_cells_slab_with_full_incidence_count_and_a_fault(monkeypatch, slab_dim):
+    # moving one cube of the {0, 2}^n tiling by +1 in a low coordinate keeps
+    # every slab's incidence count at exactly 4^k, but leaves an overlap and
+    # a gap in the slabs the cube meets: only marking every cell tells
+    monkeypatch.setattr(verify_module, "_SLAB_DIM", slab_dim)
+    rng = random.Random(5000 + slab_dim)
+    for dim in (3, 4):
+        tiling = [[2 * ((k >> i) & 1) for i in range(dim)] for k in range(2**dim)]
+        for _ in range(6):
+            members = [list(d) for d in tiling]
+            moved = rng.randrange(len(members))
+            members[moved][rng.randrange(slab_dim)] += 1
+            s = VectorSet(dim, (CubeVector.from_digits(d) for d in members))
+            counts = oracle_cell_counts(s)
+            got = verify_tiling_cells(s)
+            want_status, want_witness = oracle_cell_status(s)
+            assert got.status is want_status is not CellCoverStatus.EXACT_COVER
+            assert got.witness == want_witness
+            top = want_witness.digits[slab_dim:]
+            slab = [
+                counts[low + top]
+                for low in itertools.product(range(4), repeat=slab_dim)
+            ]
+            assert sum(slab) == 4**slab_dim
+            assert 0 in slab and 2 in slab
+
+
 def test_cells_dim12_gap_witness_beyond_first_slab(s12):
     members = list(s12.members)
     dropped = CubeVector.from_string("101211322301")
@@ -283,6 +311,33 @@ def test_face_histogram_oracle_random():
             if all(g in (0, 2) for g in gaps):
                 expected[gaps.count(0)] += 1
         assert face_statistics(s).as_dict() == dict(expected)
+
+
+def parity_class_sets(rng, dims, size):
+    """Random sets whose vectors fall into a few large digit-parity classes.
+
+    Each vector takes one of two parity patterns and adds 0 or 2 per
+    coordinate, so most pairs share a class; with the all-even pattern the
+    digits are drawn from {0, 2}.
+    """
+    for dim in dims:
+        patterns = [[0] * dim, [rng.randrange(2) for _ in range(dim)]]
+        members = set()
+        while len(members) < min(size, 2**dim):
+            parity = rng.choice(patterns)
+            members.add(CubeVector.from_digits(p + 2 * rng.randrange(2) for p in parity))
+        yield VectorSet(dim, members)
+
+
+def test_face_histogram_parity_classes_match_digit_oracle(monkeypatch):
+    rng = random.Random(2323)
+    sets = [*parity_class_sets(rng, (3, 4, 5, 6), 7), *parity_class_sets(rng, (3, 4, 5, 6), 30)]
+    sets += list(parity_class_sets(rng, (33, 36, 40), 24))
+    assert any(s.packed.dtype == object for s in sets)
+    want = [digit_oracle_faces(s) for s in sets]
+    assert [face_statistics(s).as_dict() for s in sets] == want
+    monkeypatch.delattr(np, "bitwise_count", raising=False)  # numpy < 2
+    assert [face_statistics(s).as_dict() for s in sets] == want
 
 
 def test_face_histogram_automorphism_invariance(s10):
@@ -408,6 +463,37 @@ def test_wide_verify_clique_matches_digit_oracle():
         ("0" * 40, "1" * 40),
         ("1" * 40, "2" * 20 + "1" * 20),
     ]
+
+
+@pytest.mark.parametrize("block_elems", [None, 7])
+@pytest.mark.parametrize("dim", [15, 16, 17])
+def test_verify_clique_pair_order_at_uint32_boundary(monkeypatch, dim, block_elems):
+    # dims up to 16 scan a uint32 copy; the row blocks must keep the order
+    if block_elems is not None:
+        monkeypatch.setattr(verify_module, "_BLOCK_ELEMS", block_elems)
+    rng = random.Random(1500 + dim)
+    members = set()
+    while len(members) < 30:
+        digits = [rng.choice((0, 2)) for _ in range(dim)]
+        for _ in range(rng.randrange(3)):
+            digits[rng.randrange(dim)] = rng.randrange(4)
+        members.add(CubeVector.from_digits(digits))
+    # partners that differ in one coordinate, the top one included: by a
+    # gap of 1 or 3 (missing in both graphs) or of 2 (missing in G* only)
+    for base in rng.sample(sorted(members, key=str), 10):
+        digits = list(base.digits)
+        j = rng.choice((dim - 1, rng.randrange(dim)))
+        digits[j] = (digits[j] + rng.choice((1, 2, 3))) % 4
+        members.add(CubeVector.from_digits(digits))
+    s = VectorSet(dim, members)
+    for variant in (PLAIN, STAR):
+        want = [
+            (u, v)
+            for u, v in itertools.combinations(s.members, 2)
+            if not digit_oracle_edge(variant, u, v)
+        ]
+        assert want
+        assert list(verify_clique(s, KellerGraphSpec(dim, variant)).pairs) == want
 
 
 def test_wide_faces_and_facet_freeness_match_digit_oracle(monkeypatch):
