@@ -35,8 +35,14 @@ set is a union of orbits of Stab(0, r), the automorphisms fixing 0 and r, so
 at each subproblem's root a searched child p drops its whole Stab(0, r) orbit
 from the candidates, not just p: an automorphism fixing 0 and r maps a clique
 through another member of the orbit onto one through p, already searched.
-One node counter, budget and incumbent span all subproblems.  Node counts and
-witness cliques therefore differ from versions without these reductions.
+The same holds below the root, by induction over depth: a node whose clique
+is C has as candidates a union of Stab(C) orbits, since every shallower node
+dropped whole orbits of a larger group, so down to depth ``_ORBIT_DEPTH`` a
+searched child drops its whole Stab(C) orbit too.  All these orbits have one
+closed-form key on digit counts, ``_prefix_stabilizer_key``, and the search
+keys a node's orbits only when it first drops one.  One node counter, budget
+and incumbent span all subproblems.  Node counts and witness cliques
+therefore differ from versions without these reductions.
 
 The cyclic-invariant search looks for cliques closed under the coordinate
 shift, an ``Automorphism``: unions of whole shift orbits, held as one packed
@@ -131,6 +137,14 @@ class _Exhausted(Exception):
     pass
 
 
+# A Stab(0) subproblem's nodes down to this depth below its root (depth 0)
+# drop whole orbits of their clique's stabiliser, deeper ones single
+# positions.  G*_5 decide 29 takes 61.4M nodes with the root alone, 46.8M
+# with depth 1, 42.9M with 2 and 42.4M with 3, where the keying costs what
+# the 1% fewer nodes save.
+_ORBIT_DEPTH = 2
+
+
 # Matrices of pairs are built in row blocks of about _BLOCK_ELEMS pairs, which
 # keeps the temporaries small (256 KiB per 8-byte array) and in cache.
 _BLOCK_ELEMS = 1 << 15
@@ -177,6 +191,12 @@ def _pack_rows(nrows: int, ncols: int, block: Callable[[int, int], np.ndarray]) 
     return rows
 
 
+def _positions(mask: int) -> np.ndarray:
+    """The set bits of a non-negative int, ascending."""
+    bitmap = np.frombuffer(mask.to_bytes((mask.bit_length() + 7) // 8, "little"), dtype=np.uint8)
+    return np.flatnonzero(np.unpackbits(bitmap, bitorder="little"))
+
+
 def _gather(row0: np.ndarray, rows: np.ndarray, columns: Sequence[np.ndarray]) -> np.ndarray:
     """M[i, j] = AND over c in ``columns`` of ``row0[rows[i] ^ c[j]]``, in row blocks."""
     matrix = np.ones((len(rows), len(columns[0])), dtype=bool)
@@ -205,14 +225,20 @@ class _Subproblem:
     ``orbit[p]`` is the bitmask of the positions in p's orbit under the
     automorphisms that fix the prefix, a positive int holding p's own bit;
     the candidates are a union of these orbits.  A Stab(0) subproblem keys
-    them with ``_pair_stabilizer_key``.  Empty means no symmetry is known,
+    them with ``_prefix_stabilizer_key``.  Empty means no symmetry is known,
     as on the orbit graph, and each position is its own orbit.
+
+    ``digits`` holds the positions' digit columns (``_digit_columns``, one
+    row per position), from which the search keys the orbits of the
+    stabilisers of deeper cliques.  None, as on the orbit graph, means only
+    the root drops orbits.
     """
 
     prefix: tuple[int, ...]
     adj: list[int]
     vectors: Sequence[tuple[int, ...]]
     orbit: Sequence[int] = ()
+    digits: Optional[np.ndarray] = None
 
 
 def _stabilizer_classes(spec: KellerGraphSpec, row0: np.ndarray) -> list[np.ndarray]:
@@ -220,40 +246,68 @@ def _stabilizer_classes(spec: KellerGraphSpec, row0: np.ndarray) -> list[np.ndar
 
     The automorphisms fixing vector 0 are the coordinate permutations times
     x -> -x on any set of coordinates; these classes are their orbits on
-    N(0) (row0 is vertex 0's boolean adjacency row).  Each class is sorted;
-    ties in size keep the ascending order of the key.
+    N(0) (row0 is vertex 0's boolean adjacency row), the prefix (0,) case of
+    ``_prefix_stabilizer_key``.  Each class is sorted; ties in size keep the
+    ascending order of the key, which is that of (count of 0, count of 2).
     """
     nbrs = np.flatnonzero(row0)
-    key = _pair_stabilizer_key(spec.dim, 0, nbrs)  # Stab(0, 0) = Stab(0)
+    n = spec.dim
+    key = _prefix_stabilizer_key(_digit_columns(np.zeros(1, dtype=np.intp), n), _digit_columns(nbrs, n))
     classes = [nbrs[key == k] for k in np.unique(key)]
     classes.sort(key=len, reverse=True)
     return classes
 
 
-def _pair_stabilizer_key(n: int, r: int, vecs: np.ndarray) -> np.ndarray:
-    """A key on packed vectors whose classes are the orbits of Stab(0, r).
+# Per digit value, the power of its class's base that counts it in the key:
+# the count of 0 is the most significant, then those of 2, 1 and 3.
+_COUNT_POWER = (3, 1, 2, 0)
 
-    An automorphism fixing 0 moves each coordinate i to pi(i) and multiplies
-    it by a sign s = +-1 there (x -> -x swaps 1 and 3).  It also fixes r iff
-    pi keeps each of r's digit classes {0}, {2} and {1, 3}, with the sign
-    s = r_pi(i) * r_i (mod 4) forced on r's odd coordinates.  So on r's 0-
-    and on its 2-coordinates a vector's digits are permuted and negated
-    freely, which keeps their counts of 0 and of 2; on r's odd coordinates
-    they are permuted with forced signs, which keeps the count of each value
-    v_i * r_i (mod 4).  Any two vectors with equal counts are one orbit.
+
+def _prefix_stabilizer_key(prefix: np.ndarray, digits: np.ndarray) -> np.ndarray:
+    """A key on vectors whose classes are the orbits of the stabiliser of a prefix.
+
+    ``prefix`` (k, n) and ``digits`` (m, n) are ``_digit_columns``: the
+    prefix holds vector 0 and the clique vectors to fix, and the key is
+    taken on the m vectors.  Its classes are the orbits of the automorphisms
+    fixing 0 and each prefix vector.  An automorphism fixing 0 moves each
+    coordinate i to pi(i) and multiplies it by a sign s_i = +-1 there
+    (x -> -x swaps 1 and 3); it fixes a vector u iff u_pi(i) = s_i * u_i
+    (mod 4) for every i.  So pi keeps each class of coordinates whose prefix
+    columns agree up to negation.  On a class whose columns are all even the
+    sign is free, and a vector's digits there are permuted and negated
+    freely, which keeps its counts of 0, of 2 and of odd digits.  On a class
+    with an odd digit, column i is sigma_i = +-1 times the class's
+    representative column and the sign is forced, s_i = sigma_pi(i) *
+    sigma_i; the values sigma_i * v_i are permuted, which keeps the count of
+    each.  Any two vectors with equal counts on every class are one orbit.
+    The key holds each count as a digit in base (class size + 1), so it is
+    below 2^(4n); on the prefix (0,) it ascends with (count of 0, count of 2).
     """
-    digits = _digit_columns(vecs, n)
-    r_digits = _digit_columns(np.array([r]), n)[0]
-    odd = r_digits & 1 == 1
-    counts = []
-    for coords in (r_digits == 0, r_digits == 2):
-        counts += [(digits[:, coords] == 0).sum(axis=1), (digits[:, coords] == 2).sum(axis=1)]
-    signed = (digits[:, odd] * r_digits[odd]) & 3
-    counts += [(signed == x).sum(axis=1) for x in (0, 1, 2)]
-    key = np.zeros(len(vecs), dtype=np.intp)
-    for count in counts:
-        key = key * (n + 1) + count
-    return key
+    n = digits.shape[1]
+    classes: dict[tuple[int, ...], list[tuple[int, bool]]] = {}
+    for i, column in enumerate(zip(*prefix.tolist())):
+        negated = tuple(-x & 3 for x in column)
+        classes.setdefault(min(column, negated), []).append((i, negated < column))
+    weight = [[0] * 4 for _ in range(n)]
+    offset = 1
+    for rep, coords in classes.items():
+        base = len(coords) + 1
+        even = not any(x & 1 for x in rep)
+        for i, flipped in coords:
+            # per digit, the value whose count is kept: sigma_i * v_i, or on
+            # an all-even class the digit with 3 folded onto 1
+            values = (0, 1, 2, 1) if even else (0, 3, 2, 1) if flipped else (0, 1, 2, 3)
+            weight[i] = [offset * base ** _COUNT_POWER[v] for v in values]
+        offset *= base**4
+    return np.array(weight, dtype=np.int64)[np.arange(n), digits].sum(axis=1)
+
+
+def _orbit_masks(positions: Sequence[int], key: Sequence[int]) -> list[int]:
+    """Per position, the bitmask of the given positions that share its key."""
+    masks = dict.fromkeys(key, 0)
+    for p, k in zip(positions, key):
+        masks[k] |= 1 << p
+    return [masks[k] for k in key]
 
 
 def _induced(row0: np.ndarray, n: int, r: int, verts: np.ndarray) -> _Subproblem:
@@ -263,11 +317,10 @@ def _induced(row0: np.ndarray, n: int, r: int, verts: np.ndarray) -> _Subproblem
     """
     adj, sub_to_vert = _relabel(_gather(row0, verts, [verts]))
     verts = verts[sub_to_vert]
-    keys, orbit_of = np.unique(_pair_stabilizer_key(n, r, verts), return_inverse=True)
-    ids = np.arange(len(keys))[:, None]
-    masks = _pack_rows(len(keys), len(verts), lambda a, b: orbit_of == ids[a:b])
-    orbit = [masks[k] for k in orbit_of.tolist()]
-    return _Subproblem((0, r), adj, [(v,) for v in verts.tolist()], orbit)
+    digits = _digit_columns(verts, n)
+    key = _prefix_stabilizer_key(_digit_columns(np.array([0, r]), n), digits)
+    orbit = _orbit_masks(range(len(verts)), key.tolist())
+    return _Subproblem((0, r), adj, [(v,) for v in verts.tolist()], orbit, digits)
 
 
 def _subproblems(g: MaterializedGraph) -> Iterator[Callable[[], _Subproblem]]:
@@ -299,7 +352,9 @@ class _CliqueSearch:
     (incumbent, target, ``on_improve``) count the subproblem's prefix.  With
     a target, a branch is pruned unless its bound reaches the target, and no
     vertex is added that would overshoot it.  A subproblem's root node drops
-    searched children's whole orbits; every other node drops single bits.
+    searched children's whole orbits, and so does each node down to depth
+    ``_ORBIT_DEPTH`` below it when the subproblem carries digits; every
+    other node drops single bits.
 
     Bitsets are over ``_relabel`` positions, so a set's highest bit is its
     next vertex in descending degeneracy order and ``int.bit_length`` finds
@@ -333,6 +388,8 @@ class _CliqueSearch:
         self.nonadj: list[int] = []
         self.bits: list[int] = []
         self.orbit: Sequence[int] = ()
+        self.keyed = 0
+        self.digits = self.prefix_digits = np.zeros((0, 0), dtype=np.uint8)
         self.weights: list[int] = []
         self.heavy: list[tuple[int, int]] = []
         self.light = 1
@@ -389,7 +446,21 @@ class _CliqueSearch:
         if size >= self.cap:
             raise _Found
 
-    def _expand(self, rmask: int, rsize: int, cand: int, drop: Sequence[int]) -> None:
+    def _orbit_drops(self, rmask: int, cand: int) -> dict[int, int]:
+        """Per position of cand, its orbit in cand under the clique's stabiliser.
+
+        The clique is the prefix and rmask's positions; the orbits are the
+        classes of ``_prefix_stabilizer_key`` on the positions' digits.
+        """
+        clique = np.concatenate([self.prefix_digits, self.digits[_positions(rmask)]])
+        positions = _positions(cand)
+        key = _prefix_stabilizer_key(clique, self.digits[positions])
+        members = positions.tolist()
+        return dict(zip(members, _orbit_masks(members, key.tolist())))
+
+    def _expand(
+        self, rmask: int, rsize: int, cand: int, drop: Sequence[int] | dict[int, int] | None, depth: int = 0
+    ) -> None:
         """One node: color the non-empty candidate set and branch on it.
 
         Classes are branched last first, and within a class the lowest
@@ -397,22 +468,32 @@ class _CliqueSearch:
         the incumbent (or the target's floor); no later child has a higher
         bound, so the first failing test ends the node.  A searched child p
         removes ``drop[p]`` from cand, and each class is masked with cand.
-        Inner nodes pass the single bits.  A subproblem's root passes the
-        orbit masks, so once p is searched no later child is in p's orbit.
-        The orbits are those of automorphisms fixing the prefix, and the
-        root's cand is a union of them, so it stays one and the XOR removes
-        exactly p's orbit.  Sound: let p be the first searched child whose
-        orbit a clique meets.  An automorphism fixing the prefix maps the
-        clique's member there onto p, and the clique onto one through p that
-        meets no earlier child's orbit, so one inside cand as it was when p
-        was searched.  A clique that meets no searched orbit lies in what is
-        left of cand, which the color bounds still cover: removal only
-        loosens them.
+        ``depth`` counts the positions added below the subproblem's root.
+        The root passes the orbit masks, and with digits a node down to
+        ``self.keyed`` passes None: it keys its orbits (``_orbit_drops``)
+        when it first drops one, which many nodes never do.  Deeper nodes
+        pass the single bits.  So once p is searched no later child is in
+        p's orbit under the automorphisms fixing the node's clique.
+        Sound, by induction on depth: the cand of a node that drops orbits
+        is a union of its clique's stabiliser orbits.  At the root cand is
+        all positions, N(0) & N(r) less whole Stab(0) classes.  A child's cand is its parent's, less whole orbits of
+        the parent's stabiliser, which contains the child's, and cut to the
+        neighbours of the child's vertex, which that stabiliser fixes.  So
+        cand stays a union of orbits and the XOR removes exactly p's orbit
+        (a mask ANDed with cand loses nothing).  Let p be the first searched
+        child whose orbit a clique extending the node's meets.  An
+        automorphism fixing the node's clique maps the member there onto p,
+        and the clique onto one through p that meets no earlier child's
+        orbit, so one inside cand as it was when p was searched.  A clique
+        that meets no searched orbit lies in what is left of cand, which the
+        color bounds still cover: removal only loosens them.
         """
         self._tick()
         if rsize > self.best_size:
             self._improve(rmask, rsize)
         adj, weights, cap, bits = self.adj, self.weights, self.cap, self.bits
+        # a child down to the keyed depth keys its orbits when it first drops one
+        child_drop = None if depth < self.keyed else bits
         for cls, bound in reversed(self._color_sort(cand)):
             cls &= cand
             while cls:
@@ -424,9 +505,11 @@ class _CliqueSearch:
                 if size <= cap:
                     sub = cand & adj[p]
                     if sub:
-                        self._expand(rmask | bit, size, sub, bits)
+                        self._expand(rmask | bit, size, sub, child_drop, depth + 1)
                     elif size > self.best_size:  # a leaf, not counted as a node
                         self._improve(rmask | bit, size)
+                if drop is None:
+                    drop = self._orbit_drops(rmask, cand)
                 cand ^= drop[p]
                 cls &= cand
 
@@ -435,6 +518,11 @@ class _CliqueSearch:
         self.weights = [len(vectors) for vectors in sub.vectors]
         self.bits = [1 << p for p in range(len(sub.adj))]
         self.orbit = sub.orbit or self.bits
+        self.keyed = 0
+        if sub.digits is not None:
+            self.keyed = _ORBIT_DEPTH
+            self.digits = sub.digits
+            self.prefix_digits = _digit_columns(np.array(sub.prefix), sub.digits.shape[1])
         full = (1 << len(sub.adj)) - 1
         self.nonadj = [full ^ row ^ bit for row, bit in zip(sub.adj, self.bits)]  # no self-loops
         # per weight level, heaviest first, the positions of that weight; the

@@ -1,5 +1,6 @@
 """Branch-and-bound search, orbits, and the cyclic-invariant restriction."""
 
+import functools
 import hashlib
 import itertools
 import math
@@ -19,6 +20,7 @@ from keller.core import (
     CubeVector,
     GraphVariant,
     KellerGraphSpec,
+    _digit_columns,
     enumerate_automorphisms,
     has_edge,
     materialize,
@@ -27,8 +29,8 @@ from keller.search import (
     SearchBudget,
     SearchStatus,
     _CliqueSearch,
+    _prefix_stabilizer_key,
     _relabel,
-    _pair_stabilizer_key,
     _stabilizer_classes,
     _Subproblem,
     _subproblems,
@@ -138,14 +140,14 @@ def test_budget_exhaustion_statuses():
 
 
 def test_budget_is_shared_across_subproblems():
-    # G*_4 decide 16 runs over nine Stab(0) subproblems in 34 nodes; every
+    # G*_4 decide 16 runs over nine Stab(0) subproblems in 31 nodes; every
     # limit below that stops at exactly the limit
     g = materialize(KellerGraphSpec(4, STAR))
-    for limit in (1, 2, 3, 20, 33):
+    for limit in (1, 2, 3, 20, 30):
         out = clique_decision(g, 16, SearchBudget(node_limit=limit))
         assert (out.status, out.nodes_explored) == (SearchStatus.BUDGET_EXHAUSTED, limit)
-    out = clique_decision(g, 16, SearchBudget(node_limit=34))
-    assert (out.status, out.nodes_explored) == (SearchStatus.TARGET_REFUTED, 34)
+    out = clique_decision(g, 16, SearchBudget(node_limit=31))
+    assert (out.status, out.nodes_explored) == (SearchStatus.TARGET_REFUTED, 31)
 
 
 def test_interrupt_keeps_incumbent():
@@ -256,9 +258,33 @@ def test_reduction_only_on_keller_adjacency():
     assert all(sub.prefix[0] == 0 and len(sub.prefix) == 2 for sub in subs)
 
 
+def prefix_key(n, prefix, vecs):
+    """``_prefix_stabilizer_key`` on packed vectors."""
+    return _prefix_stabilizer_key(_digit_columns(np.array(prefix), n), _digit_columns(np.asarray(vecs), n))
+
+
+def assert_key_classes_are_orbits(n, stab_images, prefix):
+    """The key's classes on all 4^n vectors are the orbits of the maps fixing the prefix.
+
+    ``stab_images`` holds each map of Stab(0) applied to every packed vector,
+    one row per map; the maps fixing each prefix vector form a group, so the
+    orbit of v is its column of images there.
+    """
+    fix = stab_images[(stab_images[:, prefix] == prefix).all(axis=1)]
+    key = prefix_key(n, prefix, np.arange(4**n))
+    # constant on each orbit, and as many classes as orbits (an orbit is
+    # named by its smallest member)
+    assert (key[fix] == key).all(), prefix
+    assert len(np.unique(key)) == len(np.unique(fix.min(axis=0))), prefix
+
+
+def common_neighbours(g, clique):
+    return [v for v in range(g.num_vertices) if all(g.has_edge_index(u, v) for u in clique)]
+
+
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("variant", [PLAIN, STAR])
-def test_pair_stabilizer_key_classes_are_orbits(n, variant):
+def test_prefix_stabilizer_key_classes_are_orbits(n, variant):
     # for each r in N(0), the key's classes on all 4^n vectors are the orbits
     # of the automorphisms fixing both 0 and r; the search only keys class
     # representatives, whose odd digits are all 1, so r ranges wider to pin
@@ -269,10 +295,49 @@ def test_pair_stabilizer_key_classes_are_orbits(n, variant):
     for packed in np.flatnonzero(neighbors_of_zero(g)).tolist():
         r = CubeVector.from_index(n, packed)
         pair = [a for a in stab if a.apply(r) == r]
-        key = _pair_stabilizer_key(n, r.packed, np.arange(4**n)).tolist()
+        key = prefix_key(n, [0, r.packed], np.arange(4**n)).tolist()
         for v in range(4**n):
             orbit = {a.apply(CubeVector.from_index(n, v)).packed for a in pair}
             assert orbit == {w for w in range(4**n) if key[w] == key[v]}
+    # every clique prefix {0, r, p} and {0, r, p, q}, as deeper B&B nodes fix them
+    images = np.array([a._apply_packed(np.arange(4**n)) for a in stab])
+    assert_key_classes_are_orbits(n, images, [0])
+    prefixes = 0
+    for r in common_neighbours(g, [0]):
+        for p in common_neighbours(g, [0, r]):
+            if p > r:
+                assert_key_classes_are_orbits(n, images, [0, r, p])
+                prefixes += 1
+                for q in common_neighbours(g, [0, r, p]):
+                    if q > p:
+                        assert_key_classes_are_orbits(n, images, [0, r, p, q])
+                        prefixes += 1
+    assert prefixes or (n, variant) == (2, STAR)  # G*_2 is triangle-free
+
+
+def test_prefix_stabilizer_key_classes_are_orbits_g4_star_sample():
+    # Stab(0) is the 2^4 4! = 384 signed coordinate permutations; each
+    # preserves G*_4's adjacency.  A seeded sample of cliques {0, r, p, q}
+    # keys every prefix of each
+    n = 4
+    g = materialize(KellerGraphSpec(n, STAR))
+    negate = (0, 3, 2, 1)
+    stab = [
+        Automorphism(perm, tuple(negate if s else (0, 1, 2, 3) for s in signs))
+        for perm in itertools.permutations(range(n))
+        for signs in itertools.product((0, 1), repeat=n)
+    ]
+    vecs = np.arange(4**n)
+    images = np.array([a._apply_packed(vecs) for a in stab])
+    assert len({row.tobytes() for row in images}) == 384 and (images[:, 0] == 0).all()
+    matrix = g.row0[vecs[:, None] ^ vecs]
+    assert all((matrix[np.ix_(row, row)] == matrix).all() for row in images)
+    rng = random.Random(416)
+    for _ in range(25):
+        clique = [0]
+        while len(clique) < 4 and (nbrs := common_neighbours(g, clique)):
+            clique.append(rng.choice(nbrs))
+            assert_key_classes_are_orbits(n, images, clique)
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -283,7 +348,8 @@ def test_orbit_masks_are_the_key_classes_of_positions(n, variant):
     g = materialize(KellerGraphSpec(n, variant))
     for sub in (build() for build in _subproblems(g)):
         verts = np.array([v for (v,) in sub.vectors], dtype=np.intp)
-        key = _pair_stabilizer_key(n, sub.prefix[1], verts).tolist()
+        assert np.array_equal(sub.digits, _digit_columns(verts, n))
+        key = prefix_key(n, sub.prefix, verts).tolist()
         assert len(sub.orbit) == len(verts)
         for p, mask in enumerate(sub.orbit):
             assert [q for q in range(len(verts)) if mask >> q & 1] == [q for q in range(len(verts)) if key[q] == key[p]]
@@ -306,12 +372,16 @@ def unreduced(matrix, target):
     return status, best
 
 
-def unreduced_keller(g, target):
-    """``unreduced`` on the whole of g: (status, best size), the clique verified."""
-    status, best = unreduced(keller_matrix(g), target)
-    dim = g.spec.dim
-    clique = VectorSet(dim, (CubeVector.from_index(dim, v) for v in best))
-    assert verify_clique(clique, g.spec).is_clique
+@functools.cache
+def unreduced_keller(spec, target):
+    """``unreduced`` on the whole graph: (status, best size), the clique verified.
+
+    Cached, as the tests at the default orbit depth and at every depth
+    compare against the same runs (the G*_4 ones take seconds each).
+    """
+    status, best = unreduced(keller_matrix(materialize(spec)), target)
+    clique = VectorSet(spec.dim, (CubeVector.from_index(spec.dim, v) for v in best))
+    assert verify_clique(clique, spec).is_clique
     return status, len(best)
 
 
@@ -328,29 +398,95 @@ def assert_agree(reduced, full, target):
         assert len(reduced.best_clique) < target and size < target
 
 
+def assert_agree_every_target(spec):
+    # max_clique, and decisions at every target up to one past the clique number
+    g = materialize(spec)
+    omega = len(max_clique(g).best_clique)
+    assert_agree(max_clique(g), unreduced_keller(spec, None), None)
+    for target in range(1, omega + 2):
+        assert_agree(clique_decision(g, target), unreduced_keller(spec, target), target)
+
+
+def assert_agree_g4_star(target):
+    g = materialize(KellerGraphSpec(4, STAR))
+    reduced = max_clique(g) if target is None else clique_decision(g, target)
+    assert_agree(reduced, unreduced_keller(g.spec, target), target)
+
+
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("variant", [PLAIN, STAR])
 def test_reduced_search_matches_unreduced_small(n, variant):
-    g = materialize(KellerGraphSpec(n, variant))
-    omega = len(max_clique(g).best_clique)
-    assert_agree(max_clique(g), unreduced_keller(g, None), None)
-    for target in range(1, omega + 2):
-        assert_agree(clique_decision(g, target), unreduced_keller(g, target), target)
+    assert_agree_every_target(KellerGraphSpec(n, variant))
 
 
 @pytest.mark.parametrize("target", [12, 13, None])
 def test_reduced_search_matches_unreduced_g4_star(target):
+    assert_agree_g4_star(target)
+
+
+# deeper than any clique of these graphs, so every node drops whole orbits
+EVERY_DEPTH = 64
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("variant", [PLAIN, STAR])
+def test_orbits_at_every_depth_match_unreduced_small(monkeypatch, n, variant):
+    monkeypatch.setattr(search_module, "_ORBIT_DEPTH", EVERY_DEPTH)
+    assert_agree_every_target(KellerGraphSpec(n, variant))
+
+
+@pytest.mark.parametrize("target", [12, 13, None])
+def test_orbits_at_every_depth_match_unreduced_g4_star(monkeypatch, target):
+    monkeypatch.setattr(search_module, "_ORBIT_DEPTH", EVERY_DEPTH)
+    assert_agree_g4_star(target)
+
+
+class CheckedOrbitDrops(_CliqueSearch):
+    """The engine, checking each keyed node's drop masks against the key.
+
+    Every drop mask must be its position's key class, whole and inside cand,
+    so cand must be a union of classes: the induction behind dropping whole
+    orbits below a subproblem's root.  The classes are keyed afresh on the
+    positions' vectors, not on the subproblem's digits.
+    """
+
+    keyed_nodes = 0
+
+    def _orbit_drops(self, rmask, cand):
+        drop = super()._orbit_drops(rmask, cand)
+        sub = self.sub
+        clique = list(sub.prefix)
+        positions = range(len(sub.vectors))
+        clique += [sub.vectors[p][0] for p in positions if rmask >> p & 1]
+        key = prefix_key(sub.digits.shape[1], clique, [v for (v,) in sub.vectors]).tolist()
+        classes = search_module._orbit_masks(positions, key)
+        assert all(cls & cand in (0, cls) for cls in classes)
+        assert sorted(drop) == [p for p in positions if cand >> p & 1]
+        assert all(drop[p] == classes[p] for p in drop)
+        type(self).keyed_nodes += 1
+        return drop
+
+
+@pytest.mark.parametrize("depth", [2, EVERY_DEPTH])
+def test_keyed_nodes_drop_whole_classes_inside_cand(monkeypatch, depth):
+    monkeypatch.setattr(search_module, "_ORBIT_DEPTH", depth)
+    monkeypatch.setattr(search_module, "_CliqueSearch", CheckedOrbitDrops)
+    monkeypatch.setattr(CheckedOrbitDrops, "keyed_nodes", 0)
+    for n, variant in ((3, PLAIN), (3, STAR), (4, STAR)):
+        g = materialize(KellerGraphSpec(n, variant))
+        max_clique(g)
+        clique_decision(g, 2**n)
     g = materialize(KellerGraphSpec(4, STAR))
-    reduced = max_clique(g) if target is None else clique_decision(g, target)
-    assert_agree(reduced, unreduced_keller(g, target), target)
+    clique_decision(g, 13)
+    assert CheckedOrbitDrops.keyed_nodes > 0
 
 
 def test_reduced_search_node_counts_g4_star():
     # the unreduced engine needs 748 322, 108 280 and 748 342 nodes here
     g = materialize(KellerGraphSpec(4, STAR))
-    assert clique_decision(g, 13).nodes_explored == 151
-    assert clique_decision(g, 16).nodes_explored == 34
-    assert max_clique(g).nodes_explored == 184
+    assert clique_decision(g, 13).nodes_explored == 132
+    assert clique_decision(g, 16).nodes_explored == 31
+    assert max_clique(g).nodes_explored == 165
 
 
 def test_clique_number_ground_truth():
