@@ -109,7 +109,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
     print(f"nodes explored: {outcome.nodes_explored}")
     if outcome.note:
         print(f"note: {outcome.note}")
-    if outcome.status is SearchStatus.TARGET_FOUND:
+    if outcome.status in (SearchStatus.TARGET_FOUND, SearchStatus.OPTIMAL):
         for v in outcome.best_clique:
             print(f"clique: {v}")
     return 0 if outcome.status is not SearchStatus.BUDGET_EXHAUSTED else 1

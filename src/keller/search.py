@@ -3,14 +3,16 @@
 One weighted branch and bound over Python-int bitsets serves every search,
 in the style of the BBMC family: candidates are colored greedily in
 descending degeneracy order, then branched highest color first, pruning
-when the current clique plus the color bound cannot beat the incumbent (or
-reach the decision target).  A clique's size is its total vertex weight and
-a color class's bound is the running sum of each class's heaviest weight,
-so with unit weights (every Keller-graph search) the bound is the color
-number.  A node is one coloring of a non-empty candidate set; a branch whose
-candidate set is empty is a leaf and is not counted.  Every node entered is
-a clique, so it updates the incumbent: a decision run that runs out of
-budget still reports the largest clique it reached.
+when the current clique plus the color bound cannot reach the target.  The
+engine only decides targets; ``max_clique`` is a ladder of decisions, each
+rung one past the incumbent, until a rung is refuted, so OPTIMAL k is a
+verified k-clique plus a refuted k + 1.  A clique's size is its total
+vertex weight and a color class's bound is the running sum of each class's
+heaviest weight, so with unit weights (every Keller-graph search) the bound
+is the color number.  A node is one coloring of a non-empty candidate set;
+a branch whose candidate set is empty is a leaf and is not counted.  Every
+node entered is a clique, so it updates the incumbent: a run that runs out
+of budget still reports the largest clique it reached.
 
 Each subproblem's bitsets are over positions in the repeated-minimum-degree
 removal order (ties to the smallest index), so descending degeneracy order
@@ -40,9 +42,10 @@ is C has as candidates a union of Stab(C) orbits, since every shallower node
 dropped whole orbits of a larger group, so down to depth ``_ORBIT_DEPTH`` a
 searched child drops its whole Stab(C) orbit too.  All these orbits have one
 closed-form key on digit counts, ``_prefix_stabilizer_key``, and the search
-keys a node's orbits only when it first drops one.  One node counter, budget
-and incumbent span all subproblems.  Node counts and witness cliques
-therefore differ from versions without these reductions.
+keys a node's orbits, the root's included, only when it first drops one.
+One node counter, budget and incumbent span all subproblems and all rungs.
+Node counts and witness cliques therefore differ from versions without
+these reductions.
 
 The cyclic-invariant search looks for cliques closed under the coordinate
 shift, an ``Automorphism``: unions of whole shift orbits, held as one packed
@@ -62,7 +65,6 @@ witness that is checked.
 from __future__ import annotations
 
 import functools
-import sys
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -222,22 +224,15 @@ class _Subproblem:
     forced (the uniform x -> x + 1, an ``Automorphism`` commuting with the
     shift, maps the other adjacent constant pair {1^n, 3^n} onto it).
 
-    ``orbit[p]`` is the bitmask of the positions in p's orbit under the
-    automorphisms that fix the prefix, a positive int holding p's own bit;
-    the candidates are a union of these orbits.  A Stab(0) subproblem keys
-    them with ``_prefix_stabilizer_key``.  Empty means no symmetry is known,
-    as on the orbit graph, and each position is its own orbit.
-
     ``digits`` holds the positions' digit columns (``_digit_columns``, one
     row per position), from which the search keys the orbits of the
-    stabilisers of deeper cliques.  None, as on the orbit graph, means only
-    the root drops orbits.
+    stabilisers of the prefix and of deeper cliques.  None, as on the orbit
+    graph, means no symmetry is known: every position is its own orbit.
     """
 
     prefix: tuple[int, ...]
     adj: list[int]
     vectors: Sequence[tuple[int, ...]]
-    orbit: Sequence[int] = ()
     digits: Optional[np.ndarray] = None
 
 
@@ -311,16 +306,10 @@ def _orbit_masks(positions: Sequence[int], key: Sequence[int]) -> list[int]:
 
 
 def _induced(row0: np.ndarray, n: int, r: int, verts: np.ndarray) -> _Subproblem:
-    """The subproblem extending {0, r} within verts, one vertex per position.
-
-    Each position's orbit mask holds the positions of its Stab(0, r) orbit.
-    """
+    """The subproblem extending {0, r} within verts, one vertex per position."""
     adj, sub_to_vert = _relabel(_gather(row0, verts, [verts]))
     verts = verts[sub_to_vert]
-    digits = _digit_columns(verts, n)
-    key = _prefix_stabilizer_key(_digit_columns(np.array([0, r]), n), digits)
-    orbit = _orbit_masks(range(len(verts)), key.tolist())
-    return _Subproblem((0, r), adj, [(v,) for v in verts.tolist()], orbit, digits)
+    return _Subproblem((0, r), adj, [(v,) for v in verts.tolist()], _digit_columns(verts, n))
 
 
 def _subproblems(g: MaterializedGraph) -> Iterator[Callable[[], _Subproblem]]:
@@ -328,8 +317,8 @@ def _subproblems(g: MaterializedGraph) -> Iterator[Callable[[], _Subproblem]]:
 
     Translations move any clique onto vertex 0, and Stab(0) then moves its
     member of the earliest class onto that class's representative.  A
-    builder holds its candidate vertices; the gather, the relabel and the
-    Stab(0, r) orbit masks wait until it is called.
+    builder holds its candidate vertices; the gather and the relabel wait
+    until it is called.
     """
     row0 = g.row0
     allowed = row0.copy()
@@ -345,16 +334,17 @@ def _subproblems(g: MaterializedGraph) -> Iterator[Callable[[], _Subproblem]]:
 
 
 class _CliqueSearch:
-    """Weighted B&B over subproblems; a target switches to decision pruning.
+    """Weighted B&B over subproblems that decides one target at a time.
 
-    A clique's size is its total weight.  ``run`` searches a sequence of
-    subproblems under one node counter, budget and incumbent; sizes
-    (incumbent, target, ``on_improve``) count the subproblem's prefix.  With
-    a target, a branch is pruned unless its bound reaches the target, and no
-    vertex is added that would overshoot it.  A subproblem's root node drops
-    searched children's whole orbits, and so does each node down to depth
-    ``_ORBIT_DEPTH`` below it when the subproblem carries digits; every
-    other node drops single bits.
+    A clique's size is its total weight.  ``run`` decides a target over a
+    sequence of subproblems: a branch is pruned unless its bound reaches the
+    target, and no vertex is added that would overshoot it.  ``maximize``
+    runs decisions one past the incumbent until one is refuted.  Sizes
+    (incumbent, target, ``on_improve``) count the subproblem's prefix, and
+    one node counter, budget and incumbent span every subproblem and every
+    run.  With digits, a subproblem's nodes down to depth ``_ORBIT_DEPTH``
+    below its root drop searched children's whole orbits; every other node
+    drops single bits.
 
     Bitsets are over ``_relabel`` positions, so a set's highest bit is its
     next vertex in descending degeneracy order and ``int.bit_length`` finds
@@ -366,14 +356,11 @@ class _CliqueSearch:
 
     def __init__(
         self,
-        target: Optional[int],
         budget: SearchBudget,
         on_improve: Optional[Callable[[int, int], None]] = None,
         on_progress: Optional[Callable[[int, float], None]] = None,
     ):
-        self.target = target
-        self.cap = target if target is not None else sys.maxsize
-        self.floor = target - 1 if target is not None else 0
+        self.target = 1
         self.node_limit = budget.node_limit
         self.deadline = (
             time.monotonic() + budget.time_limit if budget.time_limit is not None else None
@@ -387,8 +374,7 @@ class _CliqueSearch:
         self.adj: Sequence[int] = ()
         self.nonadj: list[int] = []
         self.bits: list[int] = []
-        self.orbit: Sequence[int] = ()
-        self.keyed = 0
+        self.keyed = -1
         self.digits = self.prefix_digits = np.zeros((0, 0), dtype=np.uint8)
         self.weights: list[int] = []
         self.heavy: list[tuple[int, int]] = []
@@ -443,7 +429,7 @@ class _CliqueSearch:
         self.best, self.best_size = (self.sub, mask), size
         if self.on_improve is not None:
             self.on_improve(size, self.nodes)
-        if size >= self.cap:
+        if size >= self.target:
             raise _Found
 
     def _orbit_drops(self, rmask: int, cand: int) -> dict[int, int]:
@@ -458,54 +444,51 @@ class _CliqueSearch:
         members = positions.tolist()
         return dict(zip(members, _orbit_masks(members, key.tolist())))
 
-    def _expand(
-        self, rmask: int, rsize: int, cand: int, drop: Sequence[int] | dict[int, int] | None, depth: int = 0
-    ) -> None:
+    def _expand(self, rmask: int, rsize: int, cand: int, depth: int) -> None:
         """One node: color the non-empty candidate set and branch on it.
 
         Classes are branched last first, and within a class the lowest
         position first.  Before each child its class bound is tested against
-        the incumbent (or the target's floor); no later child has a higher
-        bound, so the first failing test ends the node.  A searched child p
-        removes ``drop[p]`` from cand, and each class is masked with cand.
-        ``depth`` counts the positions added below the subproblem's root.
-        The root passes the orbit masks, and with digits a node down to
-        ``self.keyed`` passes None: it keys its orbits (``_orbit_drops``)
-        when it first drops one, which many nodes never do.  Deeper nodes
-        pass the single bits.  So once p is searched no later child is in
-        p's orbit under the automorphisms fixing the node's clique.
+        the target; no later child has a higher bound, so the first failing
+        test ends the node.  A searched child p is dropped from cand, and
+        each class is masked with cand.  A node down to depth ``self.keyed``
+        below the subproblem's root (-1 without digits) drops p's whole
+        orbit, keyed (``_orbit_drops``) when it first drops one, which many
+        nodes never do; deeper nodes drop p's bit.  So once p is searched no
+        later child is in p's orbit under the automorphisms fixing the
+        node's clique.
         Sound, by induction on depth: the cand of a node that drops orbits
         is a union of its clique's stabiliser orbits.  At the root cand is
-        all positions, N(0) & N(r) less whole Stab(0) classes.  A child's cand is its parent's, less whole orbits of
-        the parent's stabiliser, which contains the child's, and cut to the
-        neighbours of the child's vertex, which that stabiliser fixes.  So
-        cand stays a union of orbits and the XOR removes exactly p's orbit
-        (a mask ANDed with cand loses nothing).  Let p be the first searched
-        child whose orbit a clique extending the node's meets.  An
-        automorphism fixing the node's clique maps the member there onto p,
-        and the clique onto one through p that meets no earlier child's
-        orbit, so one inside cand as it was when p was searched.  A clique
-        that meets no searched orbit lies in what is left of cand, which the
-        color bounds still cover: removal only loosens them.
+        all positions, N(0) & N(r) less whole Stab(0) classes.  A child's
+        cand is its parent's, less whole orbits of the parent's stabiliser,
+        which contains the child's, and cut to the neighbours of the child's
+        vertex, which that stabiliser fixes.  So cand stays a union of
+        orbits and the XOR removes exactly p's orbit (a mask ANDed with
+        cand loses nothing).  Let p be the first searched child whose orbit
+        a clique extending the node's meets.  An automorphism fixing the
+        node's clique maps the member there onto p, and the clique onto one
+        through p that meets no earlier child's orbit, so one inside cand as
+        it was when p was searched.  A clique that meets no searched orbit
+        lies in what is left of cand, which the color bounds still cover:
+        removal only loosens them.
         """
         self._tick()
         if rsize > self.best_size:
             self._improve(rmask, rsize)
-        adj, weights, cap, bits = self.adj, self.weights, self.cap, self.bits
-        # a child down to the keyed depth keys its orbits when it first drops one
-        child_drop = None if depth < self.keyed else bits
+        adj, weights, bits, target = self.adj, self.weights, self.bits, self.target
+        drop = None if depth <= self.keyed else bits
         for cls, bound in reversed(self._color_sort(cand)):
             cls &= cand
             while cls:
-                if rsize + bound <= max(self.best_size, self.floor):
+                if rsize + bound < target:
                     return
                 bit = cls & -cls
                 p = bit.bit_length() - 1
                 size = rsize + weights[p]
-                if size <= cap:
+                if size <= target:
                     sub = cand & adj[p]
                     if sub:
-                        self._expand(rmask | bit, size, sub, child_drop, depth + 1)
+                        self._expand(rmask | bit, size, sub, depth + 1)
                     elif size > self.best_size:  # a leaf, not counted as a node
                         self._improve(rmask | bit, size)
                 if drop is None:
@@ -517,12 +500,11 @@ class _CliqueSearch:
         self.sub, self.adj = sub, sub.adj
         self.weights = [len(vectors) for vectors in sub.vectors]
         self.bits = [1 << p for p in range(len(sub.adj))]
-        self.orbit = sub.orbit or self.bits
-        self.keyed = 0
+        self.keyed = -1
         if sub.digits is not None:
             self.keyed = _ORBIT_DEPTH
             self.digits = sub.digits
-            self.prefix_digits = _digit_columns(np.array(sub.prefix), sub.digits.shape[1])
+            self.prefix_digits = _digit_columns(np.array(sub.prefix, dtype=np.intp), sub.digits.shape[1])
         full = (1 << len(sub.adj)) - 1
         self.nonadj = [full ^ row ^ bit for row, bit in zip(sub.adj, self.bits)]  # no self-loops
         # per weight level, heaviest first, the positions of that weight; the
@@ -533,14 +515,15 @@ class _CliqueSearch:
             (w, sum(bit for bit, wp in zip(self.bits, self.weights) if wp == w)) for w in levels[:-1]
         ]
 
-    def run(self, builders: Iterable[Callable[[], _Subproblem]]) -> SearchStatus:
-        """Build and search each subproblem in turn; Ctrl-C ends it like an exhausted budget.
+    def run(self, builders: Iterable[Callable[[], _Subproblem]], target: int) -> SearchStatus:
+        """Decide target: build and search each subproblem in turn.
 
-        Ctrl-C while a subproblem is being built ends the search the same
-        way.  The time limit is also checked before each further build, so a
-        run past its deadline builds no more, and one that finished its last
-        subproblem is complete whatever the clock says.
+        Ctrl-C ends it like an exhausted budget, also while a subproblem is
+        being built.  The time limit is also checked before each further
+        build, so a run past its deadline builds no more, and one that
+        finished its last subproblem is complete whatever the clock says.
         """
+        self.target = target
         try:
             for i, build in enumerate(builders):
                 if i and self.deadline is not None and time.monotonic() > self.deadline:
@@ -549,7 +532,7 @@ class _CliqueSearch:
                 self._enter(sub)
                 size = len(sub.prefix)
                 if sub.adj:
-                    self._expand(0, size, (1 << len(sub.adj)) - 1, self.orbit)
+                    self._expand(0, size, (1 << len(sub.adj)) - 1, 0)
                 elif size > self.best_size:
                     self._improve(0, size)
         except _Found:
@@ -559,9 +542,20 @@ class _CliqueSearch:
         except KeyboardInterrupt:
             self.note = "interrupted"
             return SearchStatus.BUDGET_EXHAUSTED
-        if self.target is not None:
-            return SearchStatus.TARGET_REFUTED
-        return SearchStatus.OPTIMAL
+        return SearchStatus.TARGET_REFUTED
+
+    def maximize(self, builders: Iterable[Callable[[], _Subproblem]]) -> SearchStatus:
+        """Decide one past the incumbent until a run is not found; refuted is OPTIMAL.
+
+        Each subproblem is built at most once, so a deadline stops any run
+        within 1024 nodes.  A run decides an exact total weight: only with
+        unit weights, as on Keller graphs, is the last incumbent a maximum.
+        """
+        builders = [functools.cache(build) for build in builders]
+        status = SearchStatus.TARGET_FOUND
+        while status is SearchStatus.TARGET_FOUND:
+            status = self.run(builders, self.best_size + 1)
+        return SearchStatus.OPTIMAL if status is SearchStatus.TARGET_REFUTED else status
 
     def best_vectors(self) -> list[int]:
         """Packed vectors of the incumbent clique."""
@@ -574,11 +568,8 @@ class _CliqueSearch:
         return out
 
 
-def _search(
-    spec: KellerGraphSpec, search: _CliqueSearch, builders: Iterable[Callable[[], _Subproblem]]
-) -> SearchOutcome:
-    """Run the search and return its incumbent as a witness checked against spec."""
-    status = search.run(builders)
+def _search(spec: KellerGraphSpec, search: _CliqueSearch, status: SearchStatus) -> SearchOutcome:
+    """The finished search's outcome, its incumbent a witness checked against spec."""
     clique = VectorSet._from_packed(spec.dim, search.best_vectors())
     report = verify_clique(clique, spec)
     if not report.is_clique:
@@ -593,14 +584,15 @@ def max_clique(
     on_improve: Optional[Callable[[int, int], None]] = None,
     on_progress: Optional[Callable[[int, float], None]] = None,
 ) -> SearchOutcome:
-    """Largest clique of g; OPTIMAL unless the budget runs out first.
+    """Largest clique of g; OPTIMAL k, a k-clique and a refuted k + 1, unless the budget runs out.
 
     ``on_improve(size, nodes)`` is called whenever the incumbent grows, and
     ``on_progress(nodes, nodes_per_second)`` every ``_PROGRESS_EVERY`` nodes.
     Ctrl-C ends the search as BUDGET_EXHAUSTED with note "interrupted",
     keeping the incumbent.
     """
-    return _search(g.spec, _CliqueSearch(None, budget, on_improve, on_progress), _subproblems(g))
+    search = _CliqueSearch(budget, on_improve, on_progress)
+    return _search(g.spec, search, search.maximize(_subproblems(g)))
 
 
 def clique_decision(
@@ -618,7 +610,8 @@ def clique_decision(
     """
     if size < 1:
         raise ValueError("target size must be positive")
-    return _search(g.spec, _CliqueSearch(size, budget, on_improve, on_progress), _subproblems(g))
+    search = _CliqueSearch(budget, on_improve, on_progress)
+    return _search(g.spec, search, search.run(_subproblems(g), size))
 
 
 # ---------------------------------------------------------------------------
@@ -725,7 +718,7 @@ def invariant_clique_search(
             f"cyclic-invariant search guarded at dim {MAX_MATERIALIZE_DIM}: "
             f"it enumerates all 4**{n} = {4**n} vectors"
         )
-    search = _CliqueSearch(target, budget, on_improve, on_progress)
+    search = _CliqueSearch(budget, on_improve, on_progress)
 
     def build() -> _Subproblem:
         # runs inside search.run(), so that Ctrl-C here ends the search too
@@ -753,4 +746,4 @@ def invariant_clique_search(
         vectors = [tuple(row[:size]) for row, size in zip(table[verts].tolist(), sizes[verts].tolist())]
         return _Subproblem(prefix, adj, vectors)
 
-    return _search(spec, search, [build])
+    return _search(spec, search, search.run([build], target))

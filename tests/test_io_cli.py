@@ -230,6 +230,17 @@ def test_cli_search_refutes(capsys):
     assert capsys.readouterr().out == report  # reports are byte-deterministic
 
 
+def test_cli_search_optimal_prints_witness(capsys):
+    # without --target the search is max-clique; OPTIMAL prints its witness
+    code = main(["search", "--dim", "3"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert lines[:2] == ["status: OPTIMAL", "best clique size: 5"]
+    witness = [line.split()[1] for line in lines if line.startswith("clique: ")]
+    assert len(witness) == 5
+    assert verify_clique(VectorSet.from_strings(3, witness), KellerGraphSpec(3, GraphVariant.STAR)).is_clique
+
+
 def test_cli_search_progress_lines(capsys):
     code = main(["search", "--dim", "2", "--graph", "G", "--progress"])
     report = capsys.readouterr().out

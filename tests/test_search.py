@@ -11,7 +11,7 @@ from collections import Counter
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from keller import search as search_module
 from keller.construction import VectorSet
@@ -343,15 +343,19 @@ def test_prefix_stabilizer_key_classes_are_orbits_g4_star_sample():
 @pytest.mark.parametrize("n", [3, 4])
 @pytest.mark.parametrize("variant", [PLAIN, STAR])
 def test_orbit_masks_are_the_key_classes_of_positions(n, variant):
-    # position p's mask holds exactly the positions whose vertex shares p's
-    # key: the masks partition the positions, one key per mask
+    # at a subproblem's root, position p's drop mask holds exactly the
+    # positions whose vertex shares p's Stab(0, r) key: the masks partition
+    # the positions, one key per mask
     g = materialize(KellerGraphSpec(n, variant))
+    search = _CliqueSearch(SearchBudget())
     for sub in (build() for build in _subproblems(g)):
         verts = np.array([v for (v,) in sub.vectors], dtype=np.intp)
         assert np.array_equal(sub.digits, _digit_columns(verts, n))
         key = prefix_key(n, sub.prefix, verts).tolist()
-        assert len(sub.orbit) == len(verts)
-        for p, mask in enumerate(sub.orbit):
+        search._enter(sub)
+        drop = search._orbit_drops(0, (1 << len(verts)) - 1)
+        assert sorted(drop) == list(range(len(verts)))
+        for p, mask in drop.items():
             assert [q for q in range(len(verts)) if mask >> q & 1] == [q for q in range(len(verts)) if key[q] == key[p]]
 
 
@@ -362,10 +366,14 @@ def keller_matrix(g):
 
 
 def unreduced(matrix, target):
-    """The B&B engine on a whole relabeled boolean matrix: (status, best clique)."""
+    """The B&B engine on a whole relabeled boolean matrix: (status, best clique).
+
+    A target of None runs the ladder of decisions, ``maximize``.
+    """
     adj, order = _relabel(matrix)
-    search = _CliqueSearch(target, SearchBudget())
-    status = search.run([lambda: _Subproblem((), adj, [(v,) for v in order])])
+    search = _CliqueSearch(SearchBudget())
+    builders = [lambda: _Subproblem((), adj, [(v,) for v in order])]
+    status = search.maximize(builders) if target is None else search.run(builders, target)
     best = search.best_vectors()
     assert len(best) == search.best_size
     assert (matrix[np.ix_(best, best)] | np.eye(len(best), dtype=bool)).all()
@@ -451,6 +459,7 @@ class CheckedOrbitDrops(_CliqueSearch):
     """
 
     keyed_nodes = 0
+    keyed_roots = 0
 
     def _orbit_drops(self, rmask, cand):
         drop = super()._orbit_drops(rmask, cand)
@@ -464,6 +473,7 @@ class CheckedOrbitDrops(_CliqueSearch):
         assert sorted(drop) == [p for p in positions if cand >> p & 1]
         assert all(drop[p] == classes[p] for p in drop)
         type(self).keyed_nodes += 1
+        type(self).keyed_roots += rmask == 0
         return drop
 
 
@@ -472,13 +482,14 @@ def test_keyed_nodes_drop_whole_classes_inside_cand(monkeypatch, depth):
     monkeypatch.setattr(search_module, "_ORBIT_DEPTH", depth)
     monkeypatch.setattr(search_module, "_CliqueSearch", CheckedOrbitDrops)
     monkeypatch.setattr(CheckedOrbitDrops, "keyed_nodes", 0)
+    monkeypatch.setattr(CheckedOrbitDrops, "keyed_roots", 0)
     for n, variant in ((3, PLAIN), (3, STAR), (4, STAR)):
         g = materialize(KellerGraphSpec(n, variant))
         max_clique(g)
         clique_decision(g, 2**n)
     g = materialize(KellerGraphSpec(4, STAR))
     clique_decision(g, 13)
-    assert CheckedOrbitDrops.keyed_nodes > 0
+    assert CheckedOrbitDrops.keyed_nodes > CheckedOrbitDrops.keyed_roots > 0
 
 
 def test_reduced_search_node_counts_g4_star():
@@ -486,7 +497,76 @@ def test_reduced_search_node_counts_g4_star():
     g = materialize(KellerGraphSpec(4, STAR))
     assert clique_decision(g, 13).nodes_explored == 132
     assert clique_decision(g, 16).nodes_explored == 31
-    assert max_clique(g).nodes_explored == 165
+    assert max_clique(g).nodes_explored == 231
+
+
+def ladder(g):
+    """Fresh ``clique_decision`` runs from target 1, each one past the last
+    clique found, until one is refuted: (summed nodes, largest clique found)."""
+    nodes, target = 0, 1
+    while True:
+        out = clique_decision(g, target)
+        nodes += out.nodes_explored
+        if out.status is not SearchStatus.TARGET_FOUND:
+            return nodes, target - 1
+        target = len(out.best_clique) + 1
+
+
+@pytest.mark.parametrize("n, variant", [(3, STAR), (4, STAR), (3, PLAIN), (4, PLAIN)])
+def test_max_clique_is_a_ladder_of_decisions(n, variant):
+    # the incumbent a rung starts with prunes nothing, so each rung's tree is
+    # a fresh decision's, and one node counter sums them
+    g = materialize(KellerGraphSpec(n, variant))
+    out = max_clique(g)
+    assert out.status is SearchStatus.OPTIMAL
+    assert (out.nodes_explored, len(out.best_clique)) == ladder(g)
+
+
+def test_max_clique_builds_each_subproblem_once(monkeypatch):
+    # the last rung refutes 13 over all nine G*_4 subproblems, and earlier
+    # rungs reuse what they built
+    built, induced = [], search_module._induced
+
+    def counted(*args):
+        built.append(args[2])
+        return induced(*args)
+
+    monkeypatch.setattr(search_module, "_induced", counted)
+    g = materialize(KellerGraphSpec(4, STAR))
+    assert max_clique(g).status is SearchStatus.OPTIMAL
+    assert sorted(built) == sorted(int(c[0]) for c in _stabilizer_classes(g.spec, g.row0))
+
+
+def test_max_clique_budget_spans_every_rung():
+    # every limit below the 231 nodes of the whole ladder stops at exactly
+    # that limit, in whichever rung it falls, with a verified incumbent
+    g = materialize(KellerGraphSpec(4, STAR))
+    for limit in range(1, 231):
+        out = max_clique(g, SearchBudget(node_limit=limit))
+        assert (out.status, out.nodes_explored) == (SearchStatus.BUDGET_EXHAUSTED, limit)
+        assert len(out.best_clique) >= 2 and verify_clique(out.best_clique, g.spec).is_clique
+    out = max_clique(g, SearchBudget(node_limit=231))
+    assert (out.status, out.nodes_explored, len(out.best_clique)) == (SearchStatus.OPTIMAL, 231, 12)
+
+
+@pytest.mark.parametrize("n, variant, omega", [(3, STAR, 5), (4, STAR, 12), (4, PLAIN, 16)])
+def test_max_clique_improvements_increase_to_omega(n, variant, omega):
+    seen = []
+    out = max_clique(materialize(KellerGraphSpec(n, variant)), on_improve=lambda size, nodes: seen.append((size, nodes)))
+    sizes = [size for size, _ in seen]
+    assert sizes == sorted(set(sizes)) and sizes[-1] == len(out.best_clique) == omega
+    assert [nodes for _, nodes in seen] == sorted(nodes for _, nodes in seen)
+
+
+def test_max_clique_g5_star_budget_keeps_a_28_clique():
+    # the ladder reaches omega(G*_5) = 28 after 101 889 nodes; refuting 29
+    # takes tens of millions more
+    g = materialize(KellerGraphSpec(5, STAR))
+    seen = []
+    out = max_clique(g, SearchBudget(node_limit=110_000), on_improve=lambda size, nodes: seen.append((size, nodes)))
+    assert (out.status, out.nodes_explored, len(out.best_clique)) == (SearchStatus.BUDGET_EXHAUSTED, 110_000, 28)
+    assert verify_clique(out.best_clique, g.spec).is_clique
+    assert seen[-1] == (28, 101_889)
 
 
 def test_clique_number_ground_truth():
@@ -510,41 +590,40 @@ def test_neighbourhood_of_zero_is_dimacs_keller(n, nverts, nedges):
     assert (len(verts), int(matrix.sum()) // 2) == (nverts, nedges)
     if n == 4:
         adj, order = _relabel(matrix)
-        search = _CliqueSearch(None, SearchBudget())
-        status = search.run([lambda: _Subproblem((), adj, [(int(verts[p]),) for p in order])])
-        assert (status, search.best_size, search.nodes) == (SearchStatus.OPTIMAL, 11, 11_585)
+        search = _CliqueSearch(SearchBudget())
+        status = search.maximize([lambda: _Subproblem((), adj, [(int(verts[p]),) for p in order])])
+        assert (status, search.best_size, search.nodes) == (SearchStatus.OPTIMAL, 11, 11_653)
         # with vertex 0 it is a maximum clique of G*_4
         clique = VectorSet._from_packed(n, [0, *search.best_vectors()])
         assert verify_clique(clique, KellerGraphSpec(n, STAR)).is_clique
 
 
 class ClassStartBound(_CliqueSearch):
-    """The engine with its earlier bound test: once at each class start and
-    after each recursive child, against a threshold held in a local."""
+    """The engine with its bound test once at each class start, not before
+    every child."""
 
-    def _expand(self, rmask, rsize, cand, drop):
+    def _expand(self, rmask, rsize, cand, depth):
         self._tick()
         if rsize > self.best_size:
             self._improve(rmask, rsize)
-        adj, weights, cap, bits = self.adj, self.weights, self.cap, self.bits
-        threshold = max(self.best_size, self.floor)
+        adj, weights, bits, target = self.adj, self.weights, self.bits, self.target
+        drop = None if depth <= self.keyed else bits
         for cls, bound in reversed(self._color_sort(cand)):
             cls &= cand
-            if rsize + bound <= threshold:
+            if rsize + bound < target:
                 return
             while cls:
                 bit = cls & -cls
                 p = bit.bit_length() - 1
                 size = rsize + weights[p]
-                if size <= cap:
+                if size <= target:
                     sub = cand & adj[p]
                     if sub:
-                        self._expand(rmask | bit, size, sub, bits)
-                        threshold = max(self.best_size, self.floor)
-                        if rsize + bound <= threshold:
-                            return
+                        self._expand(rmask | bit, size, sub, depth + 1)
                     elif size > self.best_size:
                         self._improve(rmask | bit, size)
+                if drop is None:
+                    drop = self._orbit_drops(rmask, cand)
                 cand ^= drop[p]
                 cls &= cand
 
@@ -559,24 +638,35 @@ def weighted_graphs(draw):
     return matrix | matrix.T, weights
 
 
-@settings(max_examples=200, deadline=None)
+# the monkeypatched orbit depth is the same for every example
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(weighted_graphs(), st.data())
-def test_bound_test_before_every_child_matches_class_start_test(graph, data):
-    # testing the bound before every child prunes only children that are
-    # leaves of the first class and no heavier than the incumbent, so the
-    # trees, incumbents and improvement logs are the same; the root drops a
-    # drawn partition of the positions as its orbits
+def test_bound_test_before_every_child_matches_class_start_test(monkeypatch, graph, data):
+    # a run's threshold is its target, fixed, so testing the bound before
+    # every child prunes exactly what the test at its class's start does:
+    # the trees, incumbents and improvement logs are the same, for one
+    # decision and for the ladder of them; the root, the only keyed node at
+    # orbit depth 0, drops a drawn partition of the positions as its orbits
+    monkeypatch.setattr(search_module, "_ORBIT_DEPTH", 0)
     matrix, weights = graph
     adj, order = _relabel(matrix)
     vectors = [tuple(range(3 * v, 3 * v + weights[v])) for v in order]
+    digits = np.zeros((len(order), 1), dtype=np.uint8)  # any digits make the root keyed
     block = data.draw(st.lists(st.integers(0, 3), min_size=len(order), max_size=len(order)))
     orbit = [sum(1 << q for q, b in enumerate(block) if b == block[p]) for p in range(len(order))]
+
+    def drawn_drops(rmask, cand):
+        assert (rmask, cand) == (0, (1 << len(order)) - 1)
+        return dict(enumerate(orbit))
+
     for target in (None, data.draw(st.integers(1, sum(weights) + 1))):
         runs = []
         for engine in (_CliqueSearch, ClassStartBound):
             log = []
-            search = engine(target, SearchBudget(), lambda size, nodes: log.append((size, nodes)))
-            status = search.run([lambda: _Subproblem((), adj, vectors, orbit)])
+            search = engine(SearchBudget(), lambda size, nodes: log.append((size, nodes)))
+            search._orbit_drops = drawn_drops
+            builders = [lambda: _Subproblem((), adj, vectors, digits)]
+            status = search.maximize(builders) if target is None else search.run(builders, target)
             runs.append((status, search.nodes, search.best_vectors(), log))
         assert runs[0] == runs[1]
 
@@ -630,8 +720,8 @@ def test_progress_heartbeat_every_progress_every_nodes(monkeypatch):
     assert out.nodes_explored > 1024
     assert [n for n, _ in beats] == list(range(1024, out.nodes_explored + 1, 1024))
     # with neither a deadline nor a heartbeat, no node polls the clock
-    assert not _CliqueSearch(29, SearchBudget()).poll
-    assert _CliqueSearch(29, SearchBudget(time_limit=1.0)).poll
+    assert not _CliqueSearch(SearchBudget()).poll
+    assert _CliqueSearch(SearchBudget(time_limit=1.0)).poll
 
 
 def test_time_limit_exhaustion_keeps_a_real_incumbent():
@@ -838,7 +928,7 @@ def unreduced_invariant_status(n, target):
     keep, compat = search_module._orbit_compatibility(materialize(KellerGraphSpec(n, STAR)).row0, table)
     adj, order = _relabel(compat)
     vectors = [tuple(table[keep[u], : sizes[keep[u]]].tolist()) for u in order]
-    return _CliqueSearch(target, SearchBudget()).run([lambda: _Subproblem((), adj, vectors)])
+    return _CliqueSearch(SearchBudget()).run([lambda: _Subproblem((), adj, vectors)], target)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
