@@ -2,7 +2,8 @@
 
 Exit codes: 0 on verified success or completed refutation, 1 when a
 verification fails or a search budget runs out, 2 on usage or I/O errors.
-All reports are stable line-oriented text on stdout.
+All reports are stable line-oriented text on stdout.  Each command imports
+only the modules it runs, inside its handler.
 """
 
 from __future__ import annotations
@@ -12,16 +13,15 @@ import sys
 from typing import Optional, Sequence
 
 from .core import GraphVariant, KellerGraphSpec, materialize
-from .construction import build_counterexample, find_lift_shift, lift
-from .files import VectorSetFileError, export_dimacs, read_vector_set, write_vector_set
-from .search import SearchBudget, SearchStatus, clique_decision, invariant_clique_search, max_clique
-from .verify import CellCoverStatus, face_statistics, verify_clique, verify_tiling_cells
 
 _VARIANTS = {"G": GraphVariant.PLAIN, "Gstar": GraphVariant.STAR}
 _MAX_WITNESS_LINES = 20
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
+    from .construction import build_counterexample
+    from .files import write_vector_set
+
     s = build_counterexample(args.dim)
     write_vector_set(args.out, s)
     print(f"wrote {args.out}: dim={s.dim} count={len(s)}")
@@ -29,6 +29,9 @@ def _cmd_build(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .files import read_vector_set
+    from .verify import CellCoverStatus, face_statistics, verify_clique, verify_tiling_cells
+
     s = read_vector_set(args.infile)
     spec = KellerGraphSpec(s.dim, _VARIANTS[args.graph])
     ok = True
@@ -64,6 +67,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_lift(args: argparse.Namespace) -> int:
+    from .construction import find_lift_shift, lift
+    from .files import read_vector_set, write_vector_set
+
     s = read_vector_set(args.infile)
     a = find_lift_shift(s)
     if a is None:
@@ -79,6 +85,8 @@ def _cmd_lift(args: argparse.Namespace) -> int:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
+    from .search import SearchBudget, SearchStatus, clique_decision, invariant_clique_search, max_clique
+
     budget = SearchBudget(node_limit=args.budget_nodes, time_limit=args.budget_secs)
     progress = heartbeat = None
     if args.progress:
@@ -116,6 +124,8 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
+    from .files import export_dimacs
+
     spec = KellerGraphSpec(args.dim, _VARIANTS[args.graph])
     out = export_dimacs(spec, args.out)
     print(f"wrote {out.path}: p edge {out.num_vertices} {out.num_edges}")
@@ -172,7 +182,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, VectorSetFileError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # VectorSetFileError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

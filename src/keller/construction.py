@@ -15,7 +15,6 @@ checked on their packed arrays with the certifier's ``verify_clique``.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
@@ -171,6 +170,8 @@ _TABLE_SHA256 = "da76c275460440b229a0af99507de494669c51a363b1a2026c3319d7fd6925f
 
 
 def _table_digest() -> str:
+    import hashlib  # here, so that processes that never build skip loading the OpenSSL binding
+
     blob = "|".join(_TABLE1_ROWS)
     for name, col in _TABLE2_COLUMNS:
         blob += f";{name}:" + ",".join(col)

@@ -248,7 +248,8 @@ def _stabilizer_classes(spec: KellerGraphSpec, row0: np.ndarray) -> list[np.ndar
     nbrs = np.flatnonzero(row0)
     n = spec.dim
     key = _prefix_stabilizer_key(_digit_columns(np.zeros(1, dtype=np.intp), n), _digit_columns(nbrs, n))
-    classes = [nbrs[key == k] for k in np.unique(key)]
+    # sorted(set(...)), not np.unique: under numpy 2 its first call imports numpy.ma
+    classes = [nbrs[key == k] for k in sorted(set(key.tolist()))]
     classes.sort(key=len, reverse=True)
     return classes
 

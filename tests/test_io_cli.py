@@ -1,6 +1,8 @@
-"""File formats, DIMACS export, and the command-line interface."""
+"""File formats, DIMACS export, the command-line interface and the package namespace."""
 
 import hashlib
+import importlib
+import json
 import os
 import random
 import re
@@ -477,17 +479,107 @@ def test_cli_usage_error_exit_2():
     assert exc.value.code == 2
 
 
-def test_console_entry_point():
-    # the child imports the same keller package as this test, installed or not
+def _python(*args):
+    """Run a fresh interpreter on the same keller package as this test, installed or not."""
     package_root = str(Path(keller.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "keller", "export", "--dim", "1", "--graph", "G",
-         "--out", "/dev/null"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+def test_console_entry_point():
+    proc = _python("-m", "keller", "export", "--dim", "1", "--graph", "G", "--out", "/dev/null")
     assert proc.returncode == 0
     assert "p edge 4 2" in proc.stdout
+
+
+# ---------------------------------------------------------------------------
+# what a process loads
+# ---------------------------------------------------------------------------
+
+# Runs keller.cli.main on argv[1:] and prints the keller modules it loaded and
+# whether it loaded numpy.ma beyond what a bare `import numpy` loads (numpy 1.x
+# imports numpy.ma itself).
+_LOADED_BY_MAIN = """
+import contextlib, io, json, sys
+import numpy
+bare = set(sys.modules)
+from keller.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+new = set(sys.modules) - bare
+print(json.dumps([code, sorted(m for m in new if m.split(".")[0] == "keller"), "numpy.ma" in new]))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, modules",
+    [
+        (["build", "--dim", "10", "--out", "{out}"], {"construction", "verify", "files"}),
+        (["verify", "--in", "{s10}", "--cells", "--faces"], {"verify", "files"}),
+        (["lift", "--in", "{s10}", "--out", "{out}"], {"construction", "verify", "files"}),
+        (["search", "--dim", "3"], {"verify", "search"}),
+        (["search", "--dim", "3", "--target", "3", "--cyclic-invariant"], {"verify", "search"}),
+        (["export", "--dim", "2", "--out", "{out}"], {"files"}),
+    ],
+    ids=["build", "verify", "lift", "search", "search-cyclic", "export"],
+)
+def test_cli_loads_only_the_command_modules(tmp_path, s10, argv, modules):
+    write_vector_set(tmp_path / "s10.txt", s10)
+    argv = [a.format(out=tmp_path / "out.txt", s10=tmp_path / "s10.txt") for a in argv]
+    proc = _python("-c", _LOADED_BY_MAIN, *argv)
+    assert proc.returncode == 0, proc.stderr
+    code, loaded, numpy_ma = json.loads(proc.stdout)
+    assert code == 0
+    assert set(loaded) == {"keller", "keller.cli", "keller.core"} | {f"keller.{m}" for m in modules}
+    assert not numpy_ma
+
+
+# ---------------------------------------------------------------------------
+# the package namespace
+# ---------------------------------------------------------------------------
+
+# The names `keller` exports, by the module that defines each.
+_EXPORTED = {
+    "core": "Automorphism CubeVector GraphVariant KellerGraphSpec MaterializedGraph VectorSet"
+            " apply_automorphism digit_gap has_edge materialize plain_degree star_degree",
+    "construction": "BlockConditionReport BlockSystem Label TemplateVector block_swap_automorphism"
+                    " build_counterexample check_block_conditions find_lift_shift lift substitute"
+                    " table1 table2",
+    "verify": "CellCoverResult CellCoverStatus FaceHistogram MissingEdgeReport face_statistics"
+              " facet_free verify_clique verify_tiling_cells",
+    "search": "OrbitVertex SearchBudget SearchOutcome SearchStatus clique_decision cyclic_orbits"
+              " invariant_clique_search max_clique",
+    "files": "DimacsFile export_dimacs read_vector_set write_vector_set",
+}
+
+
+def test_package_exports_each_name_from_its_module():
+    names = [name for names in _EXPORTED.values() for name in names.split()]
+    assert len(names) == 44
+    assert sorted(keller.__all__) == sorted(names)
+    for module, module_names in _EXPORTED.items():
+        for name in module_names.split():
+            obj = getattr(keller, name)
+            assert obj is getattr(importlib.import_module(f"keller.{module}"), name)
+            assert obj.__module__ == f"keller.{module}"
+    assert set(names) <= set(dir(keller))
+    namespace = {}
+    exec("from keller import *", namespace)
+    assert all(namespace[name] is getattr(keller, name) for name in names)
+    with pytest.raises(AttributeError):
+        keller.nope
+    with pytest.raises(ImportError):
+        exec("from keller import nope", {})
+
+
+def test_package_import_loads_no_submodule():
+    proc = _python("-c", """
+import sys
+import keller
+assert not [m for m in sys.modules if m.startswith("keller.")], sorted(sys.modules)
+assert keller.search.max_clique is keller.max_clique
+assert sorted(m for m in sys.modules if m.startswith("keller.")) == [
+    "keller.core", "keller.search", "keller.verify"]
+""")
+    assert proc.returncode == 0, proc.stderr
