@@ -23,29 +23,37 @@ vertex and its neighbours, one OR with a prebuilt single bit.  The order is
 fixed, so search trees and node counts are reproducible.  Up to each
 subproblem the graph is handled as numpy arrays: classes, candidate sets and
 induced subgraphs are gathers on the graph's vertex-0 row (u ~ v iff
-row0[u ^ v]), and only the reordered subgraph becomes the bitset rows the
-search runs on.
+row0[u ^ v]) or on a subproblem's restriction of it, and only the reordered
+subgraph becomes the bitset rows the search runs on.
 
 The search is symmetry-broken.  Every translation m -> m ^ c is an
-automorphism, so some optimal clique contains vertex 0; the automorphisms
-fixing 0 (coordinate permutations times per-coordinate x -> -x) split N(0)
-into classes keyed by the counts of digits 0 and 2, and each class is one
-orbit.  So the search runs one subproblem per class, largest class first: the
-clique starts as {0, r} for the class representative r (its smallest vertex)
-and grows inside N(0) & N(r), minus the classes already done.  That candidate
-set is a union of orbits of Stab(0, r), the automorphisms fixing 0 and r, so
-at each subproblem's root a searched child p drops its whole Stab(0, r) orbit
-from the candidates, not just p: an automorphism fixing 0 and r maps a clique
-through another member of the orbit onto one through p, already searched.
-The same holds below the root, by induction over depth: a node whose clique
-is C has as candidates a union of Stab(C) orbits, since every shallower node
-dropped whole orbits of a larger group, so down to depth ``_ORBIT_DEPTH`` a
-searched child drops its whole Stab(C) orbit too.  All these orbits have one
-closed-form key on digit counts, ``_prefix_stabilizer_key``, and the search
-keys a node's orbits, the root's included, only when it first drops one.
-One node counter, budget and incumbent span all subproblems and all rungs.
-Node counts and witness cliques therefore differ from versions without
-these reductions.
+automorphism, and so is every map fixing 0 (coordinate permutations times
+per-coordinate x -> -x); both are linear over XOR, so they map pairwise
+differences onto pairwise differences.  The maps fixing 0 split N(0) into
+classes keyed by the counts of digits 0 and 2, and each class is one orbit.
+So the search runs one subproblem per class, largest class first, in a
+normal form: a clique whose earliest-class pairwise difference u ^ w lies in
+class i is translated by u and then mapped by Stab(0) onto one that holds 0
+and the class representative r (its smallest vertex), and whose pairwise
+differences all lie in class i or later.  Subproblem i is therefore the
+Cayley graph of those classes: the clique starts as {0, r} and grows inside
+the vertices whose differences from 0 and from r are allowed, with an edge
+where the difference is.  Its candidate set is a union of orbits of the
+automorphisms fixing 0 and r, Stab(0, r), and of x -> x ^ r, which swaps 0
+and r, commutes with Stab(0, r) and preserves every Cayley graph.  So at
+each subproblem's root a searched child p drops its whole orbit under the
+group they generate from the candidates, not just p: an automorphism
+fixing {0, r} maps a clique through another member of the orbit onto one
+through p, already searched.  The same holds below the root, by induction
+over depth: a node whose clique is C has as candidates a union of Stab(C)
+orbits, since every shallower node dropped whole orbits of a larger group,
+so down to depth ``_ORBIT_DEPTH`` a searched child drops its whole Stab(C)
+orbit too.  All these orbits have one closed-form key on digit counts,
+``_prefix_stabilizer_key``, merged at the root over v and v ^ r, and the
+search keys a node's orbits, the root's included, only when it first drops
+one.  One node counter, budget and incumbent span all subproblems and all
+rungs.  Node counts and witness cliques therefore differ from versions
+without these reductions.
 
 The cyclic-invariant search looks for cliques closed under the coordinate
 shift, an ``Automorphism``: unions of whole shift orbits, held as one packed
@@ -141,9 +149,9 @@ class _Exhausted(Exception):
 
 # A Stab(0) subproblem's nodes down to this depth below its root (depth 0)
 # drop whole orbits of their clique's stabiliser, deeper ones single
-# positions.  G*_5 decide 29 takes 61.4M nodes with the root alone, 46.8M
-# with depth 1, 42.9M with 2 and 42.4M with 3, where the keying costs what
-# the 1% fewer nodes save.
+# positions.  G*_5 decide 29 takes 36.4M nodes with the root alone, 27.1M
+# with depth 1, 24.7M with 2 and 24.5M with 3: a third keyed level saves
+# only 1% of the nodes.
 _ORBIT_DEPTH = 2
 
 
@@ -228,6 +236,10 @@ class _Subproblem:
     row per position), from which the search keys the orbits of the
     stabilisers of the prefix and of deeper cliques.  None, as on the orbit
     graph, means no symmetry is known: every position is its own orbit.
+    A subproblem with digits has the prefix (0, r) and is a Cayley graph
+    (``_subproblems``), so x -> x ^ r is one of its automorphisms too: it
+    swaps 0 and r and commutes with Stab(0, r), and the root keys the
+    orbits of the group they generate.
     """
 
     prefix: tuple[int, ...]
@@ -306,9 +318,13 @@ def _orbit_masks(positions: Sequence[int], key: Sequence[int]) -> list[int]:
     return [masks[k] for k in key]
 
 
-def _induced(row0: np.ndarray, n: int, r: int, verts: np.ndarray) -> _Subproblem:
-    """The subproblem extending {0, r} within verts, one vertex per position."""
-    adj, sub_to_vert = _relabel(_gather(row0, verts, [verts]))
+def _induced(class_of: np.ndarray, n: int, r: int, verts: np.ndarray, first: int) -> _Subproblem:
+    """The subproblem extending {0, r} within verts, one vertex per position.
+
+    Its edges are the pairs whose difference lies in class ``first`` or a
+    later one (``class_of``, -1 off N(0)), so x -> x ^ r is an automorphism.
+    """
+    adj, sub_to_vert = _relabel(_gather(class_of >= first, verts, [verts]))
     verts = verts[sub_to_vert]
     return _Subproblem((0, r), adj, [(v,) for v in verts.tolist()], _digit_columns(verts, n))
 
@@ -316,22 +332,33 @@ def _induced(row0: np.ndarray, n: int, r: int, verts: np.ndarray) -> _Subproblem
 def _subproblems(g: MaterializedGraph) -> Iterator[Callable[[], _Subproblem]]:
     """One subproblem per Stab(0) class of N(0), each yielded as its builder.
 
-    Translations move any clique onto vertex 0, and Stab(0) then moves its
-    member of the earliest class onto that class's representative.  A
-    builder holds its candidate vertices; the gather and the relabel wait
-    until it is called.
+    Subproblem i extends {0, r}, r the representative of class i, inside
+    the Cayley graph of the classes from i on: its candidates are the v
+    with v and v ^ r in class i or a later one, and its edges the pairs
+    whose difference lies there.  Every clique has such a normal form: let
+    u ^ w be a pairwise difference of the clique in the earliest class i.
+    Translating by u maps u to 0, and an element of Stab(0) then maps u ^ w
+    onto r.  Both are linear over XOR (Stab(0) permutes coordinates and
+    negates some, and x -> -x is x ^ ((x & 1) << 1) per digit), so they map
+    differences onto differences, and Stab(0) keeps each class: the image
+    contains {0, r} and all its differences lie in classes i and later.
+    On a Cayley graph x -> x ^ r is an automorphism, and it swaps 0 and r.
+    A builder holds its candidate vertices; the gather and the relabel wait
+    until it is called, and all builders share one class-index array.
     """
-    row0 = g.row0
-    allowed = row0.copy()
-    classes = _stabilizer_classes(g.spec, allowed)
+    classes = _stabilizer_classes(g.spec, g.row0)
     if not classes:
         yield lambda: _Subproblem((0,), [], [])
         return
+    class_of = np.full(g.num_vertices, -1, dtype=np.intp)
+    for i, members in enumerate(classes):
+        class_of[members] = i
     vecs = np.arange(g.num_vertices)
-    for members in classes:
-        verts = np.flatnonzero(allowed & row0[vecs ^ members[0]])
-        yield functools.partial(_induced, row0, g.spec.dim, int(members[0]), verts)
-        allowed[members] = False
+    for i, members in enumerate(classes):
+        allowed = class_of >= i
+        r = int(members[0])
+        verts = np.flatnonzero(allowed & allowed[vecs ^ r])
+        yield functools.partial(_induced, class_of, g.spec.dim, r, verts, i)
 
 
 class _CliqueSearch:
@@ -437,11 +464,17 @@ class _CliqueSearch:
         """Per position of cand, its orbit in cand under the clique's stabiliser.
 
         The clique is the prefix and rmask's positions; the orbits are the
-        classes of ``_prefix_stabilizer_key`` on the positions' digits.
+        classes of ``_prefix_stabilizer_key`` on the positions' digits.  At
+        the root, prefix (0, r), the group also holds x -> x ^ r, so v's
+        orbit there is the union of the Stab(0, r) orbits of v and v ^ r,
+        keyed by the smaller of their keys (digits XOR like packed vectors).
         """
         clique = np.concatenate([self.prefix_digits, self.digits[_positions(rmask)]])
         positions = _positions(cand)
-        key = _prefix_stabilizer_key(clique, self.digits[positions])
+        digits = self.digits[positions]
+        key = _prefix_stabilizer_key(clique, digits)
+        if not rmask:
+            key = np.minimum(key, _prefix_stabilizer_key(clique, digits ^ clique[1]))
         members = positions.tolist()
         return dict(zip(members, _orbit_masks(members, key.tolist())))
 
@@ -460,16 +493,17 @@ class _CliqueSearch:
         node's clique.
         Sound, by induction on depth: the cand of a node that drops orbits
         is a union of its clique's stabiliser orbits.  At the root cand is
-        all positions, N(0) & N(r) less whole Stab(0) classes.  A child's
-        cand is its parent's, less whole orbits of the parent's stabiliser,
-        which contains the child's, and cut to the neighbours of the child's
-        vertex, which that stabiliser fixes.  So cand stays a union of
-        orbits and the XOR removes exactly p's orbit (a mask ANDed with
+        all positions, closed under Stab(0, r) and under x -> x ^ r, and the
+        root drops whole orbits of the group both generate.  A child's cand
+        is its parent's, less whole orbits of the parent's group, which
+        contains the child's stabiliser, and cut to the neighbours of the
+        child's vertex, which that stabiliser fixes.  So cand stays a union
+        of orbits and the XOR removes exactly p's orbit (a mask ANDed with
         cand loses nothing).  Let p be the first searched child whose orbit
         a clique extending the node's meets.  An automorphism fixing the
-        node's clique maps the member there onto p, and the clique onto one
-        through p that meets no earlier child's orbit, so one inside cand as
-        it was when p was searched.  A clique that meets no searched orbit
+        node's clique (at the root, the set {0, r}) maps the member there
+        onto p, and the clique onto one through p that meets no earlier
+        child's orbit, so one inside cand as it was when p was searched.  A clique that meets no searched orbit
         lies in what is left of cand, which the color bounds still cover:
         removal only loosens them.
         """

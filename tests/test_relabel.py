@@ -113,7 +113,9 @@ def test_relabel_matches_reference_on_keller_graphs(n, variant):
 
 @pytest.mark.parametrize("n", [4, 5])
 def test_every_stabilizer_subproblem_matches_reference(monkeypatch, n):
-    # the candidates of class k: N(0) & N(rep_k) minus the earlier classes;
+    # class k's subproblem is the Cayley graph on the allowed differences,
+    # N(0) minus the earlier classes: u ~ v iff u ^ v is allowed, and the
+    # candidates are rep_k's allowed neighbours that are allowed themselves;
     # the induced matrices are built in blocks from one row to the whole matrix
     g = materialize(KellerGraphSpec(n, GraphVariant.STAR))
     rows = graph_rows(g)
@@ -124,9 +126,13 @@ def test_every_stabilizer_subproblem_matches_reference(monkeypatch, n):
     allowed = rows[0]
     for members in classes:
         rep = int(members[0])
-        cand = allowed & rows[rep]
+
+        def cayley_row(u):
+            return sum(1 << v for v in range(g.num_vertices) if allowed >> (u ^ v) & 1)
+
+        cand = allowed & cayley_row(rep)
         verts = [v for v in range(g.num_vertices) if (cand >> v) & 1]
-        adj, sub_to_vert = reference_relabel(induced(rows, verts))
+        adj, sub_to_vert = reference_relabel(induced({u: cayley_row(u) for u in verts}, verts))
         want.append(((0, rep), adj, [(verts[i],) for i in sub_to_vert]))
         for v in members.tolist():
             allowed &= ~(1 << v)

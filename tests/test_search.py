@@ -140,14 +140,14 @@ def test_budget_exhaustion_statuses():
 
 
 def test_budget_is_shared_across_subproblems():
-    # G*_4 decide 16 runs over nine Stab(0) subproblems in 31 nodes; every
+    # G*_4 decide 16 runs over nine Stab(0) subproblems in 23 nodes; every
     # limit below that stops at exactly the limit
     g = materialize(KellerGraphSpec(4, STAR))
-    for limit in (1, 2, 3, 20, 30):
+    for limit in (1, 2, 3, 20, 22):
         out = clique_decision(g, 16, SearchBudget(node_limit=limit))
         assert (out.status, out.nodes_explored) == (SearchStatus.BUDGET_EXHAUSTED, limit)
-    out = clique_decision(g, 16, SearchBudget(node_limit=31))
-    assert (out.status, out.nodes_explored) == (SearchStatus.TARGET_REFUTED, 31)
+    out = clique_decision(g, 16, SearchBudget(node_limit=23))
+    assert (out.status, out.nodes_explored) == (SearchStatus.TARGET_REFUTED, 23)
 
 
 def test_interrupt_keeps_incumbent():
@@ -315,20 +315,26 @@ def test_prefix_stabilizer_key_classes_are_orbits(n, variant):
     assert prefixes or (n, variant) == (2, STAR)  # G*_2 is triangle-free
 
 
+def stab0_images(n):
+    """Stab(0), the 2^n n! signed coordinate permutations, applied to every
+    packed vector: one row per map."""
+    negate = (0, 3, 2, 1)
+    vecs = np.arange(4**n)
+    return np.array([
+        Automorphism(perm, tuple(negate if s else (0, 1, 2, 3) for s in signs))._apply_packed(vecs)
+        for perm in itertools.permutations(range(n))
+        for signs in itertools.product((0, 1), repeat=n)
+    ])
+
+
 def test_prefix_stabilizer_key_classes_are_orbits_g4_star_sample():
     # Stab(0) is the 2^4 4! = 384 signed coordinate permutations; each
     # preserves G*_4's adjacency.  A seeded sample of cliques {0, r, p, q}
     # keys every prefix of each
     n = 4
     g = materialize(KellerGraphSpec(n, STAR))
-    negate = (0, 3, 2, 1)
-    stab = [
-        Automorphism(perm, tuple(negate if s else (0, 1, 2, 3) for s in signs))
-        for perm in itertools.permutations(range(n))
-        for signs in itertools.product((0, 1), repeat=n)
-    ]
+    images = stab0_images(n)
     vecs = np.arange(4**n)
-    images = np.array([a._apply_packed(vecs) for a in stab])
     assert len({row.tobytes() for row in images}) == 384 and (images[:, 0] == 0).all()
     matrix = g.row0[vecs[:, None] ^ vecs]
     assert all((matrix[np.ix_(row, row)] == matrix).all() for row in images)
@@ -340,23 +346,94 @@ def test_prefix_stabilizer_key_classes_are_orbits_g4_star_sample():
             assert_key_classes_are_orbits(n, images, clique)
 
 
+def root_key(n, prefix, vecs):
+    """The key of a subproblem root's orbits: Stab(0, r) keys merged by the
+    swap x -> x ^ r, for the prefix (0, r)."""
+    vecs = np.asarray(vecs)
+    return np.minimum(prefix_key(n, prefix, vecs), prefix_key(n, prefix, vecs ^ prefix[1]))
+
+
 @pytest.mark.parametrize("n", [3, 4])
 @pytest.mark.parametrize("variant", [PLAIN, STAR])
 def test_orbit_masks_are_the_key_classes_of_positions(n, variant):
     # at a subproblem's root, position p's drop mask holds exactly the
-    # positions whose vertex shares p's Stab(0, r) key: the masks partition
-    # the positions, one key per mask
+    # positions whose vertex shares p's merged key, its Stab(0, r) key or
+    # that of its image under the swap x -> x ^ r: the masks partition the
+    # positions, one key per mask
     g = materialize(KellerGraphSpec(n, variant))
     search = _CliqueSearch(SearchBudget())
     for sub in (build() for build in _subproblems(g)):
         verts = np.array([v for (v,) in sub.vectors], dtype=np.intp)
         assert np.array_equal(sub.digits, _digit_columns(verts, n))
-        key = prefix_key(n, sub.prefix, verts).tolist()
+        key = root_key(n, sub.prefix, verts).tolist()
         search._enter(sub)
         drop = search._orbit_drops(0, (1 << len(verts)) - 1)
         assert sorted(drop) == list(range(len(verts)))
         for p, mask in drop.items():
             assert [q for q in range(len(verts)) if mask >> q & 1] == [q for q in range(len(verts)) if key[q] == key[p]]
+
+
+def class_index(g):
+    """Per vertex, the index of its Stab(0) class in search order; -1 off N(0)."""
+    out = np.full(g.num_vertices, -1)
+    for i, members in enumerate(_stabilizer_classes(g.spec, g.row0)):
+        out[members] = i
+    return out
+
+
+@pytest.mark.parametrize("n, variant, limit", [(3, PLAIN, None), (3, STAR, None), (4, STAR, 500)])
+def test_every_clique_has_a_normal_form_in_its_subproblem(n, variant, limit):
+    # subproblem i is the Cayley graph of the classes from i on: a vertex or
+    # an edge iff its difference (from 0, from r and from each other) lies in
+    # class i or later.  Translating a maximal clique's pair (u, w) with the
+    # earliest-class difference to (0, u ^ w), then mapping u ^ w onto the
+    # class representative r by Stab(0), gives a clique of that subproblem
+    g = materialize(KellerGraphSpec(n, variant))
+    cls = class_index(g)
+    subs = [build() for build in _subproblems(g)]
+    positions = []
+    for i, sub in enumerate(subs):
+        r = sub.prefix[1]
+        verts = [v for (v,) in sub.vectors]
+        assert sorted(verts) == [v for v in range(4**n) if cls[v] >= i and cls[v ^ r] >= i]
+        for p, u in enumerate(verts):
+            assert [q for q in range(len(verts)) if sub.adj[p] >> q & 1] == [
+                q for q, v in enumerate(verts) if cls[u ^ v] >= i
+            ]
+        positions.append({v: p for p, v in enumerate(verts)})
+    images = stab0_images(n)
+    for clique in itertools.islice(nx.find_cliques(nx_graph(g)), limit):
+        i, u, w = min((cls[u ^ w], u, w) for u, w in itertools.combinations(clique, 2))
+        r = subs[i].prefix[1]
+        a = images[np.flatnonzero(images[:, u ^ w] == r)[0]]
+        image = {int(a[v ^ u]) for v in clique}
+        assert {0, r} <= image and len(image) == len(clique)
+        rest = [positions[i][v] for v in image - {0, r}]
+        assert all(subs[i].adj[p] >> q & 1 for p, q in itertools.combinations(rest, 2))
+
+
+@pytest.mark.parametrize(
+    "n, variant, roots", [(3, PLAIN, None), (3, STAR, None), (4, PLAIN, None), (4, STAR, None), (5, STAR, 3)]
+)
+def test_root_orbits_are_those_of_stab_0_r_and_the_swap(n, variant, roots):
+    # at the root of subproblem (0, r), position p's drop mask is its orbit
+    # under Stab(0, r) and the maps x -> a(x) ^ r for a in Stab(0, r), found
+    # by brute force over Stab(0) (3 840 maps at n = 5): the candidates are
+    # closed under these maps, and the merged key's classes are their orbits
+    g = materialize(KellerGraphSpec(n, variant))
+    images = stab0_images(n)
+    search = _CliqueSearch(SearchBudget())
+    for build in itertools.islice(_subproblems(g), roots):
+        sub = build()
+        r = sub.prefix[1]
+        pair = images[images[:, r] == r]
+        group = np.concatenate([pair, pair ^ r])
+        verts = [v for (v,) in sub.vectors]
+        assert set(group[:, verts].ravel().tolist()) == set(verts)
+        search._enter(sub)
+        drop = search._orbit_drops(0, (1 << len(verts)) - 1)
+        position = {v: p for p, v in enumerate(verts)}
+        assert drop == {p: sum(1 << position[w] for w in set(group[:, v].tolist())) for p, v in enumerate(verts)}
 
 
 def keller_matrix(g):
@@ -455,7 +532,8 @@ class CheckedOrbitDrops(_CliqueSearch):
     Every drop mask must be its position's key class, whole and inside cand,
     so cand must be a union of classes: the induction behind dropping whole
     orbits below a subproblem's root.  The classes are keyed afresh on the
-    positions' vectors, not on the subproblem's digits.
+    positions' vectors, not on the subproblem's digits; at the root the key
+    merges each vector's with its image under the swap x -> x ^ r.
     """
 
     keyed_nodes = 0
@@ -467,7 +545,9 @@ class CheckedOrbitDrops(_CliqueSearch):
         clique = list(sub.prefix)
         positions = range(len(sub.vectors))
         clique += [sub.vectors[p][0] for p in positions if rmask >> p & 1]
-        key = prefix_key(sub.digits.shape[1], clique, [v for (v,) in sub.vectors]).tolist()
+        vecs = [v for (v,) in sub.vectors]
+        n = sub.digits.shape[1]
+        key = (root_key(n, clique, vecs) if rmask == 0 else prefix_key(n, clique, vecs)).tolist()
         classes = search_module._orbit_masks(positions, key)
         assert all(cls & cand in (0, cls) for cls in classes)
         assert sorted(drop) == [p for p in positions if cand >> p & 1]
@@ -495,9 +575,9 @@ def test_keyed_nodes_drop_whole_classes_inside_cand(monkeypatch, depth):
 def test_reduced_search_node_counts_g4_star():
     # the unreduced engine needs 748 322, 108 280 and 748 342 nodes here
     g = materialize(KellerGraphSpec(4, STAR))
-    assert clique_decision(g, 13).nodes_explored == 132
-    assert clique_decision(g, 16).nodes_explored == 31
-    assert max_clique(g).nodes_explored == 231
+    assert clique_decision(g, 13).nodes_explored == 92
+    assert clique_decision(g, 16).nodes_explored == 23
+    assert max_clique(g).nodes_explored == 191
 
 
 def ladder(g):
@@ -538,15 +618,15 @@ def test_max_clique_builds_each_subproblem_once(monkeypatch):
 
 
 def test_max_clique_budget_spans_every_rung():
-    # every limit below the 231 nodes of the whole ladder stops at exactly
+    # every limit below the 191 nodes of the whole ladder stops at exactly
     # that limit, in whichever rung it falls, with a verified incumbent
     g = materialize(KellerGraphSpec(4, STAR))
-    for limit in range(1, 231):
+    for limit in range(1, 191):
         out = max_clique(g, SearchBudget(node_limit=limit))
         assert (out.status, out.nodes_explored) == (SearchStatus.BUDGET_EXHAUSTED, limit)
         assert len(out.best_clique) >= 2 and verify_clique(out.best_clique, g.spec).is_clique
-    out = max_clique(g, SearchBudget(node_limit=231))
-    assert (out.status, out.nodes_explored, len(out.best_clique)) == (SearchStatus.OPTIMAL, 231, 12)
+    out = max_clique(g, SearchBudget(node_limit=191))
+    assert (out.status, out.nodes_explored, len(out.best_clique)) == (SearchStatus.OPTIMAL, 191, 12)
 
 
 @pytest.mark.parametrize("n, variant, omega", [(3, STAR, 5), (4, STAR, 12), (4, PLAIN, 16)])
@@ -688,6 +768,17 @@ def test_g5_star_has_a_28_clique():
         0, 24, 30, 86, 123, 148, 159, 306, 313, 397, 435, 437, 470, 507,
         541, 560, 595, 597, 619, 724, 735, 882, 889, 925, 944, 966, 1016, 1022,
     ]
+
+
+@pytest.mark.slow
+def test_g5_star_clique_number_is_28():
+    # Corradi-Szabo (1990): omega(G*_5) = 28, as a verified 28-clique (found
+    # after 101 889 nodes) and a refuted 29, the whole of the remaining
+    # 24 742 190 nodes; about 8 min on a 2-vCPU VM
+    g = materialize(KellerGraphSpec(5, STAR))
+    out = max_clique(g)
+    assert (out.status, len(out.best_clique), out.nodes_explored) == (SearchStatus.OPTIMAL, 28, 24_844_079)
+    assert verify_clique(out.best_clique, g.spec).is_clique
 
 
 def test_budgeted_decision_keeps_a_real_incumbent():
