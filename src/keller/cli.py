@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 from .core import GraphVariant, KellerGraphSpec, materialize
 
-_VARIANTS = {"G": GraphVariant.PLAIN, "Gstar": GraphVariant.STAR}
+_GRAPHS = sorted(v.value for v in GraphVariant)  # the --graph choices, "G" and "Gstar"
 _MAX_WITNESS_LINES = 20
 
 
@@ -33,7 +33,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     from .verify import CellCoverStatus, face_statistics, verify_clique, verify_tiling_cells
 
     s = read_vector_set(args.infile)
-    spec = KellerGraphSpec(s.dim, _VARIANTS[args.graph])
+    spec = KellerGraphSpec(s.dim, GraphVariant(args.graph))
     ok = True
 
     # the cell oracle runs first, so that its dimension guard fails before
@@ -103,7 +103,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
             args.dim, args.target, budget, on_improve=progress, on_progress=heartbeat
         )
     else:
-        spec = KellerGraphSpec(args.dim, _VARIANTS[args.graph or "Gstar"])
+        spec = KellerGraphSpec(args.dim, GraphVariant(args.graph or "Gstar"))
         g = materialize(spec)
         if args.target is not None:
             outcome = clique_decision(
@@ -126,7 +126,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
 def _cmd_export(args: argparse.Namespace) -> int:
     from .files import export_dimacs
 
-    spec = KellerGraphSpec(args.dim, _VARIANTS[args.graph])
+    spec = KellerGraphSpec(args.dim, GraphVariant(args.graph))
     out = export_dimacs(spec, args.out)
     print(f"wrote {out.path}: p edge {out.num_vertices} {out.num_edges}")
     return 0
@@ -146,7 +146,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check a vector-set file (clique, cells, faces)")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--graph", choices=sorted(_VARIANTS), default="Gstar")
+    p.add_argument("--graph", choices=_GRAPHS, default="Gstar")
     p.add_argument("--cells", action="store_true", help="run the torus cell-cover oracle")
     p.add_argument("--faces", action="store_true", help="report shared-face statistics")
     p.set_defaults(func=_cmd_verify)
@@ -158,7 +158,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="exact clique search (optionally cyclic-invariant)")
     p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--graph", choices=sorted(_VARIANTS), default=None,
+    p.add_argument("--graph", choices=_GRAPHS, default=None,
                    help="default Gstar, the only graph --cyclic-invariant searches")
     p.add_argument("--target", type=int, default=None, help="decide this clique size")
     p.add_argument("--cyclic-invariant", action="store_true",
@@ -171,7 +171,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("export", help="write a Keller graph in DIMACS edge format")
     p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--graph", choices=sorted(_VARIANTS), default="Gstar")
+    p.add_argument("--graph", choices=_GRAPHS, default="Gstar")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_export)
 

@@ -99,6 +99,8 @@ def _packed_dtype(dim: int) -> np.dtype:
 
 def _digit_columns(packed: np.ndarray, dim: int) -> np.ndarray:
     """The digits of packed vectors as a (len, dim) uint8 array, coordinate j in column j."""
+    if not len(packed):  # no per-coordinate array, whatever the dimension
+        return np.zeros((0, dim), dtype=np.uint8)
     return np.stack([(packed >> (2 * j)) & 3 for j in range(dim)], axis=-1).astype(np.uint8)
 
 
@@ -349,7 +351,8 @@ class VectorSet:
         if dim < 1:
             raise ValueError(f"dimension must be positive, got {dim}")
         packed = np.array(values, dtype=_packed_dtype(dim))
-        packed = packed[np.lexsort(_digit_columns(packed, dim).T[::-1])]  # coordinate 0 first
+        if len(packed) > 1:  # lexsort takes one key per coordinate, even for no vectors
+            packed = packed[np.lexsort(_digit_columns(packed, dim).T[::-1])]  # coordinate 0 first
         dup = np.flatnonzero(packed[1:] == packed[:-1])
         if dup.size:
             raise ValueError(f"duplicate vector {CubeVector(dim, int(packed[dup[0]]))}")

@@ -23,8 +23,10 @@ vertex and its neighbours, one OR with a prebuilt single bit.  The order is
 fixed, so search trees and node counts are reproducible.  Up to each
 subproblem the graph is handled as numpy arrays: classes, candidate sets and
 induced subgraphs are gathers on the graph's vertex-0 row (u ~ v iff
-row0[u ^ v]) or on a subproblem's restriction of it, and only the reordered
-subgraph becomes the bitset rows the search runs on.
+row0[u ^ v]) or on a subproblem's restriction of it.  A subproblem is one
+value, ``_Subproblem``: built from its candidates' boolean matrix, it is
+relabeled once into the bitset rows and prebuilt masks the search runs on,
+and the engine, ``_CliqueSearch``, keeps only run state.
 
 The search is symmetry-broken.  Every translation m -> m ^ c is an
 automorphism, and so is every map fixing 0 (coordinate permutations times
@@ -170,7 +172,8 @@ def _relabel(matrix: np.ndarray) -> tuple[list[int], list[int]]:
     ``order[p]``, and bit q of ``rows[p]`` is set iff order[p] ~ order[q]:
     the last vertex removed is the top bit, so a bitset's highest set bit is
     its next vertex in descending degeneracy order.  The rows are permuted
-    and packed in row blocks, so the only full-size array is ``matrix``.
+    and packed in blocks of about _BLOCK_ELEMS entries, so the only
+    full-size array is ``matrix``.
     """
     matrix = np.ascontiguousarray(matrix)  # row updates below are 5x slower in Fortran order
     nverts = len(matrix)
@@ -182,23 +185,14 @@ def _relabel(matrix: np.ndarray) -> tuple[list[int], list[int]]:
         order[i] = v
         deg -= matrix[v]
         deg[v] = removed
-    # take(order, axis=1) is faster than [:, order]
-    rows = _pack_rows(nverts, nverts, lambda a, b: matrix[order[a:b]].take(order, axis=1))
-    return rows, order.tolist()
-
-
-def _pack_rows(nrows: int, ncols: int, block: Callable[[int, int], np.ndarray]) -> list[int]:
-    """A boolean matrix's rows as Python ints, column j in bit j.
-
-    ``block(a, b)`` returns rows a to b - 1 (b may pass the last row); the
-    blocks have about _BLOCK_ELEMS entries, so the whole matrix never exists.
-    """
     rows: list[int] = []
-    step = max(1, _BLOCK_ELEMS // max(1, ncols))
-    for start in range(0, nrows, step):
-        packed = np.packbits(block(start, start + step), axis=1, bitorder="little")
+    step = max(1, _BLOCK_ELEMS // max(1, nverts))
+    for start in range(0, nverts, step):
+        # take(order, axis=1) is faster than [:, order]
+        block = matrix[order[start : start + step]].take(order, axis=1)
+        packed = np.packbits(block, axis=1, bitorder="little")
         rows.extend(int.from_bytes(row.tobytes(), "little") for row in packed)
-    return rows
+    return rows, order.tolist()
 
 
 def _positions(mask: int) -> np.ndarray:
@@ -218,34 +212,64 @@ def _gather(row0: np.ndarray, rows: np.ndarray, columns: Sequence[np.ndarray]) -
     return matrix
 
 
-@dataclass(frozen=True)
 class _Subproblem:
     """Extend the clique ``prefix`` (packed vectors) within a candidate set.
 
-    ``adj`` is the subgraph induced on the candidates, all of them adjacent
-    to every prefix vector, as ``_relabel`` rows: one bit per position in
-    degeneracy removal order.  ``vectors[p]`` is the tuple of packed vectors
-    that position p adds to a clique, and its length is p's weight: ``(v,)``
-    for a Keller-graph vertex, one whole orbit for the orbit graph.  Both
-    searches fix vectors only through the prefix: {0, r} for a Stab(0)
+    Built from the candidates' dense boolean adjacency ``matrix``, all of
+    them adjacent to every prefix vector; ``vectors[i]`` is the tuple of
+    packed vectors that candidate i adds to a clique, and its length is i's
+    weight: ``(v,)`` for a Keller-graph vertex, one whole orbit for the
+    orbit graph.  ``digits[i]`` is candidate i's digit columns
+    (``_digit_columns``), from which the search keys the orbits of the
+    stabilisers of the prefix and of deeper cliques; None, as on the orbit
+    graph, means no symmetry is known: every position is its own orbit.
+    Both searches fix vectors only through the prefix: {0, r} for a Stab(0)
     class, and {0^n, 2^n} on the orbit graph when exactly two constants are
     forced (the uniform x -> x + 1, an ``Automorphism`` commuting with the
-    shift, maps the other adjacent constant pair {1^n, 3^n} onto it).
-
-    ``digits`` holds the positions' digit columns (``_digit_columns``, one
-    row per position), from which the search keys the orbits of the
-    stabilisers of the prefix and of deeper cliques.  None, as on the orbit
-    graph, means no symmetry is known: every position is its own orbit.
-    A subproblem with digits has the prefix (0, r) and is a Cayley graph
+    shift, maps the other adjacent constant pair {1^n, 3^n} onto it).  A
+    subproblem with digits has the prefix (0, r) and is a Cayley graph
     (``_subproblems``), so x -> x ^ r is one of its automorphisms too: it
     swaps 0 and r and commutes with Stab(0, r), and the root keys the
     orbits of the group they generate.
+
+    The constructor relabels the matrix once (``_relabel``) and keeps
+    everything the search branches with, over positions in degeneracy
+    removal order: ``adj`` the bitset rows, ``vectors``, ``weights`` and
+    ``digits`` per position, ``bits[p]`` = 1 << p, ``nonadj[p]`` the
+    positions that are neither p nor its neighbours (a positive mask, so
+    coloring never ANDs with a negative int, which makes CPython build a
+    two's-complement temporary), the weight levels ``light`` and ``heavy``
+    (per level above the lightest, heaviest first, the mask of its
+    positions), and ``prefix_digits``.
     """
 
-    prefix: tuple[int, ...]
-    adj: list[int]
-    vectors: Sequence[tuple[int, ...]]
-    digits: Optional[np.ndarray] = None
+    def __init__(
+        self,
+        prefix: tuple[int, ...],
+        matrix: np.ndarray,
+        vectors: Sequence[tuple[int, ...]],
+        digits: Optional[np.ndarray] = None,
+    ):
+        self.prefix = prefix
+        self.adj, order = _relabel(matrix)
+        self.vectors = [vectors[i] for i in order]
+        self.weights = [len(v) for v in self.vectors]
+        self.bits = [1 << p for p in range(len(order))]
+        full = (1 << len(order)) - 1
+        self.nonadj = [full ^ row ^ bit for row, bit in zip(self.adj, self.bits)]  # no self-loops
+        levels = sorted(set(self.weights), reverse=True) or [1]
+        self.light = levels[-1]
+        self.heavy = [
+            (w, sum(bit for bit, wp in zip(self.bits, self.weights) if wp == w)) for w in levels[:-1]
+        ]
+        self.digits = self.prefix_digits = None
+        if digits is not None:
+            self.digits = digits[order]
+            self.prefix_digits = _digit_columns(np.array(prefix, dtype=np.intp), digits.shape[1])
+
+
+# the candidates of a subproblem that has none
+_NONE = np.zeros((0, 0), dtype=bool)
 
 
 def _stabilizer_classes(spec: KellerGraphSpec, row0: np.ndarray) -> list[np.ndarray]:
@@ -324,9 +348,8 @@ def _induced(class_of: np.ndarray, n: int, r: int, verts: np.ndarray, first: int
     Its edges are the pairs whose difference lies in class ``first`` or a
     later one (``class_of``, -1 off N(0)), so x -> x ^ r is an automorphism.
     """
-    adj, sub_to_vert = _relabel(_gather(class_of >= first, verts, [verts]))
-    verts = verts[sub_to_vert]
-    return _Subproblem((0, r), adj, [(v,) for v in verts.tolist()], _digit_columns(verts, n))
+    matrix = _gather(class_of >= first, verts, [verts])
+    return _Subproblem((0, r), matrix, [(v,) for v in verts.tolist()], _digit_columns(verts, n))
 
 
 def _subproblems(g: MaterializedGraph) -> Iterator[Callable[[], _Subproblem]]:
@@ -348,7 +371,7 @@ def _subproblems(g: MaterializedGraph) -> Iterator[Callable[[], _Subproblem]]:
     """
     classes = _stabilizer_classes(g.spec, g.row0)
     if not classes:
-        yield lambda: _Subproblem((0,), [], [])
+        yield lambda: _Subproblem((0,), _NONE, [])
         return
     class_of = np.full(g.num_vertices, -1, dtype=np.intp)
     for i, members in enumerate(classes):
@@ -364,23 +387,22 @@ def _subproblems(g: MaterializedGraph) -> Iterator[Callable[[], _Subproblem]]:
 class _CliqueSearch:
     """Weighted B&B over subproblems that decides one target at a time.
 
+    The engine holds run state only: the budget and callbacks, the target,
+    the node counter, the incumbent, and the subproblem being searched,
+    ``sub``, whose tables (``_Subproblem``) the node code binds as locals.
     A clique's size is its total weight.  ``run`` decides a target over a
     sequence of subproblems: a branch is pruned unless its bound reaches the
     target, and no vertex is added that would overshoot it.  ``maximize``
     runs decisions one past the incumbent until one is refuted.  Sizes
     (incumbent, target, ``on_improve``) count the subproblem's prefix, and
     one node counter, budget and incumbent span every subproblem and every
-    run.  With digits, a subproblem's nodes down to depth ``_ORBIT_DEPTH``
-    below its root drop searched children's whole orbits; every other node
-    drops single bits.
-
-    Bitsets are over ``_relabel`` positions, so a set's highest bit is its
-    next vertex in descending degeneracy order and ``int.bit_length`` finds
-    it without allocating.  Coloring a vertex p costs two big-int operations:
-    ``q &= nonadj[p]`` drops p and its neighbours with a positive mask (a
-    negative ``~adj[p]`` operand would make CPython build a two's-complement
-    temporary on every AND), and ``cls |= bits[p]`` takes a prebuilt bit.
+    run.  With digits, a subproblem's nodes down to depth ``keyed`` =
+    ``_ORBIT_DEPTH`` below its root drop searched children's whole orbits;
+    every other node drops single bits.
     """
+
+    sub: _Subproblem
+    keyed: int
 
     def __init__(
         self,
@@ -399,16 +421,7 @@ class _CliqueSearch:
         # one flag, so a run with neither a deadline nor a heartbeat does no
         # extra work per node
         self.poll = self.deadline is not None or on_progress is not None
-        self.adj: Sequence[int] = ()
-        self.nonadj: list[int] = []
-        self.bits: list[int] = []
-        self.keyed = -1
-        self.digits = self.prefix_digits = np.zeros((0, 0), dtype=np.uint8)
-        self.weights: list[int] = []
-        self.heavy: list[tuple[int, int]] = []
-        self.light = 1
-        self.sub: Optional[_Subproblem] = None
-        self.best: tuple[_Subproblem, int] = (_Subproblem((), [], []), 0)
+        self.best: tuple[_Subproblem, int] = (_Subproblem((), _NONE, []), 0)
         self.best_size = 0
         self.nodes = 0
         self.note: Optional[str] = None
@@ -431,9 +444,12 @@ class _CliqueSearch:
         """Greedy color classes of cand from the top bit down, each with its bound.
 
         A class's bound is the sum of the maximum weights of it and every
-        earlier class: the color number when all weights are 1.
+        earlier class: the color number when all weights are 1.  Coloring a
+        position p costs two big-int operations, ``q &= nonadj[p]`` and
+        ``cls |= bits[p]``.
         """
-        nonadj, bits, light, heavy = self.nonadj, self.bits, self.light, self.heavy
+        sub = self.sub
+        nonadj, bits, light, heavy = sub.nonadj, sub.bits, sub.light, sub.heavy
         classes: list[tuple[int, int]] = []
         bound = 0
         while cand:
@@ -469,9 +485,10 @@ class _CliqueSearch:
         orbit there is the union of the Stab(0, r) orbits of v and v ^ r,
         keyed by the smaller of their keys (digits XOR like packed vectors).
         """
-        clique = np.concatenate([self.prefix_digits, self.digits[_positions(rmask)]])
+        sub = self.sub
+        clique = np.concatenate([sub.prefix_digits, sub.digits[_positions(rmask)]])
         positions = _positions(cand)
-        digits = self.digits[positions]
+        digits = sub.digits[positions]
         key = _prefix_stabilizer_key(clique, digits)
         if not rmask:
             key = np.minimum(key, _prefix_stabilizer_key(clique, digits ^ clique[1]))
@@ -482,10 +499,12 @@ class _CliqueSearch:
         """One node: color the non-empty candidate set and branch on it.
 
         Classes are branched last first, and within a class the lowest
-        position first.  Before each child its class bound is tested against
-        the target; no later child has a higher bound, so the first failing
-        test ends the node.  A searched child p is dropped from cand, and
-        each class is masked with cand.  A node down to depth ``self.keyed``
+        position first.  At each class's start its bound is tested against
+        the target; no later class has a higher bound, so the first failing
+        test ends the node.  The target is fixed for the run and rsize for
+        the node, so a test before each child of the class would prune the
+        same children.  A searched child p is dropped from cand, and each
+        class is masked with cand.  A node down to depth ``self.keyed``
         below the subproblem's root (-1 without digits) drops p's whole
         orbit, keyed (``_orbit_drops``) when it first drops one, which many
         nodes never do; deeper nodes drop p's bit.  So once p is searched no
@@ -503,52 +522,34 @@ class _CliqueSearch:
         a clique extending the node's meets.  An automorphism fixing the
         node's clique (at the root, the set {0, r}) maps the member there
         onto p, and the clique onto one through p that meets no earlier
-        child's orbit, so one inside cand as it was when p was searched.  A clique that meets no searched orbit
-        lies in what is left of cand, which the color bounds still cover:
-        removal only loosens them.
+        child's orbit, so one inside cand as it was when p was searched.  A
+        clique that meets no searched orbit lies in what is left of cand,
+        which the color bounds still cover: removal only loosens them.
         """
         self._tick()
         if rsize > self.best_size:
             self._improve(rmask, rsize)
-        adj, weights, bits, target = self.adj, self.weights, self.bits, self.target
-        drop = None if depth <= self.keyed else bits
+        sub, target = self.sub, self.target
+        adj, weights = sub.adj, sub.weights
+        drop = None if depth <= self.keyed else sub.bits
         for cls, bound in reversed(self._color_sort(cand)):
+            if rsize + bound < target:
+                return
             cls &= cand
             while cls:
-                if rsize + bound < target:
-                    return
                 bit = cls & -cls
                 p = bit.bit_length() - 1
                 size = rsize + weights[p]
                 if size <= target:
-                    sub = cand & adj[p]
-                    if sub:
-                        self._expand(rmask | bit, size, sub, depth + 1)
+                    rest = cand & adj[p]
+                    if rest:
+                        self._expand(rmask | bit, size, rest, depth + 1)
                     elif size > self.best_size:  # a leaf, not counted as a node
                         self._improve(rmask | bit, size)
                 if drop is None:
                     drop = self._orbit_drops(rmask, cand)
                 cand ^= drop[p]
                 cls &= cand
-
-    def _enter(self, sub: _Subproblem) -> None:
-        self.sub, self.adj = sub, sub.adj
-        self.weights = [len(vectors) for vectors in sub.vectors]
-        self.bits = [1 << p for p in range(len(sub.adj))]
-        self.keyed = -1
-        if sub.digits is not None:
-            self.keyed = _ORBIT_DEPTH
-            self.digits = sub.digits
-            self.prefix_digits = _digit_columns(np.array(sub.prefix, dtype=np.intp), sub.digits.shape[1])
-        full = (1 << len(sub.adj)) - 1
-        self.nonadj = [full ^ row ^ bit for row, bit in zip(sub.adj, self.bits)]  # no self-loops
-        # per weight level, heaviest first, the positions of that weight; the
-        # lightest level needs no mask, it is what a color class falls back to
-        levels = sorted(set(self.weights), reverse=True) or [1]
-        self.light = levels[-1]
-        self.heavy = [
-            (w, sum(bit for bit, wp in zip(self.bits, self.weights) if wp == w)) for w in levels[:-1]
-        ]
 
     def run(self, builders: Iterable[Callable[[], _Subproblem]], target: int) -> SearchStatus:
         """Decide target: build and search each subproblem in turn.
@@ -563,8 +564,8 @@ class _CliqueSearch:
             for i, build in enumerate(builders):
                 if i and self.deadline is not None and time.monotonic() > self.deadline:
                     raise _Exhausted
-                sub = build()
-                self._enter(sub)
+                self.sub = sub = build()
+                self.keyed = -1 if sub.digits is None else _ORBIT_DEPTH
                 size = len(sub.prefix)
                 if sub.adj:
                     self._expand(0, size, (1 << len(sub.adj)) - 1, 0)
@@ -582,9 +583,10 @@ class _CliqueSearch:
     def maximize(self, builders: Iterable[Callable[[], _Subproblem]]) -> SearchStatus:
         """Decide one past the incumbent until a run is not found; refuted is OPTIMAL.
 
-        Each subproblem is built at most once, so a deadline stops any run
-        within 1024 nodes.  A run decides an exact total weight: only with
-        unit weights, as on Keller graphs, is the last incumbent a maximum.
+        Each subproblem, tables and all, is built at most once, so a
+        deadline stops any run within 1024 nodes.  A run decides an exact
+        total weight: only with unit weights, as on Keller graphs, is the
+        last incumbent a maximum.
         """
         builders = [functools.cache(build) for build in builders]
         status = SearchStatus.TARGET_FOUND
@@ -762,7 +764,7 @@ def invariant_clique_search(
         table, sizes = table[keep], sizes[keep]
         if not _weight_reachable(sizes.tolist(), target):
             search.note = f"target {target} is not a sum of admissible orbit sizes"
-            return _Subproblem((), [], [])
+            return _Subproblem((), _NONE, [])
         prefix, cand = (), np.arange(len(sizes))
         # counts of constants a solution can contain: the residue of target
         # modulo the only other orbit size, up to the four constants
@@ -776,9 +778,7 @@ def invariant_clique_search(
             two = np.flatnonzero(sizes == 1)[2]  # rows ascend by representative
             prefix, cand = (0, int(table[two, 0])), np.flatnonzero(compat[0] & compat[two])
             compat = compat[np.ix_(cand, cand)]
-        adj, order = _relabel(compat)
-        verts = cand[order]
-        vectors = [tuple(row[:size]) for row, size in zip(table[verts].tolist(), sizes[verts].tolist())]
-        return _Subproblem(prefix, adj, vectors)
+        vectors = [tuple(row[:size]) for row, size in zip(table[cand].tolist(), sizes[cand].tolist())]
+        return _Subproblem(prefix, compat, vectors)
 
     return _search(spec, search, search.run([build], target))

@@ -59,6 +59,24 @@ def test_label_parsing_and_validation():
         Label.parse("4")
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: Label(4), "label digit out of range: 4"),
+        (lambda: substitute((), table2(), ()), "no templates to substitute"),
+        (lambda: substitute([TemplateVector.from_string(t) for t in ("01", "012")], table2(), ()),
+         "templates differ in length"),
+        (lambda: substitute([TemplateVector.from_string("01")], table2(), (2,)),
+         "expand column out of range for 2-column templates"),
+        (lambda: lift(vs(2, ["00"]), Automorphism.identity(3)), "dimension mismatch: set 2, automorphism 3"),
+    ],
+    ids=["label-digit-4", "no-templates", "ragged-templates", "expand-column", "lift-dims"],
+)
+def test_input_guards(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_template_parsing():
     t = TemplateVector.from_string("20'3")
     assert t.labels == (L2, L0P, L3)

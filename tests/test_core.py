@@ -13,6 +13,7 @@ from keller.core import (
     GraphVariant,
     KellerGraphSpec,
     MaterializedGraph,
+    VectorSet,
     _edge,
     apply_automorphism,
     digit_gap,
@@ -225,6 +226,34 @@ def test_compose_and_inverse():
 def test_apply_dimension_mismatch():
     with pytest.raises(ValueError):
         Automorphism.identity(3).apply(cv(0, 0))
+
+
+_ID2 = (0, 1, 2, 3), (0, 1, 2, 3)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: KellerGraphSpec(0, STAR), ValueError, "dimension must be positive, got 0"),
+        (lambda: KellerGraphSpec(2, "Gstar"), TypeError, "variant must be a GraphVariant"),
+        (lambda: CubeVector(0, 0), ValueError, "dimension must be positive, got 0"),
+        (lambda: CubeVector(2, 16), ValueError, "packed value 16 out of range for dim 2"),
+        (lambda: CubeVector(2, 0)[5], IndexError, "5"),
+        (lambda: Automorphism((0, 1), _ID2[:1]), ValueError, "need one label map per coordinate"),
+        (lambda: Automorphism.rotation(2, 2), ValueError, "coordinate 2 out of range for dim 2"),
+        (lambda: Automorphism((0, 1), _ID2).compose(Automorphism.identity(3)), ValueError,
+         "dimension mismatch in composition"),
+        (lambda: VectorSet(2, [cv(0, 2)]).apply(Automorphism.identity(3)), ValueError,
+         "dimension mismatch: automorphism 3, set 2"),
+        (lambda: VectorSet._from_packed(0, []), ValueError, "dimension must be positive, got 0"),
+    ],
+    ids=["spec-dim-0", "spec-variant-str", "vector-dim-0", "vector-packed-16", "vector-index-5",
+         "automorphism-label-maps", "rotation-coord", "compose-dims", "set-apply-dims", "set-dim-0"],
+)
+def test_input_guards(call, error, message):
+    # each guard raises its own error and message, never a deeper failure
+    with pytest.raises(error, match=message):
+        call()
 
 
 # ---------------------------------------------------------------------------

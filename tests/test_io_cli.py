@@ -8,6 +8,7 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -33,7 +34,7 @@ from keller.files import (
     read_vector_set,
     write_vector_set,
 )
-from keller.verify import verify_clique
+from keller.verify import CellCoverStatus, verify_clique, verify_tiling_cells
 
 STAR = GraphVariant.STAR
 PLAIN = GraphVariant.PLAIN
@@ -86,6 +87,7 @@ def test_empty_set_file(tmp_path):
         ("", HeaderFormatError),
         ("dim=3\n", HeaderFormatError),
         ("dim=x count=1\n012\n", HeaderFormatError),
+        ("dim=0 count=0\n", HeaderFormatError),
         ("dim=3 count=1\n0214\n", VectorLineError),
         ("dim=4 count=1\n0214\n", VectorLineError),
         ("dim=3 count=1\n02\n", VectorLineError),
@@ -98,6 +100,25 @@ def test_read_errors_are_distinct(tmp_path, content, error):
     path.write_text(content)
     with pytest.raises(error):
         read_vector_set(path)
+
+
+def test_empty_set_cost_does_not_grow_with_its_dimension(tmp_path):
+    # no vector means no digit to hold: reading and writing a million-
+    # coordinate empty set allocates nothing per coordinate
+    src, out = tmp_path / "empty.txt", tmp_path / "copy.txt"
+    src.write_text("dim=1000000 count=0\n")
+    tracemalloc.start()
+    try:
+        s = read_vector_set(src)
+        write_vector_set(out, s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (s.dim, len(s)) == (1_000_000, 0)
+    assert out.read_bytes() == src.read_bytes()
+    assert peak < 1 << 20
+
+
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +189,12 @@ def test_dimacs_guard(tmp_path):
         export_dimacs(KellerGraphSpec(9, STAR), tmp_path / "g.dimacs")
 
 
+def test_dimacs_graph_must_match_spec(tmp_path):
+    g = materialize(KellerGraphSpec(2, PLAIN))
+    with pytest.raises(ValueError, match="materialized graph does not match spec"):
+        export_dimacs(KellerGraphSpec(2, STAR), tmp_path / "g.dimacs", graph=g)
+
+
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
@@ -197,6 +224,25 @@ def test_cli_verify_mutated_file_fails_with_witness(tmp_path, capsys, s10):
     assert code == 1
     assert "clique: FAIL" in report
     assert "missing:" in report
+
+
+def test_cli_verify_cells_on_mutated_file_reports_the_bad_cell(tmp_path, capsys, s10):
+    # a vector moved by 2 in one coordinate leaves its cells uncovered and
+    # covers another vector's twice: the report names the oracle's first
+    # bad cell, and the run exits 1
+    mutated = list(s10.members)
+    digits = list(mutated[0].digits)
+    digits[0] = (digits[0] + 2) % 4
+    mutated[0] = CubeVector.from_digits(digits)
+    bad = VectorSet(10, mutated)
+    path = tmp_path / "bad.txt"
+    write_vector_set(path, bad)
+    cells = verify_tiling_cells(bad)
+    assert cells.status in (CellCoverStatus.GAP, CellCoverStatus.OVERLAP)
+    assert main(["verify", "--in", str(path), "--cells"]) == 1
+    report = capsys.readouterr().out.splitlines()
+    assert f"cell-cover: {cells.status.name} at cell {cells.witness}" in report
+    assert re.fullmatch(r"cell-cover: (GAP|OVERLAP) at cell [0-3]{10}", report[-1])
 
 
 def test_cli_verify_truncates_missing_pairs(tmp_path, capsys):
@@ -458,6 +504,46 @@ def test_cli_export(tmp_path, capsys):
     report = capsys.readouterr().out
     assert code == 0
     assert "p edge 16 40" in report
+
+
+@pytest.mark.parametrize("variant", list(GraphVariant))
+def test_cli_graph_names_the_variant(tmp_path, capsys, variant):
+    # --graph takes GraphVariant's values and builds that variant's graph
+    out = tmp_path / "g2.dimacs"
+    assert main(["export", "--dim", "2", "--graph", variant.value, "--out", str(out)]) == 0
+    g = materialize(KellerGraphSpec(2, variant))
+    assert f"p edge 16 {g.num_edges}" in capsys.readouterr().out
+    assert out.read_text().splitlines()[0] == f"c keller graph {variant.value} dim 2"
+
+
+@pytest.mark.parametrize(
+    "argv, usage",
+    [
+        (["verify"], "usage: keller verify [-h] --in INFILE [--graph {G,Gstar}] [--cells] [--faces]"),
+        (["search"], "usage: keller search [-h] --dim DIM [--graph {G,Gstar}] [--target TARGET] [--cyclic-invariant] "
+         "[--budget-nodes BUDGET_NODES] [--budget-secs BUDGET_SECS] [--progress]"),
+        (["export"], "usage: keller export [-h] --dim DIM [--graph {G,Gstar}] --out OUT"),
+    ],
+)
+def test_cli_graph_choices_help_and_exit_codes(capsys, monkeypatch, argv, usage):
+    # the choices come from GraphVariant, in the order and spelling the
+    # usage lines have always shown; an unknown graph is a usage error
+    monkeypatch.setenv("COLUMNS", "200")
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.splitlines()[0] == usage
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--graph", "H"])
+    assert exc.value.code == 2
+    assert "argument --graph: invalid choice: 'H'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [[], ["--cyclic-invariant"]])
+def test_cli_search_target_0_exit_2(capsys, argv):
+    assert main(["search", "--dim", "3", "--target", "0", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: target")
 
 
 def test_cli_missing_file_exit_2(capsys):

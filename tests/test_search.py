@@ -30,7 +30,6 @@ from keller.search import (
     SearchStatus,
     _CliqueSearch,
     _prefix_stabilizer_key,
-    _relabel,
     _stabilizer_classes,
     _Subproblem,
     _subproblems,
@@ -120,6 +119,19 @@ def test_bound_validity_on_random_induced_subgraphs():
             status, best = unreduced(matrix[np.ix_(verts, verts)], None)
             assert status is SearchStatus.OPTIMAL
             assert len(best) == want
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: clique_decision(materialize(KellerGraphSpec(2, STAR)), 0), "target size must be positive"),
+        (lambda: invariant_clique_search(3, 0), "target must be positive"),
+    ],
+    ids=["decision-target-0", "invariant-target-0"],
+)
+def test_input_guards(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_determinism_same_nodes_and_outcome():
@@ -366,7 +378,7 @@ def test_orbit_masks_are_the_key_classes_of_positions(n, variant):
         verts = np.array([v for (v,) in sub.vectors], dtype=np.intp)
         assert np.array_equal(sub.digits, _digit_columns(verts, n))
         key = root_key(n, sub.prefix, verts).tolist()
-        search._enter(sub)
+        search.sub = sub
         drop = search._orbit_drops(0, (1 << len(verts)) - 1)
         assert sorted(drop) == list(range(len(verts)))
         for p, mask in drop.items():
@@ -430,7 +442,7 @@ def test_root_orbits_are_those_of_stab_0_r_and_the_swap(n, variant, roots):
         group = np.concatenate([pair, pair ^ r])
         verts = [v for (v,) in sub.vectors]
         assert set(group[:, verts].ravel().tolist()) == set(verts)
-        search._enter(sub)
+        search.sub = sub
         drop = search._orbit_drops(0, (1 << len(verts)) - 1)
         position = {v: p for p, v in enumerate(verts)}
         assert drop == {p: sum(1 << position[w] for w in set(group[:, v].tolist())) for p, v in enumerate(verts)}
@@ -447,9 +459,8 @@ def unreduced(matrix, target):
 
     A target of None runs the ladder of decisions, ``maximize``.
     """
-    adj, order = _relabel(matrix)
     search = _CliqueSearch(SearchBudget())
-    builders = [lambda: _Subproblem((), adj, [(v,) for v in order])]
+    builders = [lambda: _Subproblem((), matrix, [(v,) for v in range(len(matrix))])]
     status = search.maximize(builders) if target is None else search.run(builders, target)
     best = search.best_vectors()
     assert len(best) == search.best_size
@@ -669,37 +680,36 @@ def test_neighbourhood_of_zero_is_dimacs_keller(n, nverts, nedges):
     matrix = search_module._gather(row0, verts, [verts])
     assert (len(verts), int(matrix.sum()) // 2) == (nverts, nedges)
     if n == 4:
-        adj, order = _relabel(matrix)
         search = _CliqueSearch(SearchBudget())
-        status = search.maximize([lambda: _Subproblem((), adj, [(int(verts[p]),) for p in order])])
+        status = search.maximize([lambda: _Subproblem((), matrix, [(v,) for v in verts.tolist()])])
         assert (status, search.best_size, search.nodes) == (SearchStatus.OPTIMAL, 11, 11_653)
         # with vertex 0 it is a maximum clique of G*_4
         clique = VectorSet._from_packed(n, [0, *search.best_vectors()])
         assert verify_clique(clique, KellerGraphSpec(n, STAR)).is_clique
 
 
-class ClassStartBound(_CliqueSearch):
-    """The engine with its bound test once at each class start, not before
-    every child."""
+class PerChildBound(_CliqueSearch):
+    """The engine with its bound test before every child, not once at each
+    class start."""
 
     def _expand(self, rmask, rsize, cand, depth):
         self._tick()
         if rsize > self.best_size:
             self._improve(rmask, rsize)
-        adj, weights, bits, target = self.adj, self.weights, self.bits, self.target
-        drop = None if depth <= self.keyed else bits
+        sub, target = self.sub, self.target
+        drop = None if depth <= self.keyed else sub.bits
         for cls, bound in reversed(self._color_sort(cand)):
             cls &= cand
-            if rsize + bound < target:
-                return
             while cls:
+                if rsize + bound < target:
+                    return
                 bit = cls & -cls
                 p = bit.bit_length() - 1
-                size = rsize + weights[p]
+                size = rsize + sub.weights[p]
                 if size <= target:
-                    sub = cand & adj[p]
-                    if sub:
-                        self._expand(rmask | bit, size, sub, depth + 1)
+                    rest = cand & sub.adj[p]
+                    if rest:
+                        self._expand(rmask | bit, size, rest, depth + 1)
                     elif size > self.best_size:
                         self._improve(rmask | bit, size)
                 if drop is None:
@@ -729,23 +739,23 @@ def test_bound_test_before_every_child_matches_class_start_test(monkeypatch, gra
     # orbit depth 0, drops a drawn partition of the positions as its orbits
     monkeypatch.setattr(search_module, "_ORBIT_DEPTH", 0)
     matrix, weights = graph
-    adj, order = _relabel(matrix)
-    vectors = [tuple(range(3 * v, 3 * v + weights[v])) for v in order]
-    digits = np.zeros((len(order), 1), dtype=np.uint8)  # any digits make the root keyed
-    block = data.draw(st.lists(st.integers(0, 3), min_size=len(order), max_size=len(order)))
-    orbit = [sum(1 << q for q, b in enumerate(block) if b == block[p]) for p in range(len(order))]
+    nverts = len(matrix)
+    vectors = [tuple(range(3 * v, 3 * v + weights[v])) for v in range(nverts)]
+    digits = np.zeros((nverts, 1), dtype=np.uint8)  # any digits make the root keyed
+    block = data.draw(st.lists(st.integers(0, 3), min_size=nverts, max_size=nverts))
+    orbit = [sum(1 << q for q, b in enumerate(block) if b == block[p]) for p in range(nverts)]
 
     def drawn_drops(rmask, cand):
-        assert (rmask, cand) == (0, (1 << len(order)) - 1)
+        assert (rmask, cand) == (0, (1 << nverts) - 1)
         return dict(enumerate(orbit))
 
     for target in (None, data.draw(st.integers(1, sum(weights) + 1))):
         runs = []
-        for engine in (_CliqueSearch, ClassStartBound):
+        for engine in (_CliqueSearch, PerChildBound):
             log = []
             search = engine(SearchBudget(), lambda size, nodes: log.append((size, nodes)))
             search._orbit_drops = drawn_drops
-            builders = [lambda: _Subproblem((), adj, vectors, digits)]
+            builders = [lambda: _Subproblem((), matrix, vectors, digits)]
             status = search.maximize(builders) if target is None else search.run(builders, target)
             runs.append((status, search.nodes, search.best_vectors(), log))
         assert runs[0] == runs[1]
@@ -1017,9 +1027,8 @@ def unreduced_invariant_status(n, target):
     """The orbit search with no pair rule: every admissible orbit a singleton position."""
     table, sizes = search_module._orbit_table(search_module._shift(n))
     keep, compat = search_module._orbit_compatibility(materialize(KellerGraphSpec(n, STAR)).row0, table)
-    adj, order = _relabel(compat)
-    vectors = [tuple(table[keep[u], : sizes[keep[u]]].tolist()) for u in order]
-    return _CliqueSearch(SearchBudget()).run([lambda: _Subproblem((), adj, vectors)], target)
+    vectors = [tuple(table[u, : sizes[u]].tolist()) for u in keep]
+    return _CliqueSearch(SearchBudget()).run([lambda: _Subproblem((), compat, vectors)], target)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
