@@ -20,7 +20,6 @@ _EXPORTS = {
         "KellerGraphSpec",
         "MaterializedGraph",
         "VectorSet",
-        "apply_automorphism",
         "digit_gap",
         "has_edge",
         "materialize",

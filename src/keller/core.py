@@ -39,7 +39,6 @@ __all__ = [
     "MaterializedGraph",
     "digit_gap",
     "has_edge",
-    "apply_automorphism",
     "materialize",
     "plain_degree",
     "star_degree",
@@ -280,9 +279,12 @@ class Automorphism:
         """Image of packed vectors: a Python int, a uint64 array or an object array.
 
         Each label map is x -> s*x + c (mod 4), so every digit is relabeled
-        arithmetically as it moves to its destination coordinate.
+        arithmetically as it moves to its destination coordinate.  An empty
+        array is returned at once, without a pass over the coordinates.
         """
         out = x & 0
+        if isinstance(out, np.ndarray) and not out.size:
+            return out
         for j, (src, lm) in enumerate(zip(self._src_of_dest(), self.label_maps)):
             s, c = (lm[1] - lm[0]) & 3, lm[0]
             out = out | ((((x >> (2 * src)) & 3) * s + c) & 3) << (2 * j)
@@ -310,11 +312,6 @@ class Automorphism:
                 inv_lm[lm[x]] = x
             maps[i] = tuple(inv_lm)
         return Automorphism(tuple(inv_perm), tuple(maps))
-
-
-def apply_automorphism(a: Automorphism, m: CubeVector) -> CubeVector:
-    """Image of m under a; see Automorphism for the composition order."""
-    return a.apply(m)
 
 
 # ---------------------------------------------------------------------------

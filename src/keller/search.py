@@ -14,6 +14,20 @@ a branch whose candidate set is empty is a leaf and is not counted.  Every
 node entered is a clique, so it updates the incumbent: a run that runs out
 of budget still reports the largest clique it reached.
 
+With unit weights the classes are then re-colored by Re-NUMBER (Tomita et
+al., WALCOM 2010; in bitset form, San Segundo et al.'s BBMCR, Optim. Lett.
+2013).  A node that needs ``need`` more vertices never branches its first
+need - 1 classes, whose bounds fall short.  So a vertex of a later class
+moves into one of them where it has no neighbour, or where it has exactly
+one, q, that can move into another of them holding none of q's neighbours;
+a vertex that moves is not branched.  This is sound because those classes
+stay independent sets: once the node has searched every vertex left in the
+later classes, what remains of its candidates is need - 1 independent sets,
+which hold no clique of need vertices.  A vertex that stays keeps its class
+and its bound.  The orbit graph, whose weights are not all 1, keeps the
+greedy classes, since there the sum of the classes' heaviest weights, not
+their number, must stay below the need.
+
 Each subproblem's bitsets are over positions in the repeated-minimum-degree
 removal order (ties to the smallest index), so descending degeneracy order
 is descending bit order and a set's next vertex is its highest bit, found by
@@ -240,7 +254,8 @@ class _Subproblem:
     coloring never ANDs with a negative int, which makes CPython build a
     two's-complement temporary), the weight levels ``light`` and ``heavy``
     (per level above the lightest, heaviest first, the mask of its
-    positions), and ``prefix_digits``.
+    positions), ``unit``, whether every weight is 1 (then nodes re-color,
+    ``_recolor``), and ``prefix_digits``.
     """
 
     def __init__(
@@ -262,6 +277,7 @@ class _Subproblem:
         self.heavy = [
             (w, sum(bit for bit, wp in zip(self.bits, self.weights) if wp == w)) for w in levels[:-1]
         ]
+        self.unit = levels == [1]
         self.digits = self.prefix_digits = None
         if digits is not None:
             self.digits = digits[order]
@@ -384,6 +400,45 @@ def _subproblems(g: MaterializedGraph) -> Iterator[Callable[[], _Subproblem]]:
         yield functools.partial(_induced, class_of, g.spec.dim, r, verts, i)
 
 
+def _recolor(adj: Sequence[int], classes: list[int], keep: int) -> list[int]:
+    """Re-NUMBER: move vertices of the classes from ``keep`` on into the first keep.
+
+    Each vertex p of a later class, classes in ascending order and each from
+    its top bit down, moves into the first of the first keep classes where
+    it has no neighbour, or where it has exactly one, q, that can move into
+    another of them holding none of q's neighbours: then q moves there and
+    p takes its place.  Every class stays an independent set, and a later
+    class only loses vertices.
+    """
+    low = classes[:keep]
+    out = []
+    for cls in classes[keep:]:
+        rest = cls
+        while rest:
+            p = rest.bit_length() - 1
+            bit = 1 << p
+            rest ^= bit
+            row = adj[p]
+            for c, members in enumerate(low):
+                x = row & members
+                if x & (x - 1):
+                    continue  # two or more neighbours in this class
+                if x:
+                    qrow = adj[x.bit_length() - 1]
+                    for c2, other in enumerate(low):
+                        if c2 != c and not qrow & other:
+                            low[c2] = other | x
+                            members ^= x
+                            break
+                    else:
+                        continue
+                low[c] = members | bit
+                cls ^= bit
+                break
+        out.append(cls)
+    return low + out
+
+
 class _CliqueSearch:
     """Weighted B&B over subproblems that decides one target at a time.
 
@@ -440,13 +495,15 @@ class _CliqueSearch:
         if self.deadline is not None and now > self.deadline:
             raise _Exhausted
 
-    def _color_sort(self, cand: int) -> list[tuple[int, int]]:
+    def _color_sort(self, cand: int, need: int) -> list[tuple[int, int]]:
         """Greedy color classes of cand from the top bit down, each with its bound.
 
         A class's bound is the sum of the maximum weights of it and every
         earlier class: the color number when all weights are 1.  Coloring a
         position p costs two big-int operations, ``q &= nonadj[p]`` and
-        ``cls |= bits[p]``.
+        ``cls |= bits[p]``.  With unit weights and more than ``need`` - 1
+        classes, the first need - 1, which the node never branches, are
+        re-colored (``_recolor``).
         """
         sub = self.sub
         nonadj, bits, light, heavy = sub.nonadj, sub.bits, sub.light, sub.heavy
@@ -467,6 +524,9 @@ class _CliqueSearch:
                     break
             bound += weight
             classes.append((cls, bound))
+        if sub.unit and 1 < need <= len(classes):
+            recolored = _recolor(sub.adj, [cls for cls, _ in classes], need - 1)
+            classes = [(cls, bound) for cls, (_, bound) in zip(recolored, classes)]
         return classes
 
     def _improve(self, mask: int, size: int) -> None:
@@ -525,6 +585,11 @@ class _CliqueSearch:
         child's orbit, so one inside cand as it was when p was searched.  A
         clique that meets no searched orbit lies in what is left of cand,
         which the color bounds still cover: removal only loosens them.
+        With unit weights the classes are re-colored (``_recolor``): the
+        classes below the need are independent sets, so what is left of
+        cand when the node reaches them holds no clique that meets the
+        target, whichever vertices were branched.  Nothing above depends on
+        which children a node branches or in which order.
         """
         self._tick()
         if rsize > self.best_size:
@@ -532,7 +597,7 @@ class _CliqueSearch:
         sub, target = self.sub, self.target
         adj, weights = sub.adj, sub.weights
         drop = None if depth <= self.keyed else sub.bits
-        for cls, bound in reversed(self._color_sort(cand)):
+        for cls, bound in reversed(self._color_sort(cand, target - rsize)):
             if rsize + bound < target:
                 return
             cls &= cand

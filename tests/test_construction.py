@@ -341,6 +341,22 @@ def test_find_lift_shift_regression_fixture(s10):
     assert all(a.label_maps[i] == (0, 1, 2, 3) for i in range(1, 10))
 
 
+def test_empty_set_lift_visits_no_coordinate(monkeypatch):
+    # find_lift_shift and lift apply one rotation to no vectors: the image
+    # is empty at once, with no pass over the 100 000 coordinates
+    visits = []
+    src_of_dest = Automorphism._src_of_dest
+    monkeypatch.setattr(Automorphism, "_src_of_dest", lambda a: visits.append(a.dim) or src_of_dest(a))
+    s = VectorSet(100_000, [])
+    a = find_lift_shift(s)
+    assert a == Automorphism.rotation(100_000, 0, 1)
+    out = lift(s, a)
+    assert (out.dim, len(out), visits) == (100_001, 0, [])
+    # a non-empty set does walk the coordinates, so the count sees them
+    lift(vs(2, ["00"]), Automorphism.rotation(2, 0, 1))
+    assert visits == [2]
+
+
 def grow_random_star_clique(dim, rng):
     spec = KellerGraphSpec(dim, STAR)
     verts = [CubeVector.from_index(dim, i) for i in range(4**dim)]

@@ -15,7 +15,6 @@ from keller.core import (
     MaterializedGraph,
     VectorSet,
     _edge,
-    apply_automorphism,
     digit_gap,
     enumerate_automorphisms,
     has_edge,
@@ -165,7 +164,7 @@ def test_star_edges_are_plain_edges():
 
 def test_rotation_example():
     a = Automorphism.rotation(4, 0, 1)
-    assert apply_automorphism(a, cv(0, 0, 1, 2)) == cv(1, 0, 1, 2)
+    assert a.apply(cv(0, 0, 1, 2)) == cv(1, 0, 1, 2)
 
 
 def test_identity():

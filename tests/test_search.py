@@ -143,23 +143,23 @@ def test_determinism_same_nodes_and_outcome():
 
 def test_budget_exhaustion_statuses():
     g = materialize(KellerGraphSpec(4, STAR))
-    out = clique_decision(g, 16, SearchBudget(node_limit=20))
+    out = clique_decision(g, 16, SearchBudget(node_limit=15))
     assert out.status is SearchStatus.BUDGET_EXHAUSTED
-    assert out.nodes_explored == 20
+    assert out.nodes_explored == 15
     out = max_clique(g, SearchBudget(node_limit=10))
     assert out.status is SearchStatus.BUDGET_EXHAUSTED
     assert verify_clique(out.best_clique, g.spec).is_clique
 
 
 def test_budget_is_shared_across_subproblems():
-    # G*_4 decide 16 runs over nine Stab(0) subproblems in 23 nodes; every
+    # G*_4 decide 16 runs over nine Stab(0) subproblems in 20 nodes; every
     # limit below that stops at exactly the limit
     g = materialize(KellerGraphSpec(4, STAR))
-    for limit in (1, 2, 3, 20, 22):
+    for limit in (1, 2, 3, 17, 19):
         out = clique_decision(g, 16, SearchBudget(node_limit=limit))
         assert (out.status, out.nodes_explored) == (SearchStatus.BUDGET_EXHAUSTED, limit)
-    out = clique_decision(g, 16, SearchBudget(node_limit=23))
-    assert (out.status, out.nodes_explored) == (SearchStatus.TARGET_REFUTED, 23)
+    out = clique_decision(g, 16, SearchBudget(node_limit=20))
+    assert (out.status, out.nodes_explored) == (SearchStatus.TARGET_REFUTED, 20)
 
 
 def test_interrupt_keeps_incumbent():
@@ -179,7 +179,7 @@ def test_interrupt_keeps_incumbent():
 
 
 def test_interrupt_in_weighted_search(monkeypatch):
-    def interrupt(self, cand):
+    def interrupt(self, cand, need):
         raise KeyboardInterrupt
 
     monkeypatch.setattr(_CliqueSearch, "_color_sort", interrupt)
@@ -193,7 +193,7 @@ def test_interrupt_in_weighted_search(monkeypatch):
 def test_interrupt_in_forced_pair_search(monkeypatch):
     # 5 = 3 + 2 forces two constants, so the clique starts from {000, 222}
     # and the root node's incumbent is that prefix
-    def interrupt(self, cand):
+    def interrupt(self, cand, need):
         raise KeyboardInterrupt
 
     monkeypatch.setattr(_CliqueSearch, "_color_sort", interrupt)
@@ -584,11 +584,11 @@ def test_keyed_nodes_drop_whole_classes_inside_cand(monkeypatch, depth):
 
 
 def test_reduced_search_node_counts_g4_star():
-    # the unreduced engine needs 748 322, 108 280 and 748 342 nodes here
+    # the unreduced engine needs 414 411, 50 905 and 414 512 nodes here
     g = materialize(KellerGraphSpec(4, STAR))
-    assert clique_decision(g, 13).nodes_explored == 92
-    assert clique_decision(g, 16).nodes_explored == 23
-    assert max_clique(g).nodes_explored == 191
+    assert clique_decision(g, 13).nodes_explored == 70
+    assert clique_decision(g, 16).nodes_explored == 20
+    assert max_clique(g).nodes_explored == 160
 
 
 def ladder(g):
@@ -629,15 +629,15 @@ def test_max_clique_builds_each_subproblem_once(monkeypatch):
 
 
 def test_max_clique_budget_spans_every_rung():
-    # every limit below the 191 nodes of the whole ladder stops at exactly
+    # every limit below the 160 nodes of the whole ladder stops at exactly
     # that limit, in whichever rung it falls, with a verified incumbent
     g = materialize(KellerGraphSpec(4, STAR))
-    for limit in range(1, 191):
+    for limit in range(1, 160):
         out = max_clique(g, SearchBudget(node_limit=limit))
         assert (out.status, out.nodes_explored) == (SearchStatus.BUDGET_EXHAUSTED, limit)
         assert len(out.best_clique) >= 2 and verify_clique(out.best_clique, g.spec).is_clique
-    out = max_clique(g, SearchBudget(node_limit=191))
-    assert (out.status, out.nodes_explored, len(out.best_clique)) == (SearchStatus.OPTIMAL, 191, 12)
+    out = max_clique(g, SearchBudget(node_limit=160))
+    assert (out.status, out.nodes_explored, len(out.best_clique)) == (SearchStatus.OPTIMAL, 160, 12)
 
 
 @pytest.mark.parametrize("n, variant, omega", [(3, STAR, 5), (4, STAR, 12), (4, PLAIN, 16)])
@@ -650,14 +650,14 @@ def test_max_clique_improvements_increase_to_omega(n, variant, omega):
 
 
 def test_max_clique_g5_star_budget_keeps_a_28_clique():
-    # the ladder reaches omega(G*_5) = 28 after 101 889 nodes; refuting 29
-    # takes tens of millions more
+    # the ladder reaches omega(G*_5) = 28 after 30 732 nodes; refuting 29
+    # takes millions more
     g = materialize(KellerGraphSpec(5, STAR))
     seen = []
-    out = max_clique(g, SearchBudget(node_limit=110_000), on_improve=lambda size, nodes: seen.append((size, nodes)))
-    assert (out.status, out.nodes_explored, len(out.best_clique)) == (SearchStatus.BUDGET_EXHAUSTED, 110_000, 28)
+    out = max_clique(g, SearchBudget(node_limit=35_000), on_improve=lambda size, nodes: seen.append((size, nodes)))
+    assert (out.status, out.nodes_explored, len(out.best_clique)) == (SearchStatus.BUDGET_EXHAUSTED, 35_000, 28)
     assert verify_clique(out.best_clique, g.spec).is_clique
-    assert seen[-1] == (28, 101_889)
+    assert seen[-1] == (28, 30_732)
 
 
 def test_clique_number_ground_truth():
@@ -682,7 +682,7 @@ def test_neighbourhood_of_zero_is_dimacs_keller(n, nverts, nedges):
     if n == 4:
         search = _CliqueSearch(SearchBudget())
         status = search.maximize([lambda: _Subproblem((), matrix, [(v,) for v in verts.tolist()])])
-        assert (status, search.best_size, search.nodes) == (SearchStatus.OPTIMAL, 11, 11_653)
+        assert (status, search.best_size, search.nodes) == (SearchStatus.OPTIMAL, 11, 7_313)
         # with vertex 0 it is a maximum clique of G*_4
         clique = VectorSet._from_packed(n, [0, *search.best_vectors()])
         assert verify_clique(clique, KellerGraphSpec(n, STAR)).is_clique
@@ -698,7 +698,7 @@ class PerChildBound(_CliqueSearch):
             self._improve(rmask, rsize)
         sub, target = self.sub, self.target
         drop = None if depth <= self.keyed else sub.bits
-        for cls, bound in reversed(self._color_sort(cand)):
+        for cls, bound in reversed(self._color_sort(cand, target - rsize)):
             cls &= cand
             while cls:
                 if rsize + bound < target:
@@ -761,6 +761,146 @@ def test_bound_test_before_every_child_matches_class_start_test(monkeypatch, gra
         assert runs[0] == runs[1]
 
 
+# ---------------------------------------------------------------------------
+# re-coloring (Re-NUMBER) of the classes a node never branches
+# ---------------------------------------------------------------------------
+
+@st.composite
+def unit_graphs(draw):
+    """A symmetric boolean matrix on 1-24 vertices, its edge density drawn too."""
+    nverts = draw(st.integers(1, 24))
+    density = draw(st.integers(0, 100)) / 100
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    matrix = np.array([[rng.random() < density for _ in range(nverts)] for _ in range(nverts)])
+    matrix = np.triu(matrix, 1)
+    return matrix | matrix.T
+
+
+def assert_recolored(sub, cand, need, greedy, colored):
+    """The re-colored classes of cand at a node that needs `need` more
+    vertices, against the greedy ones: the same bounds, a partition of
+    cand, the first need - 1 classes (never branched) independent sets and
+    every later class inside the greedy class it came from.  Returns the
+    number of vertices moved out of branched classes, and of those moved
+    between unbranched ones."""
+    assert [bound for _, bound in colored] == [bound for _, bound in greedy]
+    classes = [cls for cls, _ in colored]
+    before = [cls for cls, _ in greedy]
+    union = 0
+    for cls in classes:
+        assert not union & cls
+        union |= cls
+    assert union == cand
+    for cls in classes[: need - 1]:
+        assert all(not sub.adj[p] & cls for p in search_module._positions(cls).tolist())
+    for cls, old in zip(classes[need - 1 :], before[need - 1 :]):
+        assert cls | old == old
+    moved = sum((old ^ cls).bit_count() for cls, old in zip(classes[need - 1 :], before[need - 1 :]))
+    swapped = sum((old & ~cls).bit_count() for cls, old in zip(classes[: need - 1], before[: need - 1]))
+    return moved, swapped
+
+
+@settings(max_examples=300, deadline=None)
+@given(unit_graphs(), st.data())
+def test_recoloring_keeps_unbranched_classes_independent(matrix, data):
+    # at a node that needs `need` more vertices the first need - 1 classes
+    # are never branched; re-coloring moves vertices into them, and must keep
+    # each an independent set, the classes a partition of cand, and each
+    # branched class inside the greedy class it came from
+    nverts = len(matrix)
+    sub = _Subproblem((), matrix, [(v,) for v in range(nverts)])
+    assert sub.unit
+    search = _CliqueSearch(SearchBudget())
+    search.sub = sub
+    every = (1 << nverts) - 1
+    cand = data.draw(st.one_of(st.just(every), st.integers(1, every)))
+    greedy = search._color_sort(cand, 1)  # a need of 1 branches every class
+    need = data.draw(st.integers(2, len(greedy)) if len(greedy) > 1 else st.just(1))
+    assert_recolored(sub, cand, need, greedy, search._color_sort(cand, need))
+
+
+class CheckedRecoloring(_CliqueSearch):
+    """The engine, checking every node's re-colored classes (``assert_recolored``)."""
+
+    moved = 0
+    swapped = 0
+
+    def _color_sort(self, cand, need):
+        colored = super()._color_sort(cand, need)
+        if self.sub.unit:
+            moved, swapped = assert_recolored(self.sub, cand, need, super()._color_sort(cand, 1), colored)
+            type(self).moved += moved
+            type(self).swapped += swapped
+        return colored
+
+
+def test_recoloring_at_every_node_of_keller_searches(monkeypatch):
+    # the same checks at every node of real searches, where vertices do move,
+    # directly and by swaps
+    monkeypatch.setattr(search_module, "_CliqueSearch", CheckedRecoloring)
+    monkeypatch.setattr(CheckedRecoloring, "moved", 0)
+    monkeypatch.setattr(CheckedRecoloring, "swapped", 0)
+    for n, variant in ((3, PLAIN), (3, STAR), (4, PLAIN), (4, STAR)):
+        max_clique(materialize(KellerGraphSpec(n, variant)))
+    clique_decision(materialize(KellerGraphSpec(5, STAR)), 29, SearchBudget(node_limit=2000))
+    assert CheckedRecoloring.moved > CheckedRecoloring.swapped > 0
+
+
+def no_recoloring(adj, classes, keep):
+    return classes
+
+
+def outcome(status, size, target):
+    """What a run must share with any other search order: its status, and
+    its best size unless it refutes a target, when the incumbent it reached
+    on the way depends on the order and only lies below the target."""
+    if status is SearchStatus.TARGET_REFUTED:
+        assert size < target
+        return status, None
+    return status, size
+
+
+def every_run(g):
+    """``outcome`` of max_clique and of a decision at every target up to one
+    past the clique number, and the summed nodes."""
+    best = max_clique(g)
+    runs = [best] + [clique_decision(g, target) for target in range(1, len(best.best_clique) + 2)]
+    outcomes = [outcome(o.status, len(o.best_clique), target) for target, o in enumerate(runs)]
+    return outcomes, sum(o.nodes_explored for o in runs)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("variant", [PLAIN, STAR])
+def test_recoloring_keeps_every_status_and_size(monkeypatch, n, variant):
+    # re-coloring changes which children a node branches, never an outcome:
+    # with it replaced by the identity, every status and best size agree
+    g = materialize(KellerGraphSpec(n, variant))
+    recolored, nodes = every_run(g)
+    monkeypatch.setattr(search_module, "_recolor", no_recoloring)
+    greedy, greedy_nodes = every_run(g)
+    assert recolored == greedy
+    if (n, variant) == (4, STAR):
+        assert nodes < greedy_nodes
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(unit_graphs())
+def test_recoloring_keeps_every_status_and_size_on_random_graphs(monkeypatch, matrix):
+    # the same on random unit-weight graphs, with no symmetry reduction
+    def runs():
+        status, best = unreduced(matrix, None)
+        out = [(status, len(best))]
+        for target in range(1, len(best) + 2):
+            status, found = unreduced(matrix, target)
+            out.append(outcome(status, len(found), target))
+        return out
+
+    recolored = runs()
+    with monkeypatch.context() as patch:
+        patch.setattr(search_module, "_recolor", no_recoloring)
+        assert runs() == recolored
+
+
 def packed_values(clique):
     return sorted(clique.packed.tolist())
 
@@ -773,7 +913,7 @@ def test_g5_star_has_a_28_clique():
     assert out.status is SearchStatus.TARGET_FOUND
     assert len(out.best_clique) >= 28
     assert verify_clique(out.best_clique, g.spec).is_clique
-    assert out.nodes_explored == 86_126
+    assert out.nodes_explored == 25_544
     assert packed_values(out.best_clique) == [
         0, 24, 30, 86, 123, 148, 159, 306, 313, 397, 435, 437, 470, 507,
         541, 560, 595, 597, 619, 724, 735, 882, 889, 925, 944, 966, 1016, 1022,
@@ -783,11 +923,11 @@ def test_g5_star_has_a_28_clique():
 @pytest.mark.slow
 def test_g5_star_clique_number_is_28():
     # Corradi-Szabo (1990): omega(G*_5) = 28, as a verified 28-clique (found
-    # after 101 889 nodes) and a refuted 29, the whole of the remaining
-    # 24 742 190 nodes; about 8 min on a 2-vCPU VM
+    # after 30 732 nodes) and a refuted 29, the whole of the remaining
+    # 8 078 605 nodes; about 6 min on a 2-vCPU VM
     g = materialize(KellerGraphSpec(5, STAR))
     out = max_clique(g)
-    assert (out.status, len(out.best_clique), out.nodes_explored) == (SearchStatus.OPTIMAL, 28, 24_844_079)
+    assert (out.status, len(out.best_clique), out.nodes_explored) == (SearchStatus.OPTIMAL, 28, 8_109_337)
     assert verify_clique(out.best_clique, g.spec).is_clique
 
 
@@ -797,9 +937,9 @@ def test_budgeted_decision_keeps_a_real_incumbent():
     g = materialize(KellerGraphSpec(5, STAR))
     out = clique_decision(g, 29, SearchBudget(node_limit=30_000))
     assert (out.status, out.nodes_explored) == (SearchStatus.BUDGET_EXHAUSTED, 30_000)
-    assert len(out.best_clique) == 13
+    assert len(out.best_clique) == 14
     assert verify_clique(out.best_clique, g.spec).is_clique
-    assert packed_values(out.best_clique) == [0, 86, 143, 397, 491, 513, 522, 546, 612, 645, 651, 707, 1002]
+    assert packed_values(out.best_clique) == [0, 86, 227, 397, 491, 493, 513, 522, 563, 609, 675, 910, 993, 1002]
 
 
 def test_progress_heartbeat_every_progress_every_nodes(monkeypatch):
