@@ -65,11 +65,12 @@ over depth: a node whose clique is C has as candidates a union of Stab(C)
 orbits, since every shallower node dropped whole orbits of a larger group,
 so down to depth ``_ORBIT_DEPTH`` a searched child drops its whole Stab(C)
 orbit too.  All these orbits have one closed-form key on digit counts,
-``_prefix_stabilizer_key``, merged at the root over v and v ^ r, and the
-search keys a node's orbits, the root's included, only when it first drops
-one.  One node counter, budget and incumbent span all subproblems and all
-rungs.  Node counts and witness cliques therefore differ from versions
-without these reductions.
+``_prefix_stabilizer_key``, merged at the root over v and v ^ r.  Each
+subproblem carries its symmetry as such an orbit key on its candidates
+(``_induced`` builds the Stab(0) one), and the engine, which knows no
+digits, calls it only when a node first drops an orbit.  One node counter,
+budget and incumbent span all subproblems and all rungs.  Node counts and
+witness cliques therefore differ from versions without these reductions.
 
 The cyclic-invariant search looks for cliques closed under the coordinate
 shift, an ``Automorphism``: unions of whole shift orbits, held as one packed
@@ -163,11 +164,11 @@ class _Exhausted(Exception):
     pass
 
 
-# A Stab(0) subproblem's nodes down to this depth below its root (depth 0)
-# drop whole orbits of their clique's stabiliser, deeper ones single
-# positions.  G*_5 decide 29 takes 36.4M nodes with the root alone, 27.1M
-# with depth 1, 24.7M with 2 and 24.5M with 3: a third keyed level saves
-# only 1% of the nodes.
+# A subproblem with an orbit key (every Stab(0) one) drops whole key classes
+# at its nodes down to this depth below its root (depth 0), single positions
+# deeper; one without a key drops single positions at every depth.  G*_5
+# decide 29 takes 36.4M nodes with the root alone, 27.1M with depth 1, 24.7M
+# with 2 and 24.5M with 3: a third keyed level saves only 1% of the nodes.
 _ORBIT_DEPTH = 2
 
 
@@ -233,29 +234,35 @@ class _Subproblem:
     them adjacent to every prefix vector; ``vectors[i]`` is the tuple of
     packed vectors that candidate i adds to a clique, and its length is i's
     weight: ``(v,)`` for a Keller-graph vertex, one whole orbit for the
-    orbit graph.  ``digits[i]`` is candidate i's digit columns
-    (``_digit_columns``), from which the search keys the orbits of the
-    stabilisers of the prefix and of deeper cliques; None, as on the orbit
-    graph, means no symmetry is known: every position is its own orbit.
-    Both searches fix vectors only through the prefix: {0, r} for a Stab(0)
-    class, and {0^n, 2^n} on the orbit graph when exactly two constants are
-    forced (the uniform x -> x + 1, an ``Automorphism`` commuting with the
-    shift, maps the other adjacent constant pair {1^n, 3^n} onto it).  A
-    subproblem with digits has the prefix (0, r) and is a Cayley graph
-    (``_subproblems``), so x -> x ^ r is one of its automorphisms too: it
-    swaps 0 and r and commutes with Stab(0, r), and the root keys the
-    orbits of the group they generate.
+    orbit graph.  Both searches fix vectors only through the prefix: {0, r}
+    for a Stab(0) class, and {0^n, 2^n} on the orbit graph when exactly two
+    constants are forced (the uniform x -> x + 1, an ``Automorphism``
+    commuting with the shift, maps the other adjacent constant pair
+    {1^n, 3^n} onto it).
+
+    ``key``, if given, is the subproblem's symmetry: ``key(clique, cand)``
+    takes the candidates added so far and a set of candidates, as index
+    arrays in the builder's order, and returns one integer per candidate of
+    cand.  Its classes must be the orbits on cand of the clique's
+    stabiliser in one group of automorphisms of the candidates' graph
+    (weights included): equal keys mean one orbit of maps that fix the
+    prefix and the clique.  At the root, where the clique is empty, the key
+    may use any larger group that it knows preserves the candidates.  Nodes
+    down to depth ``keyed`` = ``_ORBIT_DEPTH`` then drop whole key classes
+    (``_CliqueSearch._expand``).  None, as on the orbit graph, means no
+    known symmetry, and ``keyed`` = -1.  ``_induced`` keys the Stab(0, r)
+    orbits of a Cayley graph, joined at the root by x -> x ^ r.
 
     The constructor relabels the matrix once (``_relabel``) and keeps
     everything the search branches with, over positions in degeneracy
-    removal order: ``adj`` the bitset rows, ``vectors``, ``weights`` and
-    ``digits`` per position, ``bits[p]`` = 1 << p, ``nonadj[p]`` the
-    positions that are neither p nor its neighbours (a positive mask, so
-    coloring never ANDs with a negative int, which makes CPython build a
-    two's-complement temporary), the weight levels ``light`` and ``heavy``
-    (per level above the lightest, heaviest first, the mask of its
-    positions), ``unit``, whether every weight is 1 (then nodes re-color,
-    ``_recolor``), and ``prefix_digits``.
+    removal order: ``adj`` the bitset rows, ``order[p]`` the candidate at
+    position p, ``vectors`` and ``weights`` per position, ``bits[p]`` =
+    1 << p, ``nonadj[p]`` the positions that are neither p nor its
+    neighbours (a positive mask, so coloring never ANDs with a negative
+    int, which makes CPython build a two's-complement temporary), the
+    weight levels ``light`` and ``heavy`` (per level above the lightest,
+    heaviest first, the mask of its positions), and ``unit``, whether every
+    weight is 1 (then nodes re-color, ``_recolor``).
     """
 
     def __init__(
@@ -263,10 +270,12 @@ class _Subproblem:
         prefix: tuple[int, ...],
         matrix: np.ndarray,
         vectors: Sequence[tuple[int, ...]],
-        digits: Optional[np.ndarray] = None,
+        key: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None,
     ):
-        self.prefix = prefix
+        self.prefix, self.key = prefix, key
+        self.keyed = -1 if key is None else _ORBIT_DEPTH
         self.adj, order = _relabel(matrix)
+        self.order = np.array(order, dtype=np.intp)
         self.vectors = [vectors[i] for i in order]
         self.weights = [len(v) for v in self.vectors]
         self.bits = [1 << p for p in range(len(order))]
@@ -278,10 +287,20 @@ class _Subproblem:
             (w, sum(bit for bit, wp in zip(self.bits, self.weights) if wp == w)) for w in levels[:-1]
         ]
         self.unit = levels == [1]
-        self.digits = self.prefix_digits = None
-        if digits is not None:
-            self.digits = digits[order]
-            self.prefix_digits = _digit_columns(np.array(prefix, dtype=np.intp), digits.shape[1])
+
+    def _orbit_masks(self, rmask: int, cand: int) -> dict[int, int]:
+        """Per position of cand, the positions of cand that share its key.
+
+        The clique is rmask's positions; both are mapped through ``order``
+        to the builder's indices for ``key``.
+        """
+        positions = _positions(cand)
+        key = self.key(self.order[_positions(rmask)], self.order[positions]).tolist()
+        members = positions.tolist()
+        masks = dict.fromkeys(key, 0)
+        for p, k in zip(members, key):
+            masks[k] |= 1 << p
+        return {p: masks[k] for p, k in zip(members, key)}
 
 
 # the candidates of a subproblem that has none
@@ -350,22 +369,28 @@ def _prefix_stabilizer_key(prefix: np.ndarray, digits: np.ndarray) -> np.ndarray
     return np.array(weight, dtype=np.int64)[np.arange(n), digits].sum(axis=1)
 
 
-def _orbit_masks(positions: Sequence[int], key: Sequence[int]) -> list[int]:
-    """Per position, the bitmask of the given positions that share its key."""
-    masks = dict.fromkeys(key, 0)
-    for p, k in zip(positions, key):
-        masks[k] |= 1 << p
-    return [masks[k] for k in key]
-
-
 def _induced(class_of: np.ndarray, n: int, r: int, verts: np.ndarray, first: int) -> _Subproblem:
     """The subproblem extending {0, r} within verts, one vertex per position.
 
     Its edges are the pairs whose difference lies in class ``first`` or a
     later one (``class_of``, -1 off N(0)), so x -> x ^ r is an automorphism.
+    Its key is ``_prefix_stabilizer_key`` on the digits of verts, fixing 0,
+    r and the clique; at the root, where the clique is empty, it is the
+    smaller of the keys of v and v ^ r (digits XOR like packed vectors), so
+    its classes are the orbits of the group Stab(0, r) and the swap generate.
     """
+    digits = _digit_columns(verts, n)
+    prefix = _digit_columns(np.array((0, r), dtype=np.intp), n)
+
+    def key(clique: np.ndarray, cand: np.ndarray) -> np.ndarray:
+        fixed = np.concatenate([prefix, digits[clique]])
+        out = _prefix_stabilizer_key(fixed, digits[cand])
+        if not len(clique):
+            out = np.minimum(out, _prefix_stabilizer_key(fixed, digits[cand] ^ prefix[1]))
+        return out
+
     matrix = _gather(class_of >= first, verts, [verts])
-    return _Subproblem((0, r), matrix, [(v,) for v in verts.tolist()], _digit_columns(verts, n))
+    return _Subproblem((0, r), matrix, [(v,) for v in verts.tolist()], key)
 
 
 def _subproblems(g: MaterializedGraph) -> Iterator[Callable[[], _Subproblem]]:
@@ -451,13 +476,13 @@ class _CliqueSearch:
     runs decisions one past the incumbent until one is refuted.  Sizes
     (incumbent, target, ``on_improve``) count the subproblem's prefix, and
     one node counter, budget and incumbent span every subproblem and every
-    run.  With digits, a subproblem's nodes down to depth ``keyed`` =
-    ``_ORBIT_DEPTH`` below its root drop searched children's whole orbits;
-    every other node drops single bits.
+    run.  The engine knows no symmetry of its own: a subproblem with an
+    orbit key (``_Subproblem.key``) has its nodes down to depth
+    ``sub.keyed`` below its root drop searched children's whole key
+    classes; every other node drops single bits.
     """
 
     sub: _Subproblem
-    keyed: int
 
     def __init__(
         self,
@@ -536,25 +561,6 @@ class _CliqueSearch:
         if size >= self.target:
             raise _Found
 
-    def _orbit_drops(self, rmask: int, cand: int) -> dict[int, int]:
-        """Per position of cand, its orbit in cand under the clique's stabiliser.
-
-        The clique is the prefix and rmask's positions; the orbits are the
-        classes of ``_prefix_stabilizer_key`` on the positions' digits.  At
-        the root, prefix (0, r), the group also holds x -> x ^ r, so v's
-        orbit there is the union of the Stab(0, r) orbits of v and v ^ r,
-        keyed by the smaller of their keys (digits XOR like packed vectors).
-        """
-        sub = self.sub
-        clique = np.concatenate([sub.prefix_digits, sub.digits[_positions(rmask)]])
-        positions = _positions(cand)
-        digits = sub.digits[positions]
-        key = _prefix_stabilizer_key(clique, digits)
-        if not rmask:
-            key = np.minimum(key, _prefix_stabilizer_key(clique, digits ^ clique[1]))
-        members = positions.tolist()
-        return dict(zip(members, _orbit_masks(members, key.tolist())))
-
     def _expand(self, rmask: int, rsize: int, cand: int, depth: int) -> None:
         """One node: color the non-empty candidate set and branch on it.
 
@@ -564,25 +570,25 @@ class _CliqueSearch:
         test ends the node.  The target is fixed for the run and rsize for
         the node, so a test before each child of the class would prune the
         same children.  A searched child p is dropped from cand, and each
-        class is masked with cand.  A node down to depth ``self.keyed``
-        below the subproblem's root (-1 without digits) drops p's whole
-        orbit, keyed (``_orbit_drops``) when it first drops one, which many
-        nodes never do; deeper nodes drop p's bit.  So once p is searched no
-        later child is in p's orbit under the automorphisms fixing the
-        node's clique.
-        Sound, by induction on depth: the cand of a node that drops orbits
-        is a union of its clique's stabiliser orbits.  At the root cand is
-        all positions, closed under Stab(0, r) and under x -> x ^ r, and the
-        root drops whole orbits of the group both generate.  A child's cand
-        is its parent's, less whole orbits of the parent's group, which
-        contains the child's stabiliser, and cut to the neighbours of the
-        child's vertex, which that stabiliser fixes.  So cand stays a union
-        of orbits and the XOR removes exactly p's orbit (a mask ANDed with
-        cand loses nothing).  Let p be the first searched child whose orbit
-        a clique extending the node's meets.  An automorphism fixing the
-        node's clique (at the root, the set {0, r}) maps the member there
-        onto p, and the clique onto one through p that meets no earlier
-        child's orbit, so one inside cand as it was when p was searched.  A
+        class is masked with cand.  A node down to depth ``sub.keyed``
+        below the subproblem's root (-1 without a key) drops p's whole
+        orbit, the key class of p (``_Subproblem._orbit_masks``), keyed when
+        the node first drops one, which many nodes never do; deeper nodes
+        drop p's bit.  So once p is searched no later child is in p's orbit
+        under the key's group at the node.
+        Sound, by induction on depth, for a key as ``_Subproblem`` requires:
+        the cand of a node that drops orbits is a union of orbits of its
+        group.  At the root cand is all positions, which the root's group
+        preserves (for a Stab(0) subproblem, Stab(0, r) and x -> x ^ r).  A
+        child's cand is its parent's, less whole orbits of the parent's
+        group, which contains the child's, and cut to the neighbours of the
+        child's vertex, which the child's group fixes.  So cand stays a
+        union of orbits and the XOR removes exactly p's orbit (a mask ANDed
+        with cand loses nothing).  Let p be the first searched child whose
+        orbit a clique extending the node's meets.  An element of the
+        node's group maps the member there onto p, and the clique onto one
+        through p that meets no earlier child's orbit, so one inside cand
+        as it was when p was searched.  A
         clique that meets no searched orbit lies in what is left of cand,
         which the color bounds still cover: removal only loosens them.
         With unit weights the classes are re-colored (``_recolor``): the
@@ -596,7 +602,7 @@ class _CliqueSearch:
             self._improve(rmask, rsize)
         sub, target = self.sub, self.target
         adj, weights = sub.adj, sub.weights
-        drop = None if depth <= self.keyed else sub.bits
+        drop = None if depth <= sub.keyed else sub.bits
         for cls, bound in reversed(self._color_sort(cand, target - rsize)):
             if rsize + bound < target:
                 return
@@ -612,7 +618,7 @@ class _CliqueSearch:
                     elif size > self.best_size:  # a leaf, not counted as a node
                         self._improve(rmask | bit, size)
                 if drop is None:
-                    drop = self._orbit_drops(rmask, cand)
+                    drop = sub._orbit_masks(rmask, cand)
                 cand ^= drop[p]
                 cls &= cand
 
@@ -630,7 +636,6 @@ class _CliqueSearch:
                 if i and self.deadline is not None and time.monotonic() > self.deadline:
                     raise _Exhausted
                 self.sub = sub = build()
-                self.keyed = -1 if sub.digits is None else _ORBIT_DEPTH
                 size = len(sub.prefix)
                 if sub.adj:
                     self._expand(0, size, (1 << len(sub.adj)) - 1, 0)

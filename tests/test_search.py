@@ -373,13 +373,10 @@ def test_orbit_masks_are_the_key_classes_of_positions(n, variant):
     # that of its image under the swap x -> x ^ r: the masks partition the
     # positions, one key per mask
     g = materialize(KellerGraphSpec(n, variant))
-    search = _CliqueSearch(SearchBudget())
     for sub in (build() for build in _subproblems(g)):
         verts = np.array([v for (v,) in sub.vectors], dtype=np.intp)
-        assert np.array_equal(sub.digits, _digit_columns(verts, n))
         key = root_key(n, sub.prefix, verts).tolist()
-        search.sub = sub
-        drop = search._orbit_drops(0, (1 << len(verts)) - 1)
+        drop = sub._orbit_masks(0, (1 << len(verts)) - 1)
         assert sorted(drop) == list(range(len(verts)))
         for p, mask in drop.items():
             assert [q for q in range(len(verts)) if mask >> q & 1] == [q for q in range(len(verts)) if key[q] == key[p]]
@@ -434,7 +431,6 @@ def test_root_orbits_are_those_of_stab_0_r_and_the_swap(n, variant, roots):
     # closed under these maps, and the merged key's classes are their orbits
     g = materialize(KellerGraphSpec(n, variant))
     images = stab0_images(n)
-    search = _CliqueSearch(SearchBudget())
     for build in itertools.islice(_subproblems(g), roots):
         sub = build()
         r = sub.prefix[1]
@@ -442,8 +438,7 @@ def test_root_orbits_are_those_of_stab_0_r_and_the_swap(n, variant, roots):
         group = np.concatenate([pair, pair ^ r])
         verts = [v for (v,) in sub.vectors]
         assert set(group[:, verts].ravel().tolist()) == set(verts)
-        search.sub = sub
-        drop = search._orbit_drops(0, (1 << len(verts)) - 1)
+        drop = sub._orbit_masks(0, (1 << len(verts)) - 1)
         position = {v: p for p, v in enumerate(verts)}
         assert drop == {p: sum(1 << position[w] for w in set(group[:, v].tolist())) for p, v in enumerate(verts)}
 
@@ -537,29 +532,37 @@ def test_orbits_at_every_depth_match_unreduced_g4_star(monkeypatch, target):
     assert_agree_g4_star(target)
 
 
-class CheckedOrbitDrops(_CliqueSearch):
-    """The engine, checking each keyed node's drop masks against the key.
+def key_classes(key):
+    """Per position, the bitmask of the positions that share its key."""
+    masks = dict.fromkeys(key, 0)
+    for p, k in enumerate(key):
+        masks[k] |= 1 << p
+    return [masks[k] for k in key]
+
+
+class CheckedOrbitDrops(_Subproblem):
+    """A subproblem checking each keyed node's drop masks against the key.
 
     Every drop mask must be its position's key class, whole and inside cand,
     so cand must be a union of classes: the induction behind dropping whole
     orbits below a subproblem's root.  The classes are keyed afresh on the
-    positions' vectors, not on the subproblem's digits; at the root the key
-    merges each vector's with its image under the swap x -> x ^ r.
+    positions' vectors in dimension ``n``, the searched graph's, not through
+    the subproblem's own key; at the root the key merges each vector's with
+    its image under the swap x -> x ^ r.
     """
 
+    n = 0
     keyed_nodes = 0
     keyed_roots = 0
 
-    def _orbit_drops(self, rmask, cand):
-        drop = super()._orbit_drops(rmask, cand)
-        sub = self.sub
-        clique = list(sub.prefix)
-        positions = range(len(sub.vectors))
-        clique += [sub.vectors[p][0] for p in positions if rmask >> p & 1]
-        vecs = [v for (v,) in sub.vectors]
-        n = sub.digits.shape[1]
-        key = (root_key(n, clique, vecs) if rmask == 0 else prefix_key(n, clique, vecs)).tolist()
-        classes = search_module._orbit_masks(positions, key)
+    def _orbit_masks(self, rmask, cand):
+        drop = super()._orbit_masks(rmask, cand)
+        clique = list(self.prefix)
+        positions = range(len(self.vectors))
+        clique += [self.vectors[p][0] for p in positions if rmask >> p & 1]
+        vecs = [v for (v,) in self.vectors]
+        key = (root_key(self.n, clique, vecs) if rmask == 0 else prefix_key(self.n, clique, vecs)).tolist()
+        classes = key_classes(key)
         assert all(cls & cand in (0, cls) for cls in classes)
         assert sorted(drop) == [p for p in positions if cand >> p & 1]
         assert all(drop[p] == classes[p] for p in drop)
@@ -571,16 +574,55 @@ class CheckedOrbitDrops(_CliqueSearch):
 @pytest.mark.parametrize("depth", [2, EVERY_DEPTH])
 def test_keyed_nodes_drop_whole_classes_inside_cand(monkeypatch, depth):
     monkeypatch.setattr(search_module, "_ORBIT_DEPTH", depth)
-    monkeypatch.setattr(search_module, "_CliqueSearch", CheckedOrbitDrops)
+    monkeypatch.setattr(search_module, "_Subproblem", CheckedOrbitDrops)
     monkeypatch.setattr(CheckedOrbitDrops, "keyed_nodes", 0)
     monkeypatch.setattr(CheckedOrbitDrops, "keyed_roots", 0)
     for n, variant in ((3, PLAIN), (3, STAR), (4, STAR)):
+        monkeypatch.setattr(CheckedOrbitDrops, "n", n)
         g = materialize(KellerGraphSpec(n, variant))
         max_clique(g)
         clique_decision(g, 2**n)
     g = materialize(KellerGraphSpec(4, STAR))
     clique_decision(g, 13)
     assert CheckedOrbitDrops.keyed_nodes > CheckedOrbitDrops.keyed_roots > 0
+
+
+def translation_key(clique, cand):
+    """One orbit at the root and singletons below it: the translations
+    x -> x ^ c are automorphisms of a Cayley graph on Z_2^k, transitive on
+    its vertices."""
+    return cand if len(clique) else np.zeros(len(cand), dtype=np.intp)
+
+
+def decide(sub, target):
+    """A fresh engine on sub alone: (status, nodes, best size); a target of
+    None runs the ladder, ``maximize``."""
+    search = _CliqueSearch(SearchBudget())
+    status = search.maximize([lambda: sub]) if target is None else search.run([lambda: sub], target)
+    return status, search.nodes, search.best_size
+
+
+def test_a_key_from_outside_keller_code_keeps_every_status():
+    # random Cayley graphs on Z_2^6, x ~ y iff x ^ y lies in a drawn S: the
+    # engine given translation_key decides every target as the keyless one
+    # does, and finds the same clique number, while some trees differ, so
+    # the key is used.  On these graphs a constant key at every keyed depth
+    # refutes some targets that have cliques.
+    rng = random.Random(1)
+    x = np.arange(64)
+    vectors = [(v,) for v in range(64)]
+    changed = 0
+    for _ in range(150):
+        matrix = np.array([False] + [rng.random() < 0.5 for _ in range(63)])[x[:, None] ^ x]
+        plain, keyed = _Subproblem((), matrix, vectors), _Subproblem((), matrix, vectors, translation_key)
+        full, reduced = decide(plain, None), decide(keyed, None)
+        assert full[::2] == reduced[::2]
+        changed += full[1] != reduced[1]
+        for target in range(1, full[2] + 2):
+            full, reduced = decide(plain, target), decide(keyed, target)
+            assert full[0] is reduced[0]
+            changed += full[1] != reduced[1]
+    assert changed
 
 
 def test_reduced_search_node_counts_g4_star():
@@ -697,7 +739,7 @@ class PerChildBound(_CliqueSearch):
         if rsize > self.best_size:
             self._improve(rmask, rsize)
         sub, target = self.sub, self.target
-        drop = None if depth <= self.keyed else sub.bits
+        drop = None if depth <= sub.keyed else sub.bits
         for cls, bound in reversed(self._color_sort(cand, target - rsize)):
             cls &= cand
             while cls:
@@ -713,7 +755,7 @@ class PerChildBound(_CliqueSearch):
                     elif size > self.best_size:
                         self._improve(rmask | bit, size)
                 if drop is None:
-                    drop = self._orbit_drops(rmask, cand)
+                    drop = sub._orbit_masks(rmask, cand)
                 cand ^= drop[p]
                 cls &= cand
 
@@ -736,26 +778,23 @@ def test_bound_test_before_every_child_matches_class_start_test(monkeypatch, gra
     # every child prunes exactly what the test at its class's start does:
     # the trees, incumbents and improvement logs are the same, for one
     # decision and for the ladder of them; the root, the only keyed node at
-    # orbit depth 0, drops a drawn partition of the positions as its orbits
+    # orbit depth 0, drops the classes of a drawn key on the vertices
     monkeypatch.setattr(search_module, "_ORBIT_DEPTH", 0)
     matrix, weights = graph
     nverts = len(matrix)
     vectors = [tuple(range(3 * v, 3 * v + weights[v])) for v in range(nverts)]
-    digits = np.zeros((nverts, 1), dtype=np.uint8)  # any digits make the root keyed
-    block = data.draw(st.lists(st.integers(0, 3), min_size=nverts, max_size=nverts))
-    orbit = [sum(1 << q for q, b in enumerate(block) if b == block[p]) for p in range(nverts)]
+    block = np.array(data.draw(st.lists(st.integers(0, 3), min_size=nverts, max_size=nverts)))
 
-    def drawn_drops(rmask, cand):
-        assert (rmask, cand) == (0, (1 << nverts) - 1)
-        return dict(enumerate(orbit))
+    def drawn_key(clique, cand):
+        assert len(clique) == 0 and sorted(cand.tolist()) == list(range(nverts))
+        return block[cand]
 
     for target in (None, data.draw(st.integers(1, sum(weights) + 1))):
         runs = []
         for engine in (_CliqueSearch, PerChildBound):
             log = []
             search = engine(SearchBudget(), lambda size, nodes: log.append((size, nodes)))
-            search._orbit_drops = drawn_drops
-            builders = [lambda: _Subproblem((), matrix, vectors, digits)]
+            builders = [lambda: _Subproblem((), matrix, vectors, drawn_key)]
             status = search.maximize(builders) if target is None else search.run(builders, target)
             runs.append((status, search.nodes, search.best_vectors(), log))
         assert runs[0] == runs[1]
