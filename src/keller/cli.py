@@ -96,14 +96,14 @@ def _cmd_search(args: argparse.Namespace) -> int:
         if args.target is None:
             print("error: --cyclic-invariant requires --target", file=sys.stderr)
             return 2
-        if args.graph not in (None, "Gstar"):
+        if args.graph != "Gstar":
             print("error: --cyclic-invariant searches G*_n only (--graph Gstar)", file=sys.stderr)
             return 2
         outcome = invariant_clique_search(
             args.dim, args.target, budget, on_improve=progress, on_progress=heartbeat
         )
     else:
-        spec = KellerGraphSpec(args.dim, GraphVariant(args.graph or "Gstar"))
+        spec = KellerGraphSpec(args.dim, GraphVariant(args.graph))
         g = materialize(spec)
         if args.target is not None:
             outcome = clique_decision(
@@ -158,7 +158,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="exact clique search (optionally cyclic-invariant)")
     p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--graph", choices=_GRAPHS, default=None,
+    p.add_argument("--graph", choices=_GRAPHS, default="Gstar",
                    help="default Gstar, the only graph --cyclic-invariant searches")
     p.add_argument("--target", type=int, default=None, help="decide this clique size")
     p.add_argument("--cyclic-invariant", action="store_true",

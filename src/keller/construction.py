@@ -23,7 +23,6 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 import numpy as np
 
 from .core import Automorphism, CubeVector, GraphVariant, KellerGraphSpec, VectorSet
-from .verify import verify_clique
 
 __all__ = [
     "Label",
@@ -245,6 +244,10 @@ def check_block_conditions(
     Witnesses are in lexicographic order: sets in label order, and within a
     set or union its missing pairs as ``verify_clique`` lists them.
     """
+    # imported here, so that building and lifting, which check no blocks,
+    # do not load the certifier
+    from .verify import verify_clique
+
     k, labels, get = bs.k, bs.labels, bs.get
     star, plain = KellerGraphSpec(k, GraphVariant.STAR), KellerGraphSpec(k, GraphVariant.PLAIN)
     clique_failures = tuple(

@@ -59,7 +59,7 @@ class CountMismatchError(VectorSetFileError):
     pass
 
 
-_HEADER_RE = re.compile(r"dim=(\d+) count=(\d+)\Z")
+_HEADER_RE = re.compile(r"dim=([0-9]+) count=([0-9]+)\Z")
 
 
 def write_vector_set(path: PathLike, s: VectorSet) -> None:
@@ -73,8 +73,12 @@ def write_vector_set(path: PathLike, s: VectorSet) -> None:
 
 def read_vector_set(path: PathLike) -> VectorSet:
     """Parse a vector-set file, validating header, digits, and uniqueness."""
-    text = Path(path).read_text()
-    lines = text.splitlines()
+    # read_text maps \r\n and \r to \n; split on \n alone, since
+    # str.splitlines also breaks at \x0b, \x0c, \x1c-\x1e, \x85 and
+    # \u2028-\u2029, and drop the empty string after a final newline
+    lines = Path(path).read_text().split("\n")
+    if not lines[-1]:
+        lines.pop()
     if not lines:
         raise HeaderFormatError("empty file, expected 'dim=<n> count=<c>' header")
     m = _HEADER_RE.match(lines[0])

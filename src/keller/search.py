@@ -1,12 +1,14 @@
 """Exact clique search on Keller graphs.
 
 One weighted branch and bound over Python-int bitsets serves every search,
-in the style of the BBMC family: candidates are colored greedily in
-descending degeneracy order, then branched highest color first, pruning
-when the current clique plus the color bound cannot reach the target.  The
-engine only decides targets; ``max_clique`` is a ladder of decisions, each
-rung one past the incumbent, until a rung is refuted, so OPTIMAL k is a
-verified k-clique plus a refuted k + 1.  A clique's size is its total
+in the style of the BBMC family.  Its branching rule is one method,
+``_CliqueSearch._color_sort``: it colors a node's candidates greedily in
+descending degeneracy order and returns only the classes whose color
+bound, added to the current clique, can reach the target, and the node
+(``_expand``) branches them highest color first, with no test of its own.
+The engine only decides targets; ``max_clique`` is a ladder of decisions,
+each rung one past the incumbent, until a rung is refuted, so OPTIMAL k is
+a verified k-clique plus a refuted k + 1.  A clique's size is its total
 vertex weight and a color class's bound is the running sum of each class's
 heaviest weight, so with unit weights (every Keller-graph search) the bound
 is the color number.  A node is one coloring of a non-empty candidate set;
@@ -471,15 +473,17 @@ class _CliqueSearch:
     the node counter, the incumbent, and the subproblem being searched,
     ``sub``, whose tables (``_Subproblem``) the node code binds as locals.
     A clique's size is its total weight.  ``run`` decides a target over a
-    sequence of subproblems: a branch is pruned unless its bound reaches the
-    target, and no vertex is added that would overshoot it.  ``maximize``
-    runs decisions one past the incumbent until one is refuted.  Sizes
-    (incumbent, target, ``on_improve``) count the subproblem's prefix, and
-    one node counter, budget and incumbent span every subproblem and every
-    run.  The engine knows no symmetry of its own: a subproblem with an
-    orbit key (``_Subproblem.key``) has its nodes down to depth
-    ``sub.keyed`` below its root drop searched children's whole key
-    classes; every other node drops single bits.
+    sequence of subproblems.  The children of a node are decided in one
+    place, ``_color_sort``, which returns only the color classes whose bound
+    reaches the target; ``_expand`` branches them, adding no vertex that
+    would overshoot the target.  ``maximize`` runs decisions one past the
+    incumbent until one is refuted.  Sizes (incumbent, target,
+    ``on_improve``) count the subproblem's prefix, and one node counter,
+    budget and incumbent span every subproblem and every run.  The engine
+    knows no symmetry of its own: a subproblem with an orbit key
+    (``_Subproblem.key``) has its nodes down to depth ``sub.keyed`` below
+    its root drop searched children's whole key classes; every other node
+    drops single bits.
     """
 
     sub: _Subproblem
@@ -520,20 +524,31 @@ class _CliqueSearch:
         if self.deadline is not None and now > self.deadline:
             raise _Exhausted
 
-    def _color_sort(self, cand: int, need: int) -> list[tuple[int, int]]:
-        """Greedy color classes of cand from the top bit down, each with its bound.
+    def _color_sort(self, cand: int, need: int) -> list[int]:
+        """The branching rule: the color classes of cand that a node needing
+        ``need`` more weight branches, in coloring order.
 
-        A class's bound is the sum of the maximum weights of it and every
-        earlier class: the color number when all weights are 1.  Coloring a
+        Classes are colored greedily from the top bit down; coloring a
         position p costs two big-int operations, ``q &= nonadj[p]`` and
-        ``cls |= bits[p]``.  With unit weights and more than ``need`` - 1
-        classes, the first need - 1, which the node never branches, are
-        re-colored (``_recolor``).
+        ``cls |= bits[p]``.  A class's bound is the sum of the maximum
+        weights of it and every earlier class: the color number when all
+        weights are 1.  A class whose bound falls short of the need is not
+        branched.  The node branches the classes last first and drops each
+        searched child from cand, so by the time it would reach such a
+        class, what is left of cand lies in that class and the earlier
+        ones; a clique there takes at most one vertex per class, so its
+        weight is at most the bound.  Bounds only grow, so the short
+        classes are a prefix, and a node whose every bound is short gets an
+        empty list.  The need is fixed for the node, so testing the bound
+        before each child instead would prune exactly these children.  With
+        unit weights and a short prefix that is neither empty nor every
+        class, the prefix is re-colored (``_recolor``): it stays short
+        independent sets, and the classes returned only lose vertices.
         """
         sub = self.sub
         nonadj, bits, light, heavy = sub.nonadj, sub.bits, sub.light, sub.heavy
-        classes: list[tuple[int, int]] = []
-        bound = 0
+        classes: list[int] = []
+        bound = short = 0
         while cand:
             q = cand
             cls = 0
@@ -548,11 +563,12 @@ class _CliqueSearch:
                     weight = level
                     break
             bound += weight
-            classes.append((cls, bound))
-        if sub.unit and 1 < need <= len(classes):
-            recolored = _recolor(sub.adj, [cls for cls, _ in classes], need - 1)
-            classes = [(cls, bound) for cls, (_, bound) in zip(recolored, classes)]
-        return classes
+            classes.append(cls)
+            if bound < need:
+                short += 1
+        if sub.unit and 0 < short < len(classes):
+            classes = _recolor(sub.adj, classes, short)
+        return classes[short:]
 
     def _improve(self, mask: int, size: int) -> None:
         self.best, self.best_size = (self.sub, mask), size
@@ -561,21 +577,20 @@ class _CliqueSearch:
         if size >= self.target:
             raise _Found
 
-    def _expand(self, rmask: int, rsize: int, cand: int, depth: int) -> None:
-        """One node: color the non-empty candidate set and branch on it.
+    def _expand(self, rmask: int, rsize: int, cand: int) -> None:
+        """One node: branch the classes ``_color_sort`` returns for cand.
 
-        Classes are branched last first, and within a class the lowest
-        position first.  At each class's start its bound is tested against
-        the target; no later class has a higher bound, so the first failing
-        test ends the node.  The target is fixed for the run and rsize for
-        the node, so a test before each child of the class would prune the
-        same children.  A searched child p is dropped from cand, and each
-        class is masked with cand.  A node down to depth ``sub.keyed``
-        below the subproblem's root (-1 without a key) drops p's whole
-        orbit, the key class of p (``_Subproblem._orbit_masks``), keyed when
-        the node first drops one, which many nodes never do; deeper nodes
-        drop p's bit.  So once p is searched no later child is in p's orbit
-        under the key's group at the node.
+        The node has no pruning test of its own: its children are the
+        positions of the classes of the branching rule, ``_color_sort``,
+        branched last class first and within a class the lowest position
+        first, skipping any that would overshoot the target.  A searched
+        child p is dropped from cand, and each class is masked with cand.
+        A node down to depth ``sub.keyed`` below the subproblem's root (-1
+        without a key), its depth the size of its clique rmask, drops p's
+        whole orbit, the key class of p (``_Subproblem._orbit_masks``),
+        keyed when the node first drops one, which many nodes never do;
+        deeper nodes drop p's bit.  So once p is searched no later child is
+        in p's orbit under the key's group at the node.
         Sound, by induction on depth, for a key as ``_Subproblem`` requires:
         the cand of a node that drops orbits is a union of orbits of its
         group.  At the root cand is all positions, which the root's group
@@ -588,12 +603,12 @@ class _CliqueSearch:
         orbit a clique extending the node's meets.  An element of the
         node's group maps the member there onto p, and the clique onto one
         through p that meets no earlier child's orbit, so one inside cand
-        as it was when p was searched.  A
-        clique that meets no searched orbit lies in what is left of cand,
-        which the color bounds still cover: removal only loosens them.
-        With unit weights the classes are re-colored (``_recolor``): the
-        classes below the need are independent sets, so what is left of
-        cand when the node reaches them holds no clique that meets the
+        as it was when p was searched.  A clique that meets no searched
+        orbit lies in what is left of cand, which the color bounds still
+        cover: removal only loosens them.  With unit weights the classes
+        not branched are re-colored (``_recolor``): they stay independent
+        sets, short of the need, so what is left of cand once the node has
+        branched every class it returns holds no clique that meets the
         target, whichever vertices were branched.  Nothing above depends on
         which children a node branches or in which order.
         """
@@ -602,10 +617,8 @@ class _CliqueSearch:
             self._improve(rmask, rsize)
         sub, target = self.sub, self.target
         adj, weights = sub.adj, sub.weights
-        drop = None if depth <= sub.keyed else sub.bits
-        for cls, bound in reversed(self._color_sort(cand, target - rsize)):
-            if rsize + bound < target:
-                return
+        drop = None if rmask.bit_count() <= sub.keyed else sub.bits
+        for cls in reversed(self._color_sort(cand, target - rsize)):
             cls &= cand
             while cls:
                 bit = cls & -cls
@@ -614,7 +627,7 @@ class _CliqueSearch:
                 if size <= target:
                     rest = cand & adj[p]
                     if rest:
-                        self._expand(rmask | bit, size, rest, depth + 1)
+                        self._expand(rmask | bit, size, rest)
                     elif size > self.best_size:  # a leaf, not counted as a node
                         self._improve(rmask | bit, size)
                 if drop is None:
@@ -638,7 +651,7 @@ class _CliqueSearch:
                 self.sub = sub = build()
                 size = len(sub.prefix)
                 if sub.adj:
-                    self._expand(0, size, (1 << len(sub.adj)) - 1, 0)
+                    self._expand(0, size, (1 << len(sub.adj)) - 1)
                 elif size > self.best_size:
                     self._improve(0, size)
         except _Found:

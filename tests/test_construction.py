@@ -116,6 +116,24 @@ def test_table2_shapes_and_s2():
     }
 
 
+def test_corrupted_tables_are_refused(monkeypatch):
+    # a stored digest that the embedded tables do not hash to stands in for
+    # an edited table: neither table is built from it
+    from keller import construction
+
+    caches = (construction._check_tables, table1, table2)
+    for cached in caches:
+        cached.cache_clear()
+    monkeypatch.setattr(construction, "_TABLE_SHA256", "0" * 64)
+    try:
+        for table in (table1, table2):
+            with pytest.raises(RuntimeError, match="embedded table data corrupted"):
+                table()
+    finally:
+        for cached in caches:
+            cached.cache_clear()
+
+
 def test_table2_shift_relations():
     bs = table2()
     assert {shift_first(v) for v in bs.get(L0)} == set(bs.get(L1))

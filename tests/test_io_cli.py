@@ -93,6 +93,12 @@ def test_empty_set_file(tmp_path):
         ("dim=3 count=1\n02\n", VectorLineError),
         ("dim=3 count=2\n012\n012\n", DuplicateVectorError),
         ("dim=3 count=3\n012\n013\n", CountMismatchError),
+        # only \n (or \r\n, \r) ends a line, and header digits are ASCII
+        ("dim=2 count=3\n00\n22\x1c31\n", VectorLineError),
+        ("dim=2 count=2\n00\x0c22\n", VectorLineError),
+        ("dim=2 count=2\n00\x8522\n", VectorLineError),
+        ("dim=2 count=2\n00\u202822\n", VectorLineError),
+        ("dim=\u0662 count=1\n00\n", HeaderFormatError),
     ],
 )
 def test_read_errors_are_distinct(tmp_path, content, error):
@@ -100,6 +106,13 @@ def test_read_errors_are_distinct(tmp_path, content, error):
     path.write_text(content)
     with pytest.raises(error):
         read_vector_set(path)
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"])
+def test_read_accepts_crlf_and_cr_line_ends(tmp_path, newline):
+    path = tmp_path / "crlf.txt"
+    path.write_bytes(newline.join(["dim=2 count=2", "00", "31", ""]).encode())
+    assert read_vector_set(path) == VectorSet.from_strings(2, ["00", "31"])
 
 
 def test_empty_set_cost_does_not_grow_with_its_dimension(tmp_path):
@@ -187,6 +200,17 @@ def test_dimacs_matches_per_edge_reference(tmp_path, dim, variant):
 def test_dimacs_guard(tmp_path):
     with pytest.raises(ValueError):
         export_dimacs(KellerGraphSpec(9, STAR), tmp_path / "g.dimacs")
+
+
+def test_dimacs_edge_count_must_match_closed_form(tmp_path, monkeypatch):
+    # a closed-form degree the graph does not have stops the export before
+    # anything is written
+    from keller import files
+
+    monkeypatch.setattr(files, "star_degree", lambda dim: star_degree(dim) + 1)
+    with pytest.raises(AssertionError, match="disagrees with closed form"):
+        export_dimacs(KellerGraphSpec(2, STAR), tmp_path / "g.dimacs")
+    assert not (tmp_path / "g.dimacs").exists()
 
 
 def test_dimacs_graph_must_match_spec(tmp_path):
@@ -601,9 +625,9 @@ print(json.dumps([code, sorted(m for m in new if m.split(".")[0] == "keller"), "
 @pytest.mark.parametrize(
     "argv, modules",
     [
-        (["build", "--dim", "10", "--out", "{out}"], {"construction", "verify", "files"}),
+        (["build", "--dim", "10", "--out", "{out}"], {"construction", "files"}),
         (["verify", "--in", "{s10}", "--cells", "--faces"], {"verify", "files"}),
-        (["lift", "--in", "{s10}", "--out", "{out}"], {"construction", "verify", "files"}),
+        (["lift", "--in", "{s10}", "--out", "{out}"], {"construction", "files"}),
         (["search", "--dim", "3"], {"verify", "search"}),
         (["search", "--dim", "3", "--target", "3", "--cyclic-invariant"], {"verify", "search"}),
         (["export", "--dim", "2", "--out", "{out}"], {"files"}),

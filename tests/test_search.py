@@ -731,16 +731,24 @@ def test_neighbourhood_of_zero_is_dimacs_keller(n, nverts, nedges):
 
 
 class PerChildBound(_CliqueSearch):
-    """The engine with its bound test before every child, not once at each
-    class start."""
+    """The engine with its own bounds, tested before every child, instead of
+    the branching rule's classes: every greedy class (a need of 1 branches
+    them all), each bounded by the running sum of the classes' heaviest
+    weights, re-colored below the need with unit weights, and the node's
+    depth counted down the recursion."""
 
-    def _expand(self, rmask, rsize, cand, depth):
+    def _expand(self, rmask, rsize, cand, depth=0):
         self._tick()
         if rsize > self.best_size:
             self._improve(rmask, rsize)
         sub, target = self.sub, self.target
+        classes = self._color_sort(cand, 1)
+        heaviest = [max(sub.weights[p] for p in search_module._positions(cls).tolist()) for cls in classes]
+        bounds = list(itertools.accumulate(heaviest))
+        if sub.unit and 1 < target - rsize <= len(classes):
+            classes = search_module._recolor(sub.adj, classes, target - rsize - 1)
         drop = None if depth <= sub.keyed else sub.bits
-        for cls, bound in reversed(self._color_sort(cand, target - rsize)):
+        for cls, bound in reversed(list(zip(classes, bounds))):
             cls &= cand
             while cls:
                 if rsize + bound < target:
@@ -775,7 +783,7 @@ def weighted_graphs(draw):
 @given(weighted_graphs(), st.data())
 def test_bound_test_before_every_child_matches_class_start_test(monkeypatch, graph, data):
     # a run's threshold is its target, fixed, so testing the bound before
-    # every child prunes exactly what the test at its class's start does:
+    # every child prunes exactly the classes the branching rule leaves out:
     # the trees, incumbents and improvement logs are the same, for one
     # decision and for the ladder of them; the root, the only keyed node at
     # orbit depth 0, drops the classes of a drawn key on the vertices
@@ -815,27 +823,25 @@ def unit_graphs(draw):
     return matrix | matrix.T
 
 
-def assert_recolored(sub, cand, need, greedy, colored):
-    """The re-colored classes of cand at a node that needs `need` more
-    vertices, against the greedy ones: the same bounds, a partition of
-    cand, the first need - 1 classes (never branched) independent sets and
-    every later class inside the greedy class it came from.  Returns the
-    number of vertices moved out of branched classes, and of those moved
-    between unbranched ones."""
-    assert [bound for _, bound in colored] == [bound for _, bound in greedy]
-    classes = [cls for cls, _ in colored]
-    before = [cls for cls, _ in greedy]
+def assert_recolored(adj, cand, keep, greedy, classes):
+    """``_recolor``'s classes of cand, keeping the first ``keep`` (never
+    branched), against the greedy ones it was given: as many classes (with
+    unit weights, the same bounds), a partition of cand, the first keep
+    independent sets and every later class inside the greedy class it came
+    from.  Returns the number of vertices moved out of branched classes,
+    and of those moved between unbranched ones."""
+    assert len(classes) == len(greedy)
     union = 0
     for cls in classes:
         assert not union & cls
         union |= cls
     assert union == cand
-    for cls in classes[: need - 1]:
-        assert all(not sub.adj[p] & cls for p in search_module._positions(cls).tolist())
-    for cls, old in zip(classes[need - 1 :], before[need - 1 :]):
+    for cls in classes[:keep]:
+        assert all(not adj[p] & cls for p in search_module._positions(cls).tolist())
+    for cls, old in zip(classes[keep:], greedy[keep:]):
         assert cls | old == old
-    moved = sum((old ^ cls).bit_count() for cls, old in zip(classes[need - 1 :], before[need - 1 :]))
-    swapped = sum((old & ~cls).bit_count() for cls, old in zip(classes[: need - 1], before[: need - 1]))
+    moved = sum((old ^ cls).bit_count() for cls, old in zip(classes[keep:], greedy[keep:]))
+    swapped = sum((old & ~cls).bit_count() for cls, old in zip(classes[:keep], greedy[:keep]))
     return moved, swapped
 
 
@@ -845,7 +851,8 @@ def test_recoloring_keeps_unbranched_classes_independent(matrix, data):
     # at a node that needs `need` more vertices the first need - 1 classes
     # are never branched; re-coloring moves vertices into them, and must keep
     # each an independent set, the classes a partition of cand, and each
-    # branched class inside the greedy class it came from
+    # branched class inside the greedy class it came from; the branching
+    # rule returns the branched classes, the re-colored ones from need - 1 on
     nverts = len(matrix)
     sub = _Subproblem((), matrix, [(v,) for v in range(nverts)])
     assert sub.unit
@@ -855,34 +862,36 @@ def test_recoloring_keeps_unbranched_classes_independent(matrix, data):
     cand = data.draw(st.one_of(st.just(every), st.integers(1, every)))
     greedy = search._color_sort(cand, 1)  # a need of 1 branches every class
     need = data.draw(st.integers(2, len(greedy)) if len(greedy) > 1 else st.just(1))
-    assert_recolored(sub, cand, need, greedy, search._color_sort(cand, need))
+    classes = search_module._recolor(sub.adj, greedy, need - 1)
+    assert_recolored(sub.adj, cand, need - 1, greedy, classes)
+    assert search._color_sort(cand, need) == classes[need - 1 :]
 
 
-class CheckedRecoloring(_CliqueSearch):
-    """The engine, checking every node's re-colored classes (``assert_recolored``)."""
+class CheckedRecoloring:
+    """``_recolor``, checking the classes of every node that re-colors
+    (``assert_recolored``) and counting the vertices moved."""
 
-    moved = 0
-    swapped = 0
+    def __init__(self, recolor):
+        self.recolor = recolor
+        self.moved = self.swapped = 0
 
-    def _color_sort(self, cand, need):
-        colored = super()._color_sort(cand, need)
-        if self.sub.unit:
-            moved, swapped = assert_recolored(self.sub, cand, need, super()._color_sort(cand, 1), colored)
-            type(self).moved += moved
-            type(self).swapped += swapped
-        return colored
+    def __call__(self, adj, greedy, keep):
+        classes = self.recolor(adj, greedy, keep)
+        moved, swapped = assert_recolored(adj, functools.reduce(int.__or__, greedy), keep, greedy, classes)
+        self.moved += moved
+        self.swapped += swapped
+        return classes
 
 
 def test_recoloring_at_every_node_of_keller_searches(monkeypatch):
-    # the same checks at every node of real searches, where vertices do move,
-    # directly and by swaps
-    monkeypatch.setattr(search_module, "_CliqueSearch", CheckedRecoloring)
-    monkeypatch.setattr(CheckedRecoloring, "moved", 0)
-    monkeypatch.setattr(CheckedRecoloring, "swapped", 0)
+    # the same checks at every node of real searches that re-colors, where
+    # vertices do move, directly and by swaps
+    checked = CheckedRecoloring(search_module._recolor)
+    monkeypatch.setattr(search_module, "_recolor", checked)
     for n, variant in ((3, PLAIN), (3, STAR), (4, PLAIN), (4, STAR)):
         max_clique(materialize(KellerGraphSpec(n, variant)))
     clique_decision(materialize(KellerGraphSpec(5, STAR)), 29, SearchBudget(node_limit=2000))
-    assert CheckedRecoloring.moved > CheckedRecoloring.swapped > 0
+    assert checked.moved > checked.swapped > 0
 
 
 def no_recoloring(adj, classes, keep):
@@ -1034,6 +1043,16 @@ def test_search_finished_past_its_time_limit_is_complete():
     # subproblem, the last one, ends the search
     out = max_clique(materialize(KellerGraphSpec(1, PLAIN)), SearchBudget(time_limit=1e-9))
     assert (out.status, out.nodes_explored, len(out.best_clique)) == (SearchStatus.OPTIMAL, 0, 2)
+
+
+def test_a_witness_that_is_no_clique_is_refused(monkeypatch):
+    # every outcome's incumbent is checked against the graph before it is
+    # returned: a certifier that reports a missing pair stops the search
+    missing = verify_clique(VectorSet.from_strings(2, ["00", "01"]), KellerGraphSpec(2, STAR))
+    assert missing.pairs
+    monkeypatch.setattr(search_module, "verify_clique", lambda clique, spec: missing)
+    with pytest.raises(AssertionError, match="search returned a non-clique"):
+        clique_decision(materialize(KellerGraphSpec(2, STAR)), 2)
 
 
 # ---------------------------------------------------------------------------
