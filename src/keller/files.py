@@ -75,8 +75,10 @@ def read_vector_set(path: PathLike) -> VectorSet:
     """Parse a vector-set file, validating header, digits, and uniqueness."""
     # read_text maps \r\n and \r to \n; split on \n alone, since
     # str.splitlines also breaks at \x0b, \x0c, \x1c-\x1e, \x85 and
-    # \u2028-\u2029, and drop the empty string after a final newline
-    lines = Path(path).read_text().split("\n")
+    # \u2028-\u2029, and drop the empty string after a final newline.  The
+    # format is ASCII whatever the locale: a byte above 0x7f reads as U+FFFD,
+    # which no header or vector line matches
+    lines = Path(path).read_text(encoding="ascii", errors="replace").split("\n")
     if not lines[-1]:
         lines.pop()
     if not lines:

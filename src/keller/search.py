@@ -26,9 +26,18 @@ a vertex that moves is not branched.  This is sound because those classes
 stay independent sets: once the node has searched every vertex left in the
 later classes, what remains of its candidates is need - 1 independent sets,
 which hold no clique of need vertices.  A vertex that stays keeps its class
-and its bound.  The orbit graph, whose weights are not all 1, keeps the
-greedy classes, since there the sum of the classes' heaviest weights, not
-their number, must stay below the need.
+and its bound.  Then a vertex p still in a later class is absorbed, and not
+branched either, by two of the unbranched classes that no other absorbed
+vertex uses, Ci and Cj, if p has exactly one neighbour u in Ci and u has no
+neighbour among p's neighbours in Cj (``_absorb``): a clique inside Ci, Cj
+and p has at most 2 vertices, so the pairs and the other classes still hold
+no clique of need vertices.  This is the infra-chromatic idea of San
+Segundo, Nikolaev and Batsyn (Comput. Oper. Res. 2015), a few classes and
+one more vertex that together hold no larger clique; Li and Quan (AAAI 2010)
+read such sets as the inconsistent subsets of a MaxSAT encoding.  The orbit
+graph, whose weights are not all 1, keeps the greedy classes, since there
+the sum of the classes' heaviest weights, not their number, must stay below
+the need.
 
 Each subproblem's bitsets are over positions in the repeated-minimum-degree
 removal order (ties to the smallest index), so descending degeneracy order
@@ -264,7 +273,8 @@ class _Subproblem:
     int, which makes CPython build a two's-complement temporary), the
     weight levels ``light`` and ``heavy`` (per level above the lightest,
     heaviest first, the mask of its positions), and ``unit``, whether every
-    weight is 1 (then nodes re-color, ``_recolor``).
+    weight is 1 (then nodes re-color and absorb, ``_recolor`` and
+    ``_absorb``).
     """
 
     def __init__(
@@ -466,6 +476,40 @@ def _recolor(adj: Sequence[int], classes: list[int], keep: int) -> list[int]:
     return low + out
 
 
+def _absorb(adj: Sequence[int], classes: list[int], keep: int) -> list[int]:
+    """Drop vertices of the classes from ``keep`` on, each absorbed by a pair of the first keep.
+
+    Each vertex p of a later class, in ``_recolor``'s order, is dropped if
+    two of the first keep classes that no earlier drop used, Ci and Cj,
+    hold exactly one neighbour u of p in Ci and no neighbour of u among
+    p's neighbours in Cj; the first such pair found is then used.  A
+    clique inside Ci, Cj and p has at most 2 vertices.  The first keep
+    classes do not change, and the walk stops once fewer than two unused
+    ones remain.
+    """
+    out = classes[:]
+    free = classes[:keep]
+    for k in range(keep, len(classes)):
+        rest = classes[k]
+        while rest and len(free) > 1:
+            p = rest.bit_length() - 1
+            rest ^= 1 << p
+            row = adj[p]
+            for i, u in enumerate([row & c for c in free]):
+                if not u or u & (u - 1):
+                    continue  # not exactly one neighbour in this class
+                common = row & adj[u.bit_length() - 1]
+                for j, c in enumerate(free):
+                    if j != i and not common & c:
+                        out[k] ^= 1 << p
+                        del free[max(i, j)], free[min(i, j)]
+                        break
+                else:
+                    continue
+                break
+    return out
+
+
 class _CliqueSearch:
     """Weighted B&B over subproblems that decides one target at a time.
 
@@ -544,6 +588,16 @@ class _CliqueSearch:
         unit weights and a short prefix that is neither empty nor every
         class, the prefix is re-colored (``_recolor``): it stays short
         independent sets, and the classes returned only lose vertices.
+        Then vertices of the classes returned are absorbed (``_absorb``),
+        each dropped with a pair of the short classes, Ci and Cj, that no
+        other absorbed vertex uses: it has exactly one neighbour u in Ci,
+        and u none of its neighbours in Cj.  A clique inside Ci, Cj and the
+        vertex has at most 2 vertices, since one through the vertex takes
+        at most u from Ci and then nothing from Cj.  The pairs are disjoint
+        and every other short class gives at most 1 vertex, so what the
+        node leaves unbranched, the short classes and the absorbed
+        vertices, holds at most need - 1 vertices of any clique.  Orbit
+        drops only remove vertices, which keeps this.
         """
         sub = self.sub
         nonadj, bits, light, heavy = sub.nonadj, sub.bits, sub.light, sub.heavy
@@ -567,7 +621,7 @@ class _CliqueSearch:
             if bound < need:
                 short += 1
         if sub.unit and 0 < short < len(classes):
-            classes = _recolor(sub.adj, classes, short)
+            classes = _absorb(sub.adj, _recolor(sub.adj, classes, short), short)
         return classes[short:]
 
     def _improve(self, mask: int, size: int) -> None:
@@ -606,11 +660,11 @@ class _CliqueSearch:
         as it was when p was searched.  A clique that meets no searched
         orbit lies in what is left of cand, which the color bounds still
         cover: removal only loosens them.  With unit weights the classes
-        not branched are re-colored (``_recolor``): they stay independent
-        sets, short of the need, so what is left of cand once the node has
-        branched every class it returns holds no clique that meets the
-        target, whichever vertices were branched.  Nothing above depends on
-        which children a node branches or in which order.
+        not branched are re-colored (``_recolor``) and absorb vertices of
+        the branched ones (``_absorb``): what is left of cand once the node
+        has branched every class it returns still holds no clique that
+        meets the target, whichever vertices were branched.  Nothing above
+        depends on which children a node branches or in which order.
         """
         self._tick()
         if rsize > self.best_size:

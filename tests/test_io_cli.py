@@ -99,11 +99,14 @@ def test_empty_set_file(tmp_path):
         ("dim=2 count=2\n00\x8522\n", VectorLineError),
         ("dim=2 count=2\n00\u202822\n", VectorLineError),
         ("dim=\u0662 count=1\n00\n", HeaderFormatError),
+        # a byte that is not ASCII fails on its line, in any locale
+        (b"dim=2 count=1\n0\xff\n", VectorLineError),
+        (b"dim=2\xff count=1\n00\n", HeaderFormatError),
     ],
 )
 def test_read_errors_are_distinct(tmp_path, content, error):
     path = tmp_path / "bad.txt"
-    path.write_text(content)
+    path.write_bytes(content if isinstance(content, bytes) else content.encode())
     with pytest.raises(error):
         read_vector_set(path)
 

@@ -143,23 +143,24 @@ def test_determinism_same_nodes_and_outcome():
 
 def test_budget_exhaustion_statuses():
     g = materialize(KellerGraphSpec(4, STAR))
-    out = clique_decision(g, 16, SearchBudget(node_limit=15))
+    out = clique_decision(g, 16, SearchBudget(node_limit=10))
     assert out.status is SearchStatus.BUDGET_EXHAUSTED
-    assert out.nodes_explored == 15
+    assert out.nodes_explored == 10
     out = max_clique(g, SearchBudget(node_limit=10))
     assert out.status is SearchStatus.BUDGET_EXHAUSTED
     assert verify_clique(out.best_clique, g.spec).is_clique
 
 
 def test_budget_is_shared_across_subproblems():
-    # G*_4 decide 16 runs over nine Stab(0) subproblems in 20 nodes; every
-    # limit below that stops at exactly the limit
+    # G*_4 decide 16 runs over nine Stab(0) subproblems in 15 nodes, the
+    # first 10 in the first one; every limit below that stops at exactly
+    # the limit
     g = materialize(KellerGraphSpec(4, STAR))
-    for limit in (1, 2, 3, 17, 19):
+    for limit in (1, 2, 3, 12, 14):
         out = clique_decision(g, 16, SearchBudget(node_limit=limit))
         assert (out.status, out.nodes_explored) == (SearchStatus.BUDGET_EXHAUSTED, limit)
-    out = clique_decision(g, 16, SearchBudget(node_limit=20))
-    assert (out.status, out.nodes_explored) == (SearchStatus.TARGET_REFUTED, 20)
+    out = clique_decision(g, 16, SearchBudget(node_limit=15))
+    assert (out.status, out.nodes_explored) == (SearchStatus.TARGET_REFUTED, 15)
 
 
 def test_interrupt_keeps_incumbent():
@@ -628,9 +629,9 @@ def test_a_key_from_outside_keller_code_keeps_every_status():
 def test_reduced_search_node_counts_g4_star():
     # the unreduced engine needs 414 411, 50 905 and 414 512 nodes here
     g = materialize(KellerGraphSpec(4, STAR))
-    assert clique_decision(g, 13).nodes_explored == 70
-    assert clique_decision(g, 16).nodes_explored == 20
-    assert max_clique(g).nodes_explored == 160
+    assert clique_decision(g, 13).nodes_explored == 48
+    assert clique_decision(g, 16).nodes_explored == 15
+    assert max_clique(g).nodes_explored == 128
 
 
 def ladder(g):
@@ -671,15 +672,15 @@ def test_max_clique_builds_each_subproblem_once(monkeypatch):
 
 
 def test_max_clique_budget_spans_every_rung():
-    # every limit below the 160 nodes of the whole ladder stops at exactly
+    # every limit below the 128 nodes of the whole ladder stops at exactly
     # that limit, in whichever rung it falls, with a verified incumbent
     g = materialize(KellerGraphSpec(4, STAR))
-    for limit in range(1, 160):
+    for limit in range(1, 128):
         out = max_clique(g, SearchBudget(node_limit=limit))
         assert (out.status, out.nodes_explored) == (SearchStatus.BUDGET_EXHAUSTED, limit)
         assert len(out.best_clique) >= 2 and verify_clique(out.best_clique, g.spec).is_clique
-    out = max_clique(g, SearchBudget(node_limit=160))
-    assert (out.status, out.nodes_explored, len(out.best_clique)) == (SearchStatus.OPTIMAL, 160, 12)
+    out = max_clique(g, SearchBudget(node_limit=128))
+    assert (out.status, out.nodes_explored, len(out.best_clique)) == (SearchStatus.OPTIMAL, 128, 12)
 
 
 @pytest.mark.parametrize("n, variant, omega", [(3, STAR, 5), (4, STAR, 12), (4, PLAIN, 16)])
@@ -692,14 +693,14 @@ def test_max_clique_improvements_increase_to_omega(n, variant, omega):
 
 
 def test_max_clique_g5_star_budget_keeps_a_28_clique():
-    # the ladder reaches omega(G*_5) = 28 after 30 732 nodes; refuting 29
+    # the ladder reaches omega(G*_5) = 28 after 17 760 nodes; refuting 29
     # takes millions more
     g = materialize(KellerGraphSpec(5, STAR))
     seen = []
     out = max_clique(g, SearchBudget(node_limit=35_000), on_improve=lambda size, nodes: seen.append((size, nodes)))
     assert (out.status, out.nodes_explored, len(out.best_clique)) == (SearchStatus.BUDGET_EXHAUSTED, 35_000, 28)
     assert verify_clique(out.best_clique, g.spec).is_clique
-    assert seen[-1] == (28, 30_732)
+    assert seen[-1] == (28, 17_760)
 
 
 def test_clique_number_ground_truth():
@@ -724,7 +725,7 @@ def test_neighbourhood_of_zero_is_dimacs_keller(n, nverts, nedges):
     if n == 4:
         search = _CliqueSearch(SearchBudget())
         status = search.maximize([lambda: _Subproblem((), matrix, [(v,) for v in verts.tolist()])])
-        assert (status, search.best_size, search.nodes) == (SearchStatus.OPTIMAL, 11, 7_313)
+        assert (status, search.best_size, search.nodes) == (SearchStatus.OPTIMAL, 11, 4_833)
         # with vertex 0 it is a maximum clique of G*_4
         clique = VectorSet._from_packed(n, [0, *search.best_vectors()])
         assert verify_clique(clique, KellerGraphSpec(n, STAR)).is_clique
@@ -734,8 +735,9 @@ class PerChildBound(_CliqueSearch):
     """The engine with its own bounds, tested before every child, instead of
     the branching rule's classes: every greedy class (a need of 1 branches
     them all), each bounded by the running sum of the classes' heaviest
-    weights, re-colored below the need with unit weights, and the node's
-    depth counted down the recursion."""
+    weights, re-colored below the need with unit weights and then thinned
+    by the absorption rule, and the node's depth counted down the
+    recursion."""
 
     def _expand(self, rmask, rsize, cand, depth=0):
         self._tick()
@@ -746,7 +748,8 @@ class PerChildBound(_CliqueSearch):
         heaviest = [max(sub.weights[p] for p in search_module._positions(cls).tolist()) for cls in classes]
         bounds = list(itertools.accumulate(heaviest))
         if sub.unit and 1 < target - rsize <= len(classes):
-            classes = search_module._recolor(sub.adj, classes, target - rsize - 1)
+            keep = target - rsize - 1
+            classes = search_module._absorb(sub.adj, search_module._recolor(sub.adj, classes, keep), keep)
         drop = None if depth <= sub.keyed else sub.bits
         for cls, bound in reversed(list(zip(classes, bounds))):
             cls &= cand
@@ -853,6 +856,7 @@ def test_recoloring_keeps_unbranched_classes_independent(matrix, data):
     # each an independent set, the classes a partition of cand, and each
     # branched class inside the greedy class it came from; the branching
     # rule returns the branched classes, the re-colored ones from need - 1 on
+    # less the vertices the absorption rule drops
     nverts = len(matrix)
     sub = _Subproblem((), matrix, [(v,) for v in range(nverts)])
     assert sub.unit
@@ -864,7 +868,7 @@ def test_recoloring_keeps_unbranched_classes_independent(matrix, data):
     need = data.draw(st.integers(2, len(greedy)) if len(greedy) > 1 else st.just(1))
     classes = search_module._recolor(sub.adj, greedy, need - 1)
     assert_recolored(sub.adj, cand, need - 1, greedy, classes)
-    assert search._color_sort(cand, need) == classes[need - 1 :]
+    assert search._color_sort(cand, need) == search_module._absorb(sub.adj, classes, need - 1)[need - 1 :]
 
 
 class CheckedRecoloring:
@@ -894,8 +898,115 @@ def test_recoloring_at_every_node_of_keller_searches(monkeypatch):
     assert checked.moved > checked.swapped > 0
 
 
-def no_recoloring(adj, classes, keep):
+# ---------------------------------------------------------------------------
+# absorption of branched vertices by pairs of unbranched classes
+# ---------------------------------------------------------------------------
+
+def subgraph_omega(adj, mask):
+    """The clique number of the positions of mask, by networkx (0 if empty)."""
+    members = search_module._positions(mask).tolist()
+    graph = nx.Graph()
+    graph.add_nodes_from(members)
+    graph.add_edges_from((p, q) for p in members for q in search_module._positions(adj[p] & mask).tolist() if p < q)
+    return max((len(c) for c in nx.find_cliques(graph)), default=0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(unit_graphs(), st.data())
+def test_unbranched_vertices_hold_no_clique_of_the_need(matrix, data):
+    # at a node that needs `need` more vertices, what the branching rule
+    # leaves out of cand (the re-colored unbranched classes and the vertices
+    # absorbed by pairs of them) holds no clique of need vertices, and each
+    # class it returns lies inside its re-colored class
+    nverts = len(matrix)
+    sub = _Subproblem((), matrix, [(v,) for v in range(nverts)])
+    search = _CliqueSearch(SearchBudget())
+    search.sub = sub
+    every = (1 << nverts) - 1
+    cand = data.draw(st.one_of(st.just(every), st.integers(1, every)))
+    greedy = search._color_sort(cand, 1)
+    need = data.draw(st.integers(1, len(greedy) + 1))
+    branched = search._color_sort(cand, need)
+    assert subgraph_omega(sub.adj, cand ^ functools.reduce(int.__or__, branched, 0)) < need
+    recolored = search_module._recolor(sub.adj, greedy, need - 1)
+    assert len(branched) == len(recolored[need - 1 :])
+    assert all(cls | old == old for cls, old in zip(branched, recolored[need - 1 :]))
+
+
+def absorbing_pairs(adj, low, dropped, steps=10_000):
+    """Disjoint pairs of the classes in low, one per position of dropped,
+    each holding with its position no triangle, found by backtracking in at
+    most ``steps`` tries; None if none are found.  The classes of low must
+    be independent sets, so a triangle there goes through the position."""
+    vertices = search_module._positions(dropped).tolist()
+    tries = itertools.count()
+
+    def pairs(p, used):
+        for i, j in itertools.combinations(range(len(low)), 2):
+            if used & {i, j}:
+                continue
+            common = adj[p] & low[j]
+            if all(not adj[a] & common for a in search_module._positions(adj[p] & low[i]).tolist()):
+                yield i, j
+
+    def assign(k, used):
+        if k == len(vertices):
+            return []
+        for i, j in pairs(vertices[k], used):
+            if next(tries) >= steps:
+                return None
+            rest = assign(k + 1, used | {i, j})
+            if rest is not None:
+                return [(i, j), *rest]
+        return None
+
+    return assign(0, frozenset())
+
+
+class CheckedAbsorb:
+    """``_absorb``, checking every node that re-colors: the unbranched
+    classes are kept and are independent sets, each branched class only
+    loses vertices, and the vertices dropped have disjoint pairs of
+    unbranched classes that prove them (``absorbing_pairs``), so the
+    vertices a node does not branch hold no clique of the need.  Counts the
+    vertices dropped."""
+
+    def __init__(self, absorb):
+        self.absorb = absorb
+        self.dropped = 0
+
+    def __call__(self, adj, recolored, keep):
+        classes = self.absorb(adj, recolored, keep)
+        assert len(classes) == len(recolored) and classes[:keep] == recolored[:keep]
+        for cls in classes[:keep]:
+            assert all(not adj[p] & cls for p in search_module._positions(cls).tolist())
+        dropped = 0
+        for cls, old in zip(classes[keep:], recolored[keep:]):
+            assert cls | old == old
+            dropped |= old ^ cls
+        assert absorbing_pairs(adj, classes[:keep], dropped) is not None
+        self.dropped += dropped.bit_count()
+        return classes
+
+
+def test_absorption_at_every_node_of_keller_searches(monkeypatch):
+    # the same soundness at every node of real searches that re-colors, and
+    # the rule does drop vertices there
+    checked = CheckedAbsorb(search_module._absorb)
+    monkeypatch.setattr(search_module, "_absorb", checked)
+    for n, variant in ((1, PLAIN), (1, STAR), (2, PLAIN), (2, STAR), (3, PLAIN), (3, STAR), (4, PLAIN), (4, STAR)):
+        max_clique(materialize(KellerGraphSpec(n, variant)))
+    clique_decision(materialize(KellerGraphSpec(5, STAR)), 29, SearchBudget(node_limit=2000))
+    assert checked.dropped > 0
+
+
+def rule_off(adj, classes, keep):
+    """A node rule that changes no class."""
     return classes
+
+
+# each rule that changes which children a node branches, replaced by the identity
+RULES_OFF = ("_recolor", "_absorb")
 
 
 def outcome(status, size, target):
@@ -920,21 +1031,25 @@ def every_run(g):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 @pytest.mark.parametrize("variant", [PLAIN, STAR])
 def test_recoloring_keeps_every_status_and_size(monkeypatch, n, variant):
-    # re-coloring changes which children a node branches, never an outcome:
-    # with it replaced by the identity, every status and best size agree
+    # re-coloring and absorption change which children a node branches,
+    # never an outcome: with either replaced by the identity, every status
+    # and best size agree, and on G*_4 each rule saves nodes
     g = materialize(KellerGraphSpec(n, variant))
     recolored, nodes = every_run(g)
-    monkeypatch.setattr(search_module, "_recolor", no_recoloring)
-    greedy, greedy_nodes = every_run(g)
-    assert recolored == greedy
-    if (n, variant) == (4, STAR):
-        assert nodes < greedy_nodes
+    for rule in RULES_OFF:
+        with monkeypatch.context() as patch:
+            patch.setattr(search_module, rule, rule_off)
+            off, off_nodes = every_run(g)
+        assert recolored == off, rule
+        if (n, variant) == (4, STAR):
+            assert nodes < off_nodes, rule
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(unit_graphs())
 def test_recoloring_keeps_every_status_and_size_on_random_graphs(monkeypatch, matrix):
-    # the same on random unit-weight graphs, with no symmetry reduction
+    # the same on random unit-weight graphs, with no symmetry reduction, for
+    # either rule replaced by the identity
     def runs():
         status, best = unreduced(matrix, None)
         out = [(status, len(best))]
@@ -944,9 +1059,10 @@ def test_recoloring_keeps_every_status_and_size_on_random_graphs(monkeypatch, ma
         return out
 
     recolored = runs()
-    with monkeypatch.context() as patch:
-        patch.setattr(search_module, "_recolor", no_recoloring)
-        assert runs() == recolored
+    for rule in RULES_OFF:
+        with monkeypatch.context() as patch:
+            patch.setattr(search_module, rule, rule_off)
+            assert runs() == recolored, rule
 
 
 def packed_values(clique):
@@ -961,7 +1077,7 @@ def test_g5_star_has_a_28_clique():
     assert out.status is SearchStatus.TARGET_FOUND
     assert len(out.best_clique) >= 28
     assert verify_clique(out.best_clique, g.spec).is_clique
-    assert out.nodes_explored == 25_544
+    assert out.nodes_explored == 14_597
     assert packed_values(out.best_clique) == [
         0, 24, 30, 86, 123, 148, 159, 306, 313, 397, 435, 437, 470, 507,
         541, 560, 595, 597, 619, 724, 735, 882, 889, 925, 944, 966, 1016, 1022,
@@ -971,11 +1087,11 @@ def test_g5_star_has_a_28_clique():
 @pytest.mark.slow
 def test_g5_star_clique_number_is_28():
     # Corradi-Szabo (1990): omega(G*_5) = 28, as a verified 28-clique (found
-    # after 30 732 nodes) and a refuted 29, the whole of the remaining
-    # 8 078 605 nodes; about 6 min on a 2-vCPU VM
+    # after 17 760 nodes) and a refuted 29, the whole of the remaining
+    # 4 611 359 nodes; 6 min (360 s) on a 2-vCPU VM
     g = materialize(KellerGraphSpec(5, STAR))
     out = max_clique(g)
-    assert (out.status, len(out.best_clique), out.nodes_explored) == (SearchStatus.OPTIMAL, 28, 8_109_337)
+    assert (out.status, len(out.best_clique), out.nodes_explored) == (SearchStatus.OPTIMAL, 28, 4_629_119)
     assert verify_clique(out.best_clique, g.spec).is_clique
 
 
