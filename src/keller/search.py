@@ -48,10 +48,13 @@ vertex and its neighbours, one OR with a prebuilt single bit.  The order is
 fixed, so search trees and node counts are reproducible.  Up to each
 subproblem the graph is handled as numpy arrays: classes, candidate sets and
 induced subgraphs are gathers on the graph's vertex-0 row (u ~ v iff
-row0[u ^ v]) or on a subproblem's restriction of it.  A subproblem is one
-value, ``_Subproblem``: built from its candidates' boolean matrix, it is
-relabeled once into the bitset rows and prebuilt masks the search runs on,
-and the engine, ``_CliqueSearch``, keeps only run state.
+row0[u ^ v]) or on a subproblem's restriction of it.  A subproblem's graph
+is gathered and packed in row blocks, one bit per pair, and the relabel
+reads and permutes it in blocks too, so no dense matrix of pairs is built.
+A subproblem is one value, ``_Subproblem``: built from its candidates'
+packed rows, it is relabeled once into the bitset rows and prebuilt masks
+the search runs on, and the engine, ``_CliqueSearch``, keeps only run
+state.
 
 The search is symmetry-broken.  Every translation m -> m ^ c is an
 automorphism, and so is every map fixing 0 (coordinate permutations times
@@ -85,17 +88,19 @@ witness cliques therefore differ from versions without these reductions.
 
 The cyclic-invariant search looks for cliques closed under the coordinate
 shift, an ``Automorphism``: unions of whole shift orbits, held as one packed
-table whose rows walk the shift from each orbit's lexicographic minimum.  It
-runs on the orbit compatibility graph: one vertex per orbit whose internal
-pairs are all adjacent, weighted by the orbit size, an edge when every cross
-pair is adjacent (both tests gather the table on G*_n's vertex-0 row), and a
-target on the total weight that no branch may overshoot.  When the target
-forces exactly two constant vectors, the clique starts from {0^n, 2^n}, as
-the Stab(0) subproblems start from {0, r}.  It is one subproblem, built
-inside the search so that Ctrl-C during the build ends it cleanly.  Every
-search has one front end: subproblems come as builders, and a position
-carries the packed vectors it adds to a clique, so the incumbent is the
-witness that is checked.
+table whose rows walk the shift from each orbit's lexicographic minimum,
+only the minima's rows built.  It runs on the orbit compatibility graph: one
+vertex per orbit whose internal pairs are all adjacent, weighted by the
+orbit size, an edge when every cross pair is adjacent (both tests gather the
+table on G*_n's vertex-0 row), and a target on the total weight that no
+branch may overshoot.  When the target forces exactly two constant vectors,
+the clique starts from {0^n, 2^n}, as the Stab(0) subproblems start from
+{0, r}, and only the orbits compatible with both are gathered.  It is one
+subproblem, built inside the search so that Ctrl-C during the build ends it
+cleanly.  Every search has one front end: subproblems come as builders, and
+a position carries a row of a table of packed vectors, as many as its
+weight, that it adds to a clique, so the incumbent is the witness that is
+checked.
 """
 
 from __future__ import annotations
@@ -183,42 +188,60 @@ class _Exhausted(Exception):
 _ORBIT_DEPTH = 2
 
 
-# Matrices of pairs are built in row blocks of about _BLOCK_ELEMS pairs, which
-# keeps the temporaries small (256 KiB per 8-byte array) and in cache.
+# Graphs of pairs are gathered, and their packed rows unpacked, in row blocks
+# of about _BLOCK_ELEMS pairs, which keeps the temporaries small (256 KiB per
+# 8-byte array) and in cache.
 _BLOCK_ELEMS = 1 << 15
 
 
-def _relabel(matrix: np.ndarray) -> tuple[list[int], list[int]]:
-    """Degeneracy order and the bitset rows in it; returns (rows, order).
+# Row v of this table is the 8 bits of the byte v, lowest first: a take of it
+# on a packed row unpacks the row into a preallocated buffer.
+_BYTE_BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little")
 
-    ``matrix`` is a dense symmetric boolean adjacency with a clear diagonal.
+
+def _unpacked(rows: np.ndarray, count: int) -> np.ndarray:
+    """Packed rows as 0/1 bytes: column j is bit j of each row (``bitorder="little"``)."""
+    return np.unpackbits(rows, axis=-1, count=count, bitorder="little")
+
+
+def _relabel(rows: np.ndarray) -> tuple[list[int], list[int]]:
+    """Degeneracy order and the bitset rows in it; returns (bitsets, order).
+
+    ``rows`` is a symmetric adjacency with a clear diagonal, one packed row
+    per vertex: bit j of row i (``bitorder="little"``) is set iff i ~ j.
     ``order`` is the repeated removal of a minimum-degree vertex, smallest
     index on ties (``argmin`` returns the first minimum); a removed vertex's
     degree is pinned above every live one.  Position p names vertex
-    ``order[p]``, and bit q of ``rows[p]`` is set iff order[p] ~ order[q]:
-    the last vertex removed is the top bit, so a bitset's highest set bit is
-    its next vertex in descending degeneracy order.  The rows are permuted
-    and packed in blocks of about _BLOCK_ELEMS entries, so the only
-    full-size array is ``matrix``.
+    ``order[p]``, and bit q of ``bitsets[p]`` is set iff order[p] ~
+    order[q]: the last vertex removed is the top bit, so a bitset's highest
+    set bit is its next vertex in descending degeneracy order.  Degrees are
+    counted, and rows permuted and repacked, in blocks of about _BLOCK_ELEMS
+    entries; the removal loop unpacks one row at a time into one buffer.  So
+    the only full-size array is ``rows``, one bit per pair.
     """
-    matrix = np.ascontiguousarray(matrix)  # row updates below are 5x slower in Fortran order
-    nverts = len(matrix)
-    deg = matrix.sum(axis=1, dtype=np.int64)
-    removed = np.iinfo(np.int64).max
+    nverts = len(rows)
+    step = max(1, _BLOCK_ELEMS // max(1, nverts))
+    # int32 halves the bytes argmin scans; a degree is below nverts
+    deg = np.empty(nverts, dtype=np.int32)
+    for start in range(0, nverts, step):
+        deg[start : start + step] = _unpacked(rows[start : start + step], nverts).sum(axis=1)
+    removed = np.iinfo(np.int32).max
     order = np.empty(nverts, dtype=np.intp)
+    buf = np.empty((rows.shape[1], 8), dtype=np.uint8)
+    row = buf.reshape(-1)[:nverts]
     for i in range(nverts):
         v = int(np.argmin(deg))
         order[i] = v
-        deg -= matrix[v]
+        np.take(_BYTE_BITS, rows[v], axis=0, out=buf, mode="clip")  # clip: an unbuffered take
+        deg -= row
         deg[v] = removed
-    rows: list[int] = []
-    step = max(1, _BLOCK_ELEMS // max(1, nverts))
+    bitsets: list[int] = []
     for start in range(0, nverts, step):
         # take(order, axis=1) is faster than [:, order]
-        block = matrix[order[start : start + step]].take(order, axis=1)
+        block = _unpacked(rows[order[start : start + step]], nverts).take(order, axis=1)
         packed = np.packbits(block, axis=1, bitorder="little")
-        rows.extend(int.from_bytes(row.tobytes(), "little") for row in packed)
-    return rows, order.tolist()
+        bitsets.extend(int.from_bytes(b.tobytes(), "little") for b in packed)
+    return bitsets, order.tolist()
 
 
 def _positions(mask: int) -> np.ndarray:
@@ -228,24 +251,33 @@ def _positions(mask: int) -> np.ndarray:
 
 
 def _gather(row0: np.ndarray, rows: np.ndarray, columns: Sequence[np.ndarray]) -> np.ndarray:
-    """M[i, j] = AND over c in ``columns`` of ``row0[rows[i] ^ c[j]]``, in row blocks."""
-    matrix = np.ones((len(rows), len(columns[0])), dtype=bool)
-    step = max(1, _BLOCK_ELEMS // max(1, matrix.shape[1]))
+    """M[i, j] = AND over c in ``columns`` of ``row0[rows[i] ^ c[j]]``, as packed rows.
+
+    Bit j of row i (``bitorder="little"``) is M[i, j].  Each block of about
+    _BLOCK_ELEMS entries is gathered as booleans and packed at once, so the
+    result, one bit per entry, is the only full-size array.
+    """
+    ncols = len(columns[0])
+    out = np.empty((len(rows), (ncols + 7) // 8), dtype=np.uint8)
+    step = max(1, _BLOCK_ELEMS // max(1, ncols))
     for start in range(0, len(rows), step):
-        block = matrix[start : start + step]
-        for c in columns:
-            block &= row0[rows[start : start + step, None] ^ c]
-    return matrix
+        block = rows[start : start + step, None]
+        matrix = row0[block ^ columns[0]]
+        for c in columns[1:]:
+            matrix &= row0[block ^ c]
+        out[start : start + step] = np.packbits(matrix, axis=1, bitorder="little")
+    return out
 
 
 class _Subproblem:
     """Extend the clique ``prefix`` (packed vectors) within a candidate set.
 
-    Built from the candidates' dense boolean adjacency ``matrix``, all of
-    them adjacent to every prefix vector; ``vectors[i]`` is the tuple of
-    packed vectors that candidate i adds to a clique, and its length is i's
-    weight: ``(v,)`` for a Keller-graph vertex, one whole orbit for the
-    orbit graph.  Both searches fix vectors only through the prefix: {0, r}
+    Built from the candidates' adjacency ``rows``, packed as ``_relabel``
+    takes them, all of them adjacent to every prefix vector.  Candidate i
+    adds to a clique the packed vectors ``vectors[i, :sizes[i]]``, and
+    ``sizes[i]`` is its weight: a one-column table of Keller-graph vertices
+    with unit sizes, or on the orbit graph one table row per orbit and the
+    orbit sizes.  Both searches fix vectors only through the prefix: {0, r}
     for a Stab(0) class, and {0^n, 2^n} on the orbit graph when exactly two
     constants are forced (the uniform x -> x + 1, an ``Automorphism``
     commuting with the shift, maps the other adjacent constant pair
@@ -264,32 +296,33 @@ class _Subproblem:
     known symmetry, and ``keyed`` = -1.  ``_induced`` keys the Stab(0, r)
     orbits of a Cayley graph, joined at the root by x -> x ^ r.
 
-    The constructor relabels the matrix once (``_relabel``) and keeps
+    The constructor relabels the rows once (``_relabel``) and keeps
     everything the search branches with, over positions in degeneracy
     removal order: ``adj`` the bitset rows, ``order[p]`` the candidate at
-    position p, ``vectors`` and ``weights`` per position, ``bits[p]`` =
-    1 << p, ``nonadj[p]`` the positions that are neither p nor its
-    neighbours (a positive mask, so coloring never ANDs with a negative
-    int, which makes CPython build a two's-complement temporary), the
-    weight levels ``light`` and ``heavy`` (per level above the lightest,
-    heaviest first, the mask of its positions), and ``unit``, whether every
-    weight is 1 (then nodes re-color and absorb, ``_recolor`` and
-    ``_absorb``).
+    position p, the table ``vectors`` and the list ``weights`` (the sizes)
+    per position, ``bits[p]`` = 1 << p, ``nonadj[p]`` the positions that
+    are neither p nor its neighbours (a positive mask, so coloring never
+    ANDs with a negative int, which makes CPython build a two's-complement
+    temporary), the weight levels ``light`` and ``heavy`` (per level above
+    the lightest, heaviest first, the mask of its positions), and ``unit``,
+    whether every weight is 1 (then nodes re-color and absorb, ``_recolor``
+    and ``_absorb``).
     """
 
     def __init__(
         self,
         prefix: tuple[int, ...],
-        matrix: np.ndarray,
-        vectors: Sequence[tuple[int, ...]],
+        rows: np.ndarray,
+        vectors: np.ndarray,
+        sizes: np.ndarray,
         key: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None,
     ):
         self.prefix, self.key = prefix, key
         self.keyed = -1 if key is None else _ORBIT_DEPTH
-        self.adj, order = _relabel(matrix)
+        self.adj, order = _relabel(rows)
         self.order = np.array(order, dtype=np.intp)
-        self.vectors = [vectors[i] for i in order]
-        self.weights = [len(v) for v in self.vectors]
+        self.vectors = vectors[self.order]
+        self.weights = sizes[self.order].tolist()
         self.bits = [1 << p for p in range(len(order))]
         full = (1 << len(order)) - 1
         self.nonadj = [full ^ row ^ bit for row, bit in zip(self.adj, self.bits)]  # no self-loops
@@ -315,8 +348,8 @@ class _Subproblem:
         return {p: masks[k] for p, k in zip(members, key)}
 
 
-# the candidates of a subproblem that has none
-_NONE = np.zeros((0, 0), dtype=bool)
+# the rows, vectors and sizes of a subproblem that has no candidates
+_NONE = (np.zeros((0, 0), dtype=np.uint8), np.zeros((0, 1), dtype=np.intp), np.zeros(0, dtype=np.intp))
 
 
 def _stabilizer_classes(spec: KellerGraphSpec, row0: np.ndarray) -> list[np.ndarray]:
@@ -401,8 +434,8 @@ def _induced(class_of: np.ndarray, n: int, r: int, verts: np.ndarray, first: int
             out = np.minimum(out, _prefix_stabilizer_key(fixed, digits[cand] ^ prefix[1]))
         return out
 
-    matrix = _gather(class_of >= first, verts, [verts])
-    return _Subproblem((0, r), matrix, [(v,) for v in verts.tolist()], key)
+    rows = _gather(class_of >= first, verts, [verts])
+    return _Subproblem((0, r), rows, verts[:, None], np.ones(len(verts), dtype=np.intp), key)
 
 
 def _subproblems(g: MaterializedGraph) -> Iterator[Callable[[], _Subproblem]]:
@@ -424,7 +457,7 @@ def _subproblems(g: MaterializedGraph) -> Iterator[Callable[[], _Subproblem]]:
     """
     classes = _stabilizer_classes(g.spec, g.row0)
     if not classes:
-        yield lambda: _Subproblem((0,), _NONE, [])
+        yield lambda: _Subproblem((0,), *_NONE)
         return
     class_of = np.full(g.num_vertices, -1, dtype=np.intp)
     for i, members in enumerate(classes):
@@ -549,7 +582,7 @@ class _CliqueSearch:
         # one flag, so a run with neither a deadline nor a heartbeat does no
         # extra work per node
         self.poll = self.deadline is not None or on_progress is not None
-        self.best: tuple[_Subproblem, int] = (_Subproblem((), _NONE, []), 0)
+        self.best: tuple[_Subproblem, int] = (_Subproblem((), *_NONE), 0)
         self.best_size = 0
         self.nodes = 0
         self.note: Optional[str] = None
@@ -737,7 +770,8 @@ class _CliqueSearch:
         out = list(sub.prefix)
         while mask:
             lsb = mask & -mask
-            out.extend(sub.vectors[lsb.bit_length() - 1])
+            p = lsb.bit_length() - 1
+            out.extend(sub.vectors[p, : sub.weights[p]].tolist())
             mask ^= lsb
         return out
 
@@ -816,14 +850,28 @@ def _orbit_table(a: Automorphism) -> tuple[np.ndarray, np.ndarray]:
     Row i is r, a(r), a^2(r), ... up to the order of a, for r the orbit's
     lexicographic minimum; rows ascend by r, and each repeats with period
     equal to its orbit size.  Entries are intp, so they index without a cast.
+    A vector's lexicographic rank is its packed value with the coordinates
+    reversed (coordinate 0 most significant), and the reversal is an
+    involution, so the vector of rank k is the reversal of k.  The
+    representative r is the member whose rank is not above that of any
+    image a^k(r): one pass over all 4^n vectors per power of a marks the
+    representatives in rank order, with no sort, and only their rows are
+    walked.
     """
-    vecs = VectorSet._from_packed(a.dim, np.arange(4**a.dim)).packed.astype(np.intp)  # lexicographic
-    walk = [vecs]
-    while not np.array_equal(image := a._apply_packed(walk[-1]), vecs):
-        walk.append(image)
+    n = a.dim
+    identity = Automorphism.identity(n)
+    reverse = Automorphism(tuple(range(n))[::-1], identity.label_maps)
+    ranks = np.arange(4**n, dtype=np.intp)
+    vecs = reverse._apply_packed(ranks)  # lexicographic
+    minimal = np.ones(len(vecs), dtype=bool)
+    power, period = a, 1
+    while power != identity:
+        minimal &= ranks <= reverse.compose(power)._apply_packed(vecs)
+        power, period = a.compose(power), period + 1
+    walk = [vecs[minimal]]
+    while len(walk) < period:
+        walk.append(a._apply_packed(walk[-1]))
     table = np.stack(walk, axis=1)
-    ranks = np.argsort(vecs)[table]  # lexicographic rank of every entry
-    table = table[ranks.min(axis=1) == ranks[:, 0]]
     return table, table.shape[1] // (table == table[:, :1]).sum(axis=1)
 
 
@@ -836,17 +884,29 @@ def cyclic_orbits(n: int) -> tuple[OrbitVertex, ...]:
     )
 
 
-def _orbit_compatibility(row0: np.ndarray, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Indices of the orbits that are cliques, and their compatibility matrix.
+def _admissible(row0: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Indices of the orbits of ``table`` whose internal pairs are all adjacent.
 
     ``table`` is the ``_orbit_table`` of an automorphism of the graph with
-    vertex-0 row row0.  It maps A's representative onto each member of A and
-    B onto itself, so every cross pair of orbits A and B is adjacent iff A's
-    representative is adjacent to every entry of B's row.
+    vertex-0 row row0, which maps an orbit's representative onto each of
+    its members: the orbit is a clique iff the representative is adjacent
+    to every other entry of its row.
     """
     reps = table[:, :1]
-    keep = np.flatnonzero(((table == reps) | row0[table ^ reps]).all(axis=1))
-    return keep, _gather(row0, reps[keep, 0], np.ascontiguousarray(table[keep].T))
+    return np.flatnonzero(((table == reps) | row0[table ^ reps]).all(axis=1))
+
+
+def _orbit_compatibility(row0: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """The compatibility graph of the orbits of ``table``, as packed rows.
+
+    ``table`` holds rows of an ``_orbit_table`` of an automorphism of the
+    graph with vertex-0 row row0.  It maps A's representative onto each
+    member of A and B onto itself, so every cross pair of orbits A and B is
+    adjacent iff A's representative is adjacent to every entry of B's row:
+    one ``_gather`` with a column per power of the automorphism, packed
+    block by block as ``_relabel`` takes it.
+    """
+    return _gather(row0, table[:, 0], np.ascontiguousarray(table.T))
 
 
 def _weight_reachable(weights: Sequence[int], target: int) -> bool:
@@ -897,12 +957,13 @@ def invariant_clique_search(
     def build() -> _Subproblem:
         # runs inside search.run(), so that Ctrl-C here ends the search too
         table, sizes = _orbit_table(_shift(n))
-        keep, compat = _orbit_compatibility(materialize(spec).row0, table)
+        row0 = materialize(spec).row0
+        keep = _admissible(row0, table)
         table, sizes = table[keep], sizes[keep]
         if not _weight_reachable(sizes.tolist(), target):
             search.note = f"target {target} is not a sum of admissible orbit sizes"
-            return _Subproblem((), _NONE, [])
-        prefix, cand = (), np.arange(len(sizes))
+            return _Subproblem((), *_NONE)
+        prefix: tuple[int, ...] = ()
         # counts of constants a solution can contain: the residue of target
         # modulo the only other orbit size, up to the four constants
         counts = {f for f in range(5) if f <= target and (target - f) % n == 0}
@@ -911,11 +972,14 @@ def invariant_clique_search(
             # uniform label map x -> x + 1 is an Automorphism commuting with
             # the shift, so it maps invariant cliques to invariant cliques,
             # and {1^n, 3^n} onto {2^n, 0^n}: fix 0^n (row 0) and 2^n.  The
-            # orbits compatible with both exclude every constant.
+            # orbits compatible with both, found from their two gathered
+            # rows, exclude every constant, and only they are gathered
+            # against each other.
             two = np.flatnonzero(sizes == 1)[2]  # rows ascend by representative
-            prefix, cand = (0, int(table[two, 0])), np.flatnonzero(compat[0] & compat[two])
-            compat = compat[np.ix_(cand, cand)]
-        vectors = [tuple(row[:size]) for row, size in zip(table[cand].tolist(), sizes[cand].tolist())]
-        return _Subproblem(prefix, compat, vectors)
+            prefix = (0, int(table[two, 0]))
+            fixed = _gather(row0, table[[0, two], 0], np.ascontiguousarray(table.T))
+            cand = np.flatnonzero(_unpacked(fixed, len(table)).all(axis=0))
+            table, sizes = table[cand], sizes[cand]
+        return _Subproblem(prefix, _orbit_compatibility(row0, table), table, sizes)
 
     return _search(spec, search, search.run([build], target))

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import dense_rows, packed_rows
 from keller import search as search_module
 from keller.core import GraphVariant, KellerGraphSpec, materialize
 from keller.search import (
@@ -100,7 +101,7 @@ def induced(rows, verts):
 
 
 def assert_same_relabel(matrix, rows):
-    assert _relabel(matrix) == reference_relabel(rows)
+    assert _relabel(packed_rows(matrix)) == reference_relabel(rows)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -133,39 +134,42 @@ def test_every_stabilizer_subproblem_matches_reference(monkeypatch, n):
         cand = allowed & cayley_row(rep)
         verts = [v for v in range(g.num_vertices) if (cand >> v) & 1]
         adj, sub_to_vert = reference_relabel(induced({u: cayley_row(u) for u in verts}, verts))
-        want.append(((0, rep), adj, [(verts[i],) for i in sub_to_vert]))
+        want.append(((0, rep), adj, [[verts[i]] for i in sub_to_vert], [1] * len(verts)))
         for v in members.tolist():
             allowed &= ~(1 << v)
     for block_elems in (1, 300, search_module._BLOCK_ELEMS):
         monkeypatch.setattr(search_module, "_BLOCK_ELEMS", block_elems)
         subs = [build() for build in _subproblems(g)]
-        assert [(sub.prefix, sub.adj, sub.vectors) for sub in subs] == want
+        assert [(sub.prefix, sub.adj, sub.vectors.tolist(), sub.weights) for sub in subs] == want
 
 
 @pytest.mark.parametrize("n", [6, 7])
 def test_relabel_matches_reference_on_orbit_graphs(n):
-    # the matrix the target-2^n search relabels: at n = 7 the orbits
+    # the packed rows the target-2^n search relabels: at n = 7 the orbits
     # compatible with the fixed constants 0^n and 2^n
     with mock.patch.object(search_module, "_relabel", wraps=_relabel) as spy:
         invariant_clique_search(n, 2**n, SearchBudget(node_limit=1))
-    (matrix,), _ = spy.call_args
-    assert len(matrix) == {6: 296, 7: 1228}[n]
+    (rows,), _ = spy.call_args
+    assert len(rows) == {6: 296, 7: 1228}[n]
+    matrix = dense_rows(rows, len(rows))
     assert_same_relabel(matrix, int_rows(matrix))
 
 
 def test_relabel_memory_is_bounded():
-    # the rows are permuted and packed in blocks: no second full-size matrix
-    # (a one-shot permutation peaks above the input's own size)
+    # the rows are unpacked, permuted and repacked in blocks: no full-size
+    # unpacked matrix, which alone takes 8 times the packed input; the
+    # bitsets returned take about 1.2 times it
     rng = np.random.default_rng(7)
     matrix = np.triu(rng.random((1500, 1500)) < 0.35, 1)
     matrix |= matrix.T
+    rows = packed_rows(matrix)
     tracemalloc.start()
     try:
-        _relabel(matrix)
+        _relabel(rows)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < matrix.nbytes / 3
+    assert peak < 2 * rows.nbytes
 
 
 @st.composite

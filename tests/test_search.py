@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from conftest import dense_rows, packed_rows
 from keller import search as search_module
 from keller.construction import VectorSet
 from keller.core import (
@@ -375,7 +376,7 @@ def test_orbit_masks_are_the_key_classes_of_positions(n, variant):
     # positions, one key per mask
     g = materialize(KellerGraphSpec(n, variant))
     for sub in (build() for build in _subproblems(g)):
-        verts = np.array([v for (v,) in sub.vectors], dtype=np.intp)
+        verts = sub.vectors[:, 0]
         key = root_key(n, sub.prefix, verts).tolist()
         drop = sub._orbit_masks(0, (1 << len(verts)) - 1)
         assert sorted(drop) == list(range(len(verts)))
@@ -404,7 +405,7 @@ def test_every_clique_has_a_normal_form_in_its_subproblem(n, variant, limit):
     positions = []
     for i, sub in enumerate(subs):
         r = sub.prefix[1]
-        verts = [v for (v,) in sub.vectors]
+        verts = sub.vectors[:, 0].tolist()
         assert sorted(verts) == [v for v in range(4**n) if cls[v] >= i and cls[v ^ r] >= i]
         for p, u in enumerate(verts):
             assert [q for q in range(len(verts)) if sub.adj[p] >> q & 1] == [
@@ -437,7 +438,7 @@ def test_root_orbits_are_those_of_stab_0_r_and_the_swap(n, variant, roots):
         r = sub.prefix[1]
         pair = images[images[:, r] == r]
         group = np.concatenate([pair, pair ^ r])
-        verts = [v for (v,) in sub.vectors]
+        verts = sub.vectors[:, 0].tolist()
         assert set(group[:, verts].ravel().tolist()) == set(verts)
         drop = sub._orbit_masks(0, (1 << len(verts)) - 1)
         position = {v: p for p, v in enumerate(verts)}
@@ -450,13 +451,20 @@ def keller_matrix(g):
     return np.array([[g.has_edge_index(u, v) for v in range(nverts)] for u in range(nverts)])
 
 
+def unit_subproblem(matrix, verts=None, key=None):
+    """A subproblem with no prefix on a dense boolean matrix, vertex i
+    adding verts[i] (by default i) with weight 1."""
+    verts = np.arange(len(matrix)) if verts is None else np.asarray(verts)
+    return _Subproblem((), packed_rows(matrix), verts[:, None], np.ones(len(verts), dtype=np.intp), key)
+
+
 def unreduced(matrix, target):
     """The B&B engine on a whole relabeled boolean matrix: (status, best clique).
 
     A target of None runs the ladder of decisions, ``maximize``.
     """
     search = _CliqueSearch(SearchBudget())
-    builders = [lambda: _Subproblem((), matrix, [(v,) for v in range(len(matrix))])]
+    builders = [lambda: unit_subproblem(matrix)]
     status = search.maximize(builders) if target is None else search.run(builders, target)
     best = search.best_vectors()
     assert len(best) == search.best_size
@@ -560,8 +568,8 @@ class CheckedOrbitDrops(_Subproblem):
         drop = super()._orbit_masks(rmask, cand)
         clique = list(self.prefix)
         positions = range(len(self.vectors))
-        clique += [self.vectors[p][0] for p in positions if rmask >> p & 1]
-        vecs = [v for (v,) in self.vectors]
+        vecs = self.vectors[:, 0].tolist()
+        clique += [vecs[p] for p in positions if rmask >> p & 1]
         key = (root_key(self.n, clique, vecs) if rmask == 0 else prefix_key(self.n, clique, vecs)).tolist()
         classes = key_classes(key)
         assert all(cls & cand in (0, cls) for cls in classes)
@@ -611,11 +619,10 @@ def test_a_key_from_outside_keller_code_keeps_every_status():
     # refutes some targets that have cliques.
     rng = random.Random(1)
     x = np.arange(64)
-    vectors = [(v,) for v in range(64)]
     changed = 0
     for _ in range(150):
         matrix = np.array([False] + [rng.random() < 0.5 for _ in range(63)])[x[:, None] ^ x]
-        plain, keyed = _Subproblem((), matrix, vectors), _Subproblem((), matrix, vectors, translation_key)
+        plain, keyed = unit_subproblem(matrix), unit_subproblem(matrix, key=translation_key)
         full, reduced = decide(plain, None), decide(keyed, None)
         assert full[::2] == reduced[::2]
         changed += full[1] != reduced[1]
@@ -720,11 +727,12 @@ def test_neighbourhood_of_zero_is_dimacs_keller(n, nverts, nedges):
     # keller5 and keller6 instances, whose clique number is omega(G*_n) - 1
     row0 = materialize(KellerGraphSpec(n, STAR)).row0
     verts = np.flatnonzero(row0)
-    matrix = search_module._gather(row0, verts, [verts])
-    assert (len(verts), int(matrix.sum()) // 2) == (nverts, nedges)
+    rows = search_module._gather(row0, verts, [verts])
+    assert rows.shape == (nverts, (nverts + 7) // 8)
+    assert int(np.unpackbits(rows).sum()) // 2 == nedges  # the padding bits are clear
     if n == 4:
         search = _CliqueSearch(SearchBudget())
-        status = search.maximize([lambda: _Subproblem((), matrix, [(v,) for v in verts.tolist()])])
+        status = search.maximize([lambda: unit_subproblem(dense_rows(rows, nverts), verts)])
         assert (status, search.best_size, search.nodes) == (SearchStatus.OPTIMAL, 11, 4_833)
         # with vertex 0 it is a maximum clique of G*_4
         clique = VectorSet._from_packed(n, [0, *search.best_vectors()])
@@ -793,7 +801,7 @@ def test_bound_test_before_every_child_matches_class_start_test(monkeypatch, gra
     monkeypatch.setattr(search_module, "_ORBIT_DEPTH", 0)
     matrix, weights = graph
     nverts = len(matrix)
-    vectors = [tuple(range(3 * v, 3 * v + weights[v])) for v in range(nverts)]
+    vectors = 3 * np.arange(nverts)[:, None] + np.arange(3)  # vertex v adds 3v, ..., 3v + weights[v] - 1
     block = np.array(data.draw(st.lists(st.integers(0, 3), min_size=nverts, max_size=nverts)))
 
     def drawn_key(clique, cand):
@@ -805,7 +813,7 @@ def test_bound_test_before_every_child_matches_class_start_test(monkeypatch, gra
         for engine in (_CliqueSearch, PerChildBound):
             log = []
             search = engine(SearchBudget(), lambda size, nodes: log.append((size, nodes)))
-            builders = [lambda: _Subproblem((), matrix, vectors, drawn_key)]
+            builders = [lambda: _Subproblem((), packed_rows(matrix), vectors, np.array(weights), drawn_key)]
             status = search.maximize(builders) if target is None else search.run(builders, target)
             runs.append((status, search.nodes, search.best_vectors(), log))
         assert runs[0] == runs[1]
@@ -858,7 +866,7 @@ def test_recoloring_keeps_unbranched_classes_independent(matrix, data):
     # rule returns the branched classes, the re-colored ones from need - 1 on
     # less the vertices the absorption rule drops
     nverts = len(matrix)
-    sub = _Subproblem((), matrix, [(v,) for v in range(nverts)])
+    sub = unit_subproblem(matrix)
     assert sub.unit
     search = _CliqueSearch(SearchBudget())
     search.sub = sub
@@ -919,7 +927,7 @@ def test_unbranched_vertices_hold_no_clique_of_the_need(matrix, data):
     # absorbed by pairs of them) holds no clique of need vertices, and each
     # class it returns lies inside its re-colored class
     nverts = len(matrix)
-    sub = _Subproblem((), matrix, [(v,) for v in range(nverts)])
+    sub = unit_subproblem(matrix)
     search = _CliqueSearch(SearchBudget())
     search.sub = sub
     every = (1 << nverts) - 1
@@ -1239,28 +1247,76 @@ def test_orbit_compatibility_matches_definition(monkeypatch, n, block_elems):
     adjacency = keller_matrix(g)
     members = [[v.packed for v in o.orbit] for o in cyclic_orbits(n)]
     table, _ = search_module._orbit_table(search_module._shift(n))
-    admissible, compat = search_module._orbit_compatibility(g.row0, table)
+    admissible = search_module._admissible(g.row0, table)
+    compat = search_module._orbit_compatibility(g.row0, table[admissible])
     keep = [i for i, m in enumerate(members) if (adjacency[np.ix_(m, m)] | np.eye(len(m), dtype=bool)).all()]
     assert admissible.tolist() == keep
     expected = [[adjacency[np.ix_(members[a], members[b])].all() for b in keep] for a in keep]
-    assert compat.tolist() == expected
+    assert compat.shape == (len(keep), (len(keep) + 7) // 8)
+    assert dense_rows(compat, len(keep)).tolist() == expected
+    assert not np.unpackbits(compat, axis=1, bitorder="little")[:, len(keep) :].any()  # the padding bits are clear
 
 
-@pytest.mark.parametrize("n, admissible, limit_mib", [(7, 1600, 16), (8, 4320, 64)])
+@pytest.mark.parametrize("n, admissible, limit_mib", [(7, 1600, 2), (8, 4320, 6)])
 def test_orbit_compatibility_memory_is_bounded(n, admissible, limit_mib):
-    # a one-shot build holds several admissible x admissible uint64
-    # temporaries: a 68.5 MiB peak at n = 7 and 142 MiB per temporary at n = 8
+    # packed rows, gathered in blocks: 0.89 MiB at n = 7 and 3.1 MiB at n = 8,
+    # where the dense boolean matrix alone takes 2.4 and 17.8 MiB, and a
+    # one-shot gather holds several admissible x admissible uint64
+    # temporaries (68.5 MiB at n = 7)
     g = materialize(KellerGraphSpec(n, STAR))
     table, _ = search_module._orbit_table(search_module._shift(n))
     tracemalloc.start()
     try:
-        adm, compat = search_module._orbit_compatibility(g.row0, table)
+        adm = search_module._admissible(g.row0, table)
+        compat = search_module._orbit_compatibility(g.row0, table[adm])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert len(adm) == admissible
     assert peak < limit_mib * 2**20
+    compat = dense_rows(compat, admissible)
     assert (compat == compat.T).all() and not compat.diagonal().any()
+
+
+def traced_peak(call):
+    """The tracemalloc peak of call(), in bytes."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+ONE_NODE = SearchBudget(node_limit=1)
+
+
+@pytest.mark.parametrize(
+    "call, limit_mib",
+    [
+        # everything before the first node of the n = 7 and n = 8 orbit
+        # searches: 1.0 and 9.5 MiB, where dense candidate matrices and a
+        # 4^n x n orbit table took 4.1 and 26.3 MiB
+        (lambda: invariant_clique_search(7, 128, ONE_NODE), 2),
+        (lambda: invariant_clique_search(8, 256, ONE_NODE), 16),
+        # the representatives' rows only, 2.8 MiB, not a walk of all 65 536
+        # vectors with their ranks (13.1 MiB)
+        (lambda: search_module._orbit_table(search_module._shift(8)), 4),
+    ],
+    ids=["invariant-7", "invariant-8", "orbit-table-8"],
+)
+def test_orbit_search_build_memory_is_bounded(call, limit_mib):
+    assert traced_peak(call) < limit_mib * 2**20
+
+
+def test_stabilizer_subproblem_build_memory_is_bounded():
+    # the first G*_6 subproblem, 2724 candidates, packed from the gather to
+    # the relabel: 3.8 MiB, where the build with a dense boolean matrix
+    # (7.1 MiB alone) peaked at 10.2 MiB
+    g = materialize(KellerGraphSpec(6, STAR))
+    out = []
+    assert traced_peak(lambda: out.append(clique_decision(g, 61, ONE_NODE))) < 6 * 2**20
+    assert (out[0].status, out[0].nodes_explored) == (SearchStatus.BUDGET_EXHAUSTED, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -1340,9 +1396,10 @@ def test_uniform_step_commutes_with_shift_and_swaps_constant_pairs(n):
 def unreduced_invariant_status(n, target):
     """The orbit search with no pair rule: every admissible orbit a singleton position."""
     table, sizes = search_module._orbit_table(search_module._shift(n))
-    keep, compat = search_module._orbit_compatibility(materialize(KellerGraphSpec(n, STAR)).row0, table)
-    vectors = [tuple(table[u, : sizes[u]].tolist()) for u in keep]
-    return _CliqueSearch(SearchBudget()).run([lambda: _Subproblem((), compat, vectors)], target)
+    row0 = materialize(KellerGraphSpec(n, STAR)).row0
+    keep = search_module._admissible(row0, table)
+    compat = search_module._orbit_compatibility(row0, table[keep])
+    return _CliqueSearch(SearchBudget()).run([lambda: _Subproblem((), compat, table[keep], sizes[keep])], target)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
@@ -1413,6 +1470,7 @@ def test_invariant_search_dimension_guard(monkeypatch):
         raise AssertionError("the guard must reject n = 9 before enumerating")
 
     monkeypatch.setattr(search_module, "_orbit_table", enumerate_all)
+    monkeypatch.setattr(search_module, "_admissible", enumerate_all)
     monkeypatch.setattr(search_module, "_orbit_compatibility", enumerate_all)
     with pytest.raises(ValueError, match="guarded at dim 8"):
         invariant_clique_search(9, 512)
