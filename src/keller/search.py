@@ -1,43 +1,30 @@
 """Exact clique search on Keller graphs.
 
 One weighted branch and bound over Python-int bitsets serves every search,
-in the style of the BBMC family.  Its branching rule is one method,
-``_CliqueSearch._color_sort``: it colors a node's candidates greedily in
-descending degeneracy order and returns only the classes whose color
-bound, added to the current clique, can reach the target, and the node
-(``_expand``) branches them highest color first, with no test of its own.
-The engine only decides targets; ``max_clique`` is a ladder of decisions,
-each rung one past the incumbent, until a rung is refuted, so OPTIMAL k is
-a verified k-clique plus a refuted k + 1.  A clique's size is its total
-vertex weight and a color class's bound is the running sum of each class's
-heaviest weight, so with unit weights (every Keller-graph search) the bound
-is the color number.  A node is one coloring of a non-empty candidate set;
-a branch whose candidate set is empty is a leaf and is not counted.  Every
-node entered is a clique, so it updates the incumbent: a run that runs out
-of budget still reports the largest clique it reached.
+in the style of the BBMC family.  The tree is the subproblem's: a
+``_Subproblem`` yields a node's children (``children``), the positions of
+the color classes that its branching rule, ``_color_sort``, returns, and
+the engine, ``_CliqueSearch``, only walks them; the argument that this is
+sound is in those two docstrings.  The engine only decides targets;
+``max_clique`` is a ladder of decisions, each rung one past the incumbent,
+until a rung is refuted, so OPTIMAL k is a verified k-clique plus a refuted
+k + 1.  A clique's size is its total vertex weight and a color class's bound
+is the running sum of each class's heaviest weight, so with unit weights
+(every Keller-graph search) the bound is the color number.  A node is one
+coloring of a non-empty candidate set; a branch whose candidate set is
+empty is a leaf and is not counted.  Every node entered is a clique, so it
+updates the incumbent: a run that runs out of budget still reports the
+largest clique it reached.
 
-With unit weights the classes are then re-colored by Re-NUMBER (Tomita et
-al., WALCOM 2010; in bitset form, San Segundo et al.'s BBMCR, Optim. Lett.
-2013).  A node that needs ``need`` more vertices never branches its first
-need - 1 classes, whose bounds fall short.  So a vertex of a later class
-moves into one of them where it has no neighbour, or where it has exactly
-one, q, that can move into another of them holding none of q's neighbours;
-a vertex that moves is not branched.  This is sound because those classes
-stay independent sets: once the node has searched every vertex left in the
-later classes, what remains of its candidates is need - 1 independent sets,
-which hold no clique of need vertices.  A vertex that stays keeps its class
-and its bound.  Then a vertex p still in a later class is absorbed, and not
-branched either, by two of the unbranched classes that no other absorbed
-vertex uses, Ci and Cj, if p has exactly one neighbour u in Ci and u has no
-neighbour among p's neighbours in Cj (``_absorb``): a clique inside Ci, Cj
-and p has at most 2 vertices, so the pairs and the other classes still hold
-no clique of need vertices.  This is the infra-chromatic idea of San
-Segundo, Nikolaev and Batsyn (Comput. Oper. Res. 2015), a few classes and
-one more vertex that together hold no larger clique; Li and Quan (AAAI 2010)
-read such sets as the inconsistent subsets of a MaxSAT encoding.  The orbit
-graph, whose weights are not all 1, keeps the greedy classes, since there
-the sum of the classes' heaviest weights, not their number, must stay below
-the need.
+With unit weights the classes a node never branches are re-colored by
+Re-NUMBER (Tomita et al., WALCOM 2010; in bitset form, San Segundo et al.'s
+BBMCR, Optim. Lett. 2013), and then absorb, in pairs, vertices of the
+classes it branches: the infra-chromatic idea of San Segundo, Nikolaev and
+Batsyn (Comput. Oper. Res. 2015), a few classes and one more vertex that
+together hold no larger clique; Li and Quan (AAAI 2010) read such sets as
+the inconsistent subsets of a MaxSAT encoding.  The orbit graph, whose
+weights are not all 1, keeps the greedy classes, since there the sum of
+the classes' heaviest weights, not their number, must stay below the need.
 
 Each subproblem's bitsets are over positions in the repeated-minimum-degree
 removal order (ties to the smallest index), so descending degeneracy order
@@ -51,10 +38,8 @@ induced subgraphs are gathers on the graph's vertex-0 row (u ~ v iff
 row0[u ^ v]) or on a subproblem's restriction of it.  A subproblem's graph
 is gathered and packed in row blocks, one bit per pair, and the relabel
 reads and permutes it in blocks too, so no dense matrix of pairs is built.
-A subproblem is one value, ``_Subproblem``: built from its candidates'
-packed rows, it is relabeled once into the bitset rows and prebuilt masks
-the search runs on, and the engine, ``_CliqueSearch``, keeps only run
-state.
+A subproblem is one value, built from its candidates' packed rows and
+relabeled once into the bitset rows and prebuilt masks it branches with.
 
 The search is symmetry-broken.  Every translation m -> m ^ c is an
 automorphism, and so is every map fixing 0 (coordinate permutations times
@@ -71,20 +56,16 @@ the vertices whose differences from 0 and from r are allowed, with an edge
 where the difference is.  Its candidate set is a union of orbits of the
 automorphisms fixing 0 and r, Stab(0, r), and of x -> x ^ r, which swaps 0
 and r, commutes with Stab(0, r) and preserves every Cayley graph.  So at
-each subproblem's root a searched child p drops its whole orbit under the
-group they generate from the candidates, not just p: an automorphism
-fixing {0, r} maps a clique through another member of the orbit onto one
-through p, already searched.  The same holds below the root, by induction
-over depth: a node whose clique is C has as candidates a union of Stab(C)
-orbits, since every shallower node dropped whole orbits of a larger group,
-so down to depth ``_ORBIT_DEPTH`` a searched child drops its whole Stab(C)
-orbit too.  All these orbits have one closed-form key on digit counts,
-``_prefix_stabilizer_key``, merged at the root over v and v ^ r.  Each
-subproblem carries its symmetry as such an orbit key on its candidates
-(``_induced`` builds the Stab(0) one), and the engine, which knows no
-digits, calls it only when a node first drops an orbit.  One node counter,
-budget and incumbent span all subproblems and all rungs.  Node counts and
-witness cliques therefore differ from versions without these reductions.
+each subproblem's root a searched child drops its whole orbit under the
+group they generate, and below the root, down to depth ``_ORBIT_DEPTH``, its
+whole orbit under the stabiliser of the node's clique.  All these orbits
+have one closed-form key on digit counts, ``_prefix_stabilizer_key``,
+merged at the root over v and v ^ r.  Each subproblem carries its symmetry
+as such an orbit key on its candidates (``_induced`` builds the Stab(0)
+one), which ``children`` calls; the engine knows no digits.  One node
+counter, budget and incumbent span all subproblems and all rungs.  Node
+counts and witness cliques therefore differ from versions without these
+reductions.
 
 The cyclic-invariant search looks for cliques closed under the coordinate
 shift, an ``Automorphism``: unions of whole shift orbits, held as one packed
@@ -182,9 +163,10 @@ class _Exhausted(Exception):
 
 # A subproblem with an orbit key (every Stab(0) one) drops whole key classes
 # at its nodes down to this depth below its root (depth 0), single positions
-# deeper; one without a key drops single positions at every depth.  G*_5
-# decide 29 takes 36.4M nodes with the root alone, 27.1M with depth 1, 24.7M
-# with 2 and 24.5M with 3: a third keyed level saves only 1% of the nodes.
+# deeper; one without a key drops single positions at every depth.  With
+# Re-NUMBER and absorption, G*_5 decide 29 takes 5 040 521 nodes with depth
+# 1, 4 611 359 with 2 and 4 566 449 with 3: a third keyed level saves only 1%
+# of the nodes.
 _ORBIT_DEPTH = 2
 
 
@@ -292,9 +274,9 @@ class _Subproblem:
     prefix and the clique.  At the root, where the clique is empty, the key
     may use any larger group that it knows preserves the candidates.  Nodes
     down to depth ``keyed`` = ``_ORBIT_DEPTH`` then drop whole key classes
-    (``_CliqueSearch._expand``).  None, as on the orbit graph, means no
-    known symmetry, and ``keyed`` = -1.  ``_induced`` keys the Stab(0, r)
-    orbits of a Cayley graph, joined at the root by x -> x ^ r.
+    (``children``).  None, as on the orbit graph, means no known symmetry,
+    and ``keyed`` = -1.  ``_induced`` keys the Stab(0, r) orbits of a Cayley
+    graph, joined at the root by x -> x ^ r.
 
     The constructor relabels the rows once (``_relabel``) and keeps
     everything the search branches with, over positions in degeneracy
@@ -346,6 +328,132 @@ class _Subproblem:
         for p, k in zip(members, key):
             masks[k] |= 1 << p
         return {p: masks[k] for p, k in zip(members, key)}
+
+    def __len__(self) -> int:
+        return len(self.adj)
+
+    def clique_vectors(self, mask: int) -> list[int]:
+        """The packed vectors of the prefix and of mask's positions."""
+        out = list(self.prefix)
+        while mask:
+            lsb = mask & -mask
+            p = lsb.bit_length() - 1
+            out.extend(self.vectors[p, : self.weights[p]].tolist())
+            mask ^= lsb
+        return out
+
+    def _color_sort(self, cand: int, need: int) -> list[int]:
+        """The branching rule: the color classes of cand that a node needing
+        ``need`` more weight branches, in coloring order.
+
+        Classes are colored greedily from the top bit down; coloring a
+        position p costs two big-int operations, ``q &= nonadj[p]`` and
+        ``cls |= bits[p]``.  A class's bound is the sum of the maximum
+        weights of it and every earlier class: the color number when all
+        weights are 1.  A class whose bound falls short of the need is not
+        branched.  The node branches the classes last first and drops each
+        searched child from cand (``children``), so by the time it would
+        reach such a class, what is left of cand lies in that class and the
+        earlier ones; a clique there takes at most one vertex per class, so
+        its weight is at most the bound.  Bounds only grow, so the short
+        classes are a prefix, and a node whose every bound is short gets an
+        empty list.  The need is fixed for the node, so testing the bound
+        before each child instead would prune exactly these children.
+
+        With unit weights and a short prefix that is neither empty nor
+        every class, the prefix is re-colored (``_recolor``): a vertex of a
+        later class moves into a short class where it has no neighbour, or
+        where it has exactly one, q, that can move into another short class
+        holding none of q's neighbours.  The short classes stay independent
+        sets, so they still hold at most need - 1 vertices of any clique,
+        and the classes returned only lose vertices and keep their bounds.
+        Then vertices of the classes returned are absorbed (``_absorb``),
+        each dropped with a pair of the short classes, Ci and Cj, that no
+        other absorbed vertex uses: it has exactly one neighbour u in Ci,
+        and u none of its neighbours in Cj.  A clique inside Ci, Cj and the
+        vertex has at most 2 vertices, since one through the vertex takes
+        at most u from Ci and then nothing from Cj.  The pairs are disjoint
+        and every other short class gives at most 1 vertex, so what the
+        node leaves unbranched, the short classes and the absorbed
+        vertices, holds at most need - 1 vertices of any clique, whichever
+        vertices it branches and in whichever order.  Orbit drops only
+        remove vertices, which keeps this.
+        """
+        nonadj, bits, light, heavy = self.nonadj, self.bits, self.light, self.heavy
+        classes: list[int] = []
+        bound = short = 0
+        while cand:
+            q = cand
+            cls = 0
+            while q:
+                p = q.bit_length() - 1
+                q &= nonadj[p]
+                cls |= bits[p]
+            cand ^= cls
+            weight = light
+            for level, members in heavy:
+                if cls & members:
+                    weight = level
+                    break
+            bound += weight
+            classes.append(cls)
+            if bound < need:
+                short += 1
+        if self.unit and 0 < short < len(classes):
+            classes = _absorb(self.adj, _recolor(self.adj, classes, short), short)
+        return classes[short:]
+
+    def children(self, rmask: int, rsize: int, cand: int, target: int) -> Iterator[tuple[int, int, int]]:
+        """The children of the node whose clique is rmask, of size rsize, within cand.
+
+        Yields ``(bit, size, rest)`` per child the node enters: the child's
+        position as a bit, its clique's size and its candidates.  The
+        children are the positions of the classes ``_color_sort`` returns
+        for the need ``target - rsize``, last class first and within a
+        class the lowest position first, each class masked with what is
+        left of cand; a position that would overshoot the target is
+        skipped.  Every position walked is then dropped from cand, once the
+        caller has searched its child.  A node down to depth ``keyed``
+        below the subproblem's root (-1 without a key), its depth the size
+        of its clique rmask, drops p's whole orbit, the key class of p
+        (``_orbit_masks``); deeper nodes drop p's bit.  So once p is
+        searched no later child is in p's orbit under the key's group at
+        the node.  The table is chosen before the first drop, while cand is
+        whole.
+
+        Sound, by induction on depth, for a key as the class docstring
+        requires: the cand of a node that drops orbits is a union of orbits
+        of its group.
+        At the root cand is all positions, which the root's group preserves
+        (for a Stab(0) subproblem, Stab(0, r) and x -> x ^ r).  A child's
+        cand is its parent's, less whole orbits of the parent's group,
+        which contains the child's, and cut to the neighbours of the
+        child's vertex, which the child's group fixes.  So cand stays a
+        union of orbits and the XOR removes exactly p's orbit (a mask ANDed
+        with cand loses nothing).  Let p be the first searched child whose
+        orbit a clique extending the node's meets.  An element of the
+        node's group maps the member there onto p, and the clique onto one
+        through p that meets no earlier child's orbit, so one inside cand
+        as it was when p was searched.  A clique that meets no searched
+        orbit lies in what is left of cand once every class returned is
+        walked, which by ``_color_sort`` holds no clique that reaches the
+        target: removal only loosens the bounds.
+        """
+        classes = self._color_sort(cand, target - rsize)
+        if not any(classes):
+            return  # no child (dead on entry, or every branched vertex absorbed): key no orbits
+        drop = self.bits if rmask.bit_count() > self.keyed else self._orbit_masks(rmask, cand)
+        adj, weights = self.adj, self.weights
+        for cls in reversed(classes):
+            cls &= cand
+            while cls:
+                bit = cls & -cls
+                p = bit.bit_length() - 1
+                size = rsize + weights[p]
+                if size <= target:
+                    yield bit, size, cand & adj[p]
+                cand ^= drop[p]
+                cls &= cand
 
 
 # the rows, vectors and sizes of a subproblem that has no candidates
@@ -548,19 +656,16 @@ class _CliqueSearch:
 
     The engine holds run state only: the budget and callbacks, the target,
     the node counter, the incumbent, and the subproblem being searched,
-    ``sub``, whose tables (``_Subproblem``) the node code binds as locals.
-    A clique's size is its total weight.  ``run`` decides a target over a
-    sequence of subproblems.  The children of a node are decided in one
-    place, ``_color_sort``, which returns only the color classes whose bound
-    reaches the target; ``_expand`` branches them, adding no vertex that
-    would overshoot the target.  ``maximize`` runs decisions one past the
-    incumbent until one is refuted.  Sizes (incumbent, target,
-    ``on_improve``) count the subproblem's prefix, and one node counter,
-    budget and incumbent span every subproblem and every run.  The engine
-    knows no symmetry of its own: a subproblem with an orbit key
-    (``_Subproblem.key``) has its nodes down to depth ``sub.keyed`` below
-    its root drop searched children's whole key classes; every other node
-    drops single bits.
+    ``sub``.  It only walks the subproblem's tree: a node ticks the
+    counter, updates the incumbent and enters the children that
+    ``sub.children`` yields, and a child with no candidates is a leaf.  So
+    it reads only ``prefix``, ``len``, ``children`` and ``clique_vectors``
+    of a subproblem.  A clique's size is its total weight.  ``run`` decides
+    a target over a sequence of subproblems, and ``maximize`` runs
+    decisions one past the incumbent until one is refuted.  Sizes
+    (incumbent, target, ``on_improve``) count the subproblem's prefix, and
+    one node counter, budget and incumbent span every subproblem and every
+    run.
     """
 
     sub: _Subproblem
@@ -601,62 +706,6 @@ class _CliqueSearch:
         if self.deadline is not None and now > self.deadline:
             raise _Exhausted
 
-    def _color_sort(self, cand: int, need: int) -> list[int]:
-        """The branching rule: the color classes of cand that a node needing
-        ``need`` more weight branches, in coloring order.
-
-        Classes are colored greedily from the top bit down; coloring a
-        position p costs two big-int operations, ``q &= nonadj[p]`` and
-        ``cls |= bits[p]``.  A class's bound is the sum of the maximum
-        weights of it and every earlier class: the color number when all
-        weights are 1.  A class whose bound falls short of the need is not
-        branched.  The node branches the classes last first and drops each
-        searched child from cand, so by the time it would reach such a
-        class, what is left of cand lies in that class and the earlier
-        ones; a clique there takes at most one vertex per class, so its
-        weight is at most the bound.  Bounds only grow, so the short
-        classes are a prefix, and a node whose every bound is short gets an
-        empty list.  The need is fixed for the node, so testing the bound
-        before each child instead would prune exactly these children.  With
-        unit weights and a short prefix that is neither empty nor every
-        class, the prefix is re-colored (``_recolor``): it stays short
-        independent sets, and the classes returned only lose vertices.
-        Then vertices of the classes returned are absorbed (``_absorb``),
-        each dropped with a pair of the short classes, Ci and Cj, that no
-        other absorbed vertex uses: it has exactly one neighbour u in Ci,
-        and u none of its neighbours in Cj.  A clique inside Ci, Cj and the
-        vertex has at most 2 vertices, since one through the vertex takes
-        at most u from Ci and then nothing from Cj.  The pairs are disjoint
-        and every other short class gives at most 1 vertex, so what the
-        node leaves unbranched, the short classes and the absorbed
-        vertices, holds at most need - 1 vertices of any clique.  Orbit
-        drops only remove vertices, which keeps this.
-        """
-        sub = self.sub
-        nonadj, bits, light, heavy = sub.nonadj, sub.bits, sub.light, sub.heavy
-        classes: list[int] = []
-        bound = short = 0
-        while cand:
-            q = cand
-            cls = 0
-            while q:
-                p = q.bit_length() - 1
-                q &= nonadj[p]
-                cls |= bits[p]
-            cand ^= cls
-            weight = light
-            for level, members in heavy:
-                if cls & members:
-                    weight = level
-                    break
-            bound += weight
-            classes.append(cls)
-            if bound < need:
-                short += 1
-        if sub.unit and 0 < short < len(classes):
-            classes = _absorb(sub.adj, _recolor(sub.adj, classes, short), short)
-        return classes[short:]
-
     def _improve(self, mask: int, size: int) -> None:
         self.best, self.best_size = (self.sub, mask), size
         if self.on_improve is not None:
@@ -665,62 +714,15 @@ class _CliqueSearch:
             raise _Found
 
     def _expand(self, rmask: int, rsize: int, cand: int) -> None:
-        """One node: branch the classes ``_color_sort`` returns for cand.
-
-        The node has no pruning test of its own: its children are the
-        positions of the classes of the branching rule, ``_color_sort``,
-        branched last class first and within a class the lowest position
-        first, skipping any that would overshoot the target.  A searched
-        child p is dropped from cand, and each class is masked with cand.
-        A node down to depth ``sub.keyed`` below the subproblem's root (-1
-        without a key), its depth the size of its clique rmask, drops p's
-        whole orbit, the key class of p (``_Subproblem._orbit_masks``),
-        keyed when the node first drops one, which many nodes never do;
-        deeper nodes drop p's bit.  So once p is searched no later child is
-        in p's orbit under the key's group at the node.
-        Sound, by induction on depth, for a key as ``_Subproblem`` requires:
-        the cand of a node that drops orbits is a union of orbits of its
-        group.  At the root cand is all positions, which the root's group
-        preserves (for a Stab(0) subproblem, Stab(0, r) and x -> x ^ r).  A
-        child's cand is its parent's, less whole orbits of the parent's
-        group, which contains the child's, and cut to the neighbours of the
-        child's vertex, which the child's group fixes.  So cand stays a
-        union of orbits and the XOR removes exactly p's orbit (a mask ANDed
-        with cand loses nothing).  Let p be the first searched child whose
-        orbit a clique extending the node's meets.  An element of the
-        node's group maps the member there onto p, and the clique onto one
-        through p that meets no earlier child's orbit, so one inside cand
-        as it was when p was searched.  A clique that meets no searched
-        orbit lies in what is left of cand, which the color bounds still
-        cover: removal only loosens them.  With unit weights the classes
-        not branched are re-colored (``_recolor``) and absorb vertices of
-        the branched ones (``_absorb``): what is left of cand once the node
-        has branched every class it returns still holds no clique that
-        meets the target, whichever vertices were branched.  Nothing above
-        depends on which children a node branches or in which order.
-        """
+        """One node: the clique rmask of size rsize, extended within cand."""
         self._tick()
         if rsize > self.best_size:
             self._improve(rmask, rsize)
-        sub, target = self.sub, self.target
-        adj, weights = sub.adj, sub.weights
-        drop = None if rmask.bit_count() <= sub.keyed else sub.bits
-        for cls in reversed(self._color_sort(cand, target - rsize)):
-            cls &= cand
-            while cls:
-                bit = cls & -cls
-                p = bit.bit_length() - 1
-                size = rsize + weights[p]
-                if size <= target:
-                    rest = cand & adj[p]
-                    if rest:
-                        self._expand(rmask | bit, size, rest)
-                    elif size > self.best_size:  # a leaf, not counted as a node
-                        self._improve(rmask | bit, size)
-                if drop is None:
-                    drop = sub._orbit_masks(rmask, cand)
-                cand ^= drop[p]
-                cls &= cand
+        for bit, size, rest in self.sub.children(rmask, rsize, cand, self.target):
+            if rest:
+                self._expand(rmask | bit, size, rest)
+            elif size > self.best_size:  # a leaf, not counted as a node
+                self._improve(rmask | bit, size)
 
     def run(self, builders: Iterable[Callable[[], _Subproblem]], target: int) -> SearchStatus:
         """Decide target: build and search each subproblem in turn.
@@ -737,8 +739,8 @@ class _CliqueSearch:
                     raise _Exhausted
                 self.sub = sub = build()
                 size = len(sub.prefix)
-                if sub.adj:
-                    self._expand(0, size, (1 << len(sub.adj)) - 1)
+                if len(sub):
+                    self._expand(0, size, (1 << len(sub)) - 1)
                 elif size > self.best_size:
                     self._improve(0, size)
         except _Found:
@@ -755,8 +757,8 @@ class _CliqueSearch:
 
         Each subproblem, tables and all, is built at most once, so a
         deadline stops any run within 1024 nodes.  A run decides an exact
-        total weight: only with unit weights, as on Keller graphs, is the
-        last incumbent a maximum.
+        total weight: only when every vertex weighs 1, as on Keller graphs,
+        is the last incumbent a maximum.
         """
         builders = [functools.cache(build) for build in builders]
         status = SearchStatus.TARGET_FOUND
@@ -765,15 +767,9 @@ class _CliqueSearch:
         return SearchStatus.OPTIMAL if status is SearchStatus.TARGET_REFUTED else status
 
     def best_vectors(self) -> list[int]:
-        """Packed vectors of the incumbent clique."""
+        """The incumbent clique, packed, read through its subproblem."""
         sub, mask = self.best
-        out = list(sub.prefix)
-        while mask:
-            lsb = mask & -mask
-            p = lsb.bit_length() - 1
-            out.extend(sub.vectors[p, : sub.weights[p]].tolist())
-            mask ^= lsb
-        return out
+        return sub.clique_vectors(mask)
 
 
 def _search(spec: KellerGraphSpec, search: _CliqueSearch, status: SearchStatus) -> SearchOutcome:

@@ -372,12 +372,12 @@ def test_cli_cyclic_invariant_requires_target(capsys):
 
 
 def test_cli_search_interrupt_exit_1(capsys, monkeypatch):
-    from keller.search import _CliqueSearch
+    from keller.search import _Subproblem
 
     def interrupt(self, cand, need):
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(_CliqueSearch, "_color_sort", interrupt)
+    monkeypatch.setattr(_Subproblem, "_color_sort", interrupt)
     code = main(["search", "--dim", "4", "--graph", "Gstar", "--target", "13"])
     report = capsys.readouterr().out
     assert code == 1

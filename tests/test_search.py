@@ -184,7 +184,7 @@ def test_interrupt_in_weighted_search(monkeypatch):
     def interrupt(self, cand, need):
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(_CliqueSearch, "_color_sort", interrupt)
+    monkeypatch.setattr(_Subproblem, "_color_sort", interrupt)
     out = invariant_clique_search(3, 4)  # one constant or four: the pair rule does not fire
     assert out.status is SearchStatus.BUDGET_EXHAUSTED
     assert out.note == "interrupted"
@@ -198,7 +198,7 @@ def test_interrupt_in_forced_pair_search(monkeypatch):
     def interrupt(self, cand, need):
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(_CliqueSearch, "_color_sort", interrupt)
+    monkeypatch.setattr(_Subproblem, "_color_sort", interrupt)
     out = invariant_clique_search(3, 5)
     assert (out.status, out.note, out.nodes_explored) == (SearchStatus.BUDGET_EXHAUSTED, "interrupted", 1)
     assert out.best_clique == VectorSet.from_strings(3, ["000", "222"])
@@ -641,6 +641,116 @@ def test_reduced_search_node_counts_g4_star():
     assert max_clique(g).nodes_explored == 128
 
 
+# A hand-written tree over positions 0-5 of a subproblem with the prefix
+# (100,): per clique mask, its candidates and the children (bit, size, rest)
+# it yields; a child whose rest is 0 is a leaf.  Position p adds vector
+# 10 + p.  Its four nodes are the root, {5}, {5, 4} and {1}, and the largest
+# clique, {100, 13, 14, 15}, is the leaf {5, 4, 3}, reached at node 3.
+HAND_TREE = {
+    0b000000: (0b111111, [(1 << 5, 2, 0b011100), (1 << 4, 2, 0), (1 << 1, 2, 0b000001)]),
+    0b100000: (0b011100, [(1 << 4, 3, 0b001000), (1 << 2, 3, 0)]),
+    0b110000: (0b001000, [(1 << 3, 4, 0)]),
+    0b000010: (0b000001, [(1 << 0, 3, 0)]),
+}
+
+
+class HandTree:
+    """A stand-in subproblem holding only what the engine may read of one:
+    the prefix, the candidate count, the children of a node (``HAND_TREE``,
+    whatever the target) and the vectors of a clique."""
+
+    __slots__ = ("prefix",)
+
+    def __init__(self):
+        self.prefix = (100,)
+
+    def __len__(self):
+        return 6
+
+    def children(self, rmask, rsize, cand, target):
+        assert (cand, rsize) == (HAND_TREE[rmask][0], 1 + rmask.bit_count())
+        yield from HAND_TREE[rmask][1]
+
+    def clique_vectors(self, mask):
+        return [100] + [10 + p for p in range(6) if mask >> p & 1]
+
+
+def walk_hand_tree(target, budget=SearchBudget(), sub=HandTree):
+    """``_CliqueSearch.run`` on the hand tree: (status, nodes, incumbent, note, improvement log)."""
+    log = []
+    search = _CliqueSearch(budget, lambda size, nodes: log.append((size, nodes)))
+    status = search.run([sub], target)
+    return status, search.nodes, search.best_vectors(), search.note, log
+
+
+def test_engine_only_walks_the_children_a_subproblem_yields():
+    # nodes are counted with leaves left out, the incumbent is the largest
+    # clique entered, a target is found where it is first reached, and every
+    # node limit stops at exactly that many nodes
+    best = [100, 13, 14, 15]
+    refuted = walk_hand_tree(5)
+    assert refuted == (SearchStatus.TARGET_REFUTED, 4, best, None, [(1, 1), (2, 2), (3, 3), (4, 3)])
+    for target, nodes in ((1, 1), (2, 2), (3, 3), (4, 3)):
+        assert walk_hand_tree(target)[:2] == (SearchStatus.TARGET_FOUND, nodes)
+    assert walk_hand_tree(4)[2] == best
+    for limit, size in ((1, 1), (2, 2), (3, 4)):
+        status, nodes, clique, _, _ = walk_hand_tree(5, SearchBudget(node_limit=limit))
+        assert (status, nodes, len(clique)) == (SearchStatus.BUDGET_EXHAUSTED, limit, size)
+    assert walk_hand_tree(5, SearchBudget(node_limit=4)) == refuted
+
+
+def test_interrupt_inside_children_ends_the_walk():
+    class Interrupted(HandTree):
+        __slots__ = ()
+
+        def children(self, rmask, rsize, cand, target):
+            if rmask == 0b100000:
+                raise KeyboardInterrupt
+            yield from super().children(rmask, rsize, cand, target)
+
+    status, nodes, clique, note, _ = walk_hand_tree(5, sub=Interrupted)
+    assert (status, nodes, clique, note) == (SearchStatus.BUDGET_EXHAUSTED, 2, [100, 15], "interrupted")
+
+
+def root_units(sub, target):
+    """Per root child of sub at target, the nodes a fresh engine takes to
+    search its candidates alone (0 for a leaf)."""
+    counts = []
+    for bit, size, rest in sub.children(0, len(sub.prefix), (1 << len(sub)) - 1, target):
+        search = _CliqueSearch(SearchBudget())
+        search.sub, search.target = sub, target
+        if rest:
+            search._expand(bit, size, rest)
+        counts.append(search.nodes)
+    return counts
+
+
+def test_root_children_are_independent_units(monkeypatch):
+    # on a refutation each root child's subtree needs nothing of the others:
+    # a fresh engine on one child's candidates takes as many nodes as the
+    # child takes in the whole run, so the root and its children's summed
+    # nodes are the subproblem's (G*_4: 43 nodes, the root's 12 children, in
+    # the first subproblem; three have no candidates and no nodes)
+    g = materialize(KellerGraphSpec(4, STAR))
+    for build in _subproblems(g):
+        sub = build()
+        status, nodes, _ = decide(sub, 13)
+        assert status is SearchStatus.TARGET_REFUTED
+        assert nodes == (1 + sum(root_units(sub, 13)) if len(sub) else 0)
+    built = []
+
+    class Recorded(_Subproblem):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(search_module, "_Subproblem", Recorded)
+    for n, target, nodes in ((6, 64, 1496), (5, 32, 23)):
+        out = invariant_clique_search(n, target)
+        assert (out.status, out.nodes_explored) == (SearchStatus.TARGET_REFUTED, nodes)
+        assert nodes == 1 + sum(root_units(built[-1], target))
+
+
 def ladder(g):
     """Fresh ``clique_decision`` runs from target 1, each one past the last
     clique found, until one is refuted: (summed nodes, largest clique found)."""
@@ -739,26 +849,22 @@ def test_neighbourhood_of_zero_is_dimacs_keller(n, nverts, nedges):
         assert verify_clique(clique, KellerGraphSpec(n, STAR)).is_clique
 
 
-class PerChildBound(_CliqueSearch):
-    """The engine with its own bounds, tested before every child, instead of
-    the branching rule's classes: every greedy class (a need of 1 branches
-    them all), each bounded by the running sum of the classes' heaviest
-    weights, re-colored below the need with unit weights and then thinned
-    by the absorption rule, and the node's depth counted down the
-    recursion."""
+class PerChildBound(_Subproblem):
+    """A subproblem whose own walk tests bounds before every child, instead
+    of walking the branching rule's classes: every greedy class (a need of 1
+    branches them all), each bounded by the running sum of the classes'
+    heaviest weights, re-colored below the need with unit weights and then
+    thinned by the absorption rule, and the node's drop table keyed at its
+    first drop."""
 
-    def _expand(self, rmask, rsize, cand, depth=0):
-        self._tick()
-        if rsize > self.best_size:
-            self._improve(rmask, rsize)
-        sub, target = self.sub, self.target
+    def children(self, rmask, rsize, cand, target):
         classes = self._color_sort(cand, 1)
-        heaviest = [max(sub.weights[p] for p in search_module._positions(cls).tolist()) for cls in classes]
+        heaviest = [max(self.weights[p] for p in search_module._positions(cls).tolist()) for cls in classes]
         bounds = list(itertools.accumulate(heaviest))
-        if sub.unit and 1 < target - rsize <= len(classes):
+        if self.unit and 1 < target - rsize <= len(classes):
             keep = target - rsize - 1
-            classes = search_module._absorb(sub.adj, search_module._recolor(sub.adj, classes, keep), keep)
-        drop = None if depth <= sub.keyed else sub.bits
+            classes = search_module._absorb(self.adj, search_module._recolor(self.adj, classes, keep), keep)
+        drop = None if rmask.bit_count() <= self.keyed else self.bits
         for cls, bound in reversed(list(zip(classes, bounds))):
             cls &= cand
             while cls:
@@ -766,15 +872,11 @@ class PerChildBound(_CliqueSearch):
                     return
                 bit = cls & -cls
                 p = bit.bit_length() - 1
-                size = rsize + sub.weights[p]
+                size = rsize + self.weights[p]
                 if size <= target:
-                    rest = cand & sub.adj[p]
-                    if rest:
-                        self._expand(rmask | bit, size, rest, depth + 1)
-                    elif size > self.best_size:
-                        self._improve(rmask | bit, size)
+                    yield bit, size, cand & self.adj[p]
                 if drop is None:
-                    drop = sub._orbit_masks(rmask, cand)
+                    drop = self._orbit_masks(rmask, cand)
                 cand ^= drop[p]
                 cls &= cand
 
@@ -810,10 +912,10 @@ def test_bound_test_before_every_child_matches_class_start_test(monkeypatch, gra
 
     for target in (None, data.draw(st.integers(1, sum(weights) + 1))):
         runs = []
-        for engine in (_CliqueSearch, PerChildBound):
+        for walk in (_Subproblem, PerChildBound):
             log = []
-            search = engine(SearchBudget(), lambda size, nodes: log.append((size, nodes)))
-            builders = [lambda: _Subproblem((), packed_rows(matrix), vectors, np.array(weights), drawn_key)]
+            search = _CliqueSearch(SearchBudget(), lambda size, nodes: log.append((size, nodes)))
+            builders = [lambda: walk((), packed_rows(matrix), vectors, np.array(weights), drawn_key)]
             status = search.maximize(builders) if target is None else search.run(builders, target)
             runs.append((status, search.nodes, search.best_vectors(), log))
         assert runs[0] == runs[1]
@@ -868,15 +970,13 @@ def test_recoloring_keeps_unbranched_classes_independent(matrix, data):
     nverts = len(matrix)
     sub = unit_subproblem(matrix)
     assert sub.unit
-    search = _CliqueSearch(SearchBudget())
-    search.sub = sub
     every = (1 << nverts) - 1
     cand = data.draw(st.one_of(st.just(every), st.integers(1, every)))
-    greedy = search._color_sort(cand, 1)  # a need of 1 branches every class
+    greedy = sub._color_sort(cand, 1)  # a need of 1 branches every class
     need = data.draw(st.integers(2, len(greedy)) if len(greedy) > 1 else st.just(1))
     classes = search_module._recolor(sub.adj, greedy, need - 1)
     assert_recolored(sub.adj, cand, need - 1, greedy, classes)
-    assert search._color_sort(cand, need) == search_module._absorb(sub.adj, classes, need - 1)[need - 1 :]
+    assert sub._color_sort(cand, need) == search_module._absorb(sub.adj, classes, need - 1)[need - 1 :]
 
 
 class CheckedRecoloring:
@@ -928,13 +1028,11 @@ def test_unbranched_vertices_hold_no_clique_of_the_need(matrix, data):
     # class it returns lies inside its re-colored class
     nverts = len(matrix)
     sub = unit_subproblem(matrix)
-    search = _CliqueSearch(SearchBudget())
-    search.sub = sub
     every = (1 << nverts) - 1
     cand = data.draw(st.one_of(st.just(every), st.integers(1, every)))
-    greedy = search._color_sort(cand, 1)
+    greedy = sub._color_sort(cand, 1)
     need = data.draw(st.integers(1, len(greedy) + 1))
-    branched = search._color_sort(cand, need)
+    branched = sub._color_sort(cand, need)
     assert subgraph_omega(sub.adj, cand ^ functools.reduce(int.__or__, branched, 0)) < need
     recolored = search_module._recolor(sub.adj, greedy, need - 1)
     assert len(branched) == len(recolored[need - 1 :])
