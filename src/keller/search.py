@@ -30,16 +30,17 @@ Each subproblem's bitsets are over positions in the repeated-minimum-degree
 removal order (ties to the smallest index), so descending degeneracy order
 is descending bit order and a set's next vertex is its highest bit, found by
 ``int.bit_length`` without allocating.  Coloring then costs two big-int
-operations per vertex: one AND with a prebuilt positive mask that drops the
-vertex and its neighbours, one OR with a prebuilt single bit.  The order is
-fixed, so search trees and node counts are reproducible.  Up to each
-subproblem the graph is handled as numpy arrays: classes, candidate sets and
-induced subgraphs are gathers on the graph's vertex-0 row (u ~ v iff
-row0[u ^ v]) or on a subproblem's restriction of it.  A subproblem's graph
-is gathered and packed in row blocks, one bit per pair, and the relabel
-reads and permutes it in blocks too, so no dense matrix of pairs is built.
-A subproblem is one value, built from its candidates' packed rows and
-relabeled once into the bitset rows and prebuilt masks it branches with.
+operations per vertex, each a table lookup at that bit length: one AND with
+a prebuilt positive mask that drops the vertex and its neighbours, one OR
+with a prebuilt single bit.  The order is fixed, so search trees and node
+counts are reproducible.  Up to each subproblem the graph is handled as
+numpy arrays: classes, candidate sets and induced subgraphs are gathers on
+the graph's vertex-0 row (u ~ v iff row0[u ^ v]) or on a subproblem's
+restriction of it.  A subproblem's graph is gathered and packed in row
+blocks, one bit per pair, and the relabel reads and permutes it in blocks
+too, so no dense matrix of pairs is built.  A subproblem is one value, built
+from its candidates' packed rows and relabeled once into the bitset rows and
+prebuilt masks it branches with.
 
 The search is symmetry-broken.  Every translation m -> m ^ c is an
 automorphism, and so is every map fixing 0 (coordinate permutations times
@@ -282,10 +283,11 @@ class _Subproblem:
     everything the search branches with, over positions in degeneracy
     removal order: ``adj`` the bitset rows, ``order[p]`` the candidate at
     position p, the table ``vectors`` and the list ``weights`` (the sizes)
-    per position, ``bits[p]`` = 1 << p, ``nonadj[p]`` the positions that
-    are neither p nor its neighbours (a positive mask, so coloring never
-    ANDs with a negative int, which makes CPython build a two's-complement
-    temporary), the weight levels ``light`` and ``heavy`` (per level above
+    per position, ``bits[p + 1]`` = 1 << p, ``nonadj[p + 1]`` the positions
+    that are neither p nor its neighbours (a positive mask, so coloring
+    never ANDs with a negative int, which makes CPython build a
+    two's-complement temporary; both are indexed by ``bit_length()``, entry
+    0 unused), the weight levels ``light`` and ``heavy`` (per level above
     the lightest, heaviest first, the mask of its positions), and ``unit``,
     whether every weight is 1 (then nodes re-color and absorb, ``_recolor``
     and ``_absorb``).
@@ -305,14 +307,12 @@ class _Subproblem:
         self.order = np.array(order, dtype=np.intp)
         self.vectors = vectors[self.order]
         self.weights = sizes[self.order].tolist()
-        self.bits = [1 << p for p in range(len(order))]
+        self.bits = [0, *(1 << p for p in range(len(order)))]
         full = (1 << len(order)) - 1
-        self.nonadj = [full ^ row ^ bit for row, bit in zip(self.adj, self.bits)]  # no self-loops
+        self.nonadj = [0, *(full ^ row ^ (1 << p) for p, row in enumerate(self.adj))]  # no self-loops
         levels = sorted(set(self.weights), reverse=True) or [1]
         self.light = levels[-1]
-        self.heavy = [
-            (w, sum(bit for bit, wp in zip(self.bits, self.weights) if wp == w)) for w in levels[:-1]
-        ]
+        self.heavy = [(w, sum(1 << p for p, wp in enumerate(self.weights) if wp == w)) for w in levels[:-1]]
         self.unit = levels == [1]
 
     def _orbit_masks(self, rmask: int, cand: int) -> dict[int, int]:
@@ -346,19 +346,21 @@ class _Subproblem:
         """The branching rule: the color classes of cand that a node needing
         ``need`` more weight branches, in coloring order.
 
-        Classes are colored greedily from the top bit down; coloring a
-        position p costs two big-int operations, ``q &= nonadj[p]`` and
-        ``cls |= bits[p]``.  A class's bound is the sum of the maximum
-        weights of it and every earlier class: the color number when all
-        weights are 1.  A class whose bound falls short of the need is not
-        branched.  The node branches the classes last first and drops each
-        searched child from cand (``children``), so by the time it would
-        reach such a class, what is left of cand lies in that class and the
-        earlier ones; a clique there takes at most one vertex per class, so
-        its weight is at most the bound.  Bounds only grow, so the short
-        classes are a prefix, and a node whose every bound is short gets an
-        empty list.  The need is fixed for the node, so testing the bound
-        before each child instead would prune exactly these children.
+        Classes are colored greedily from the top bit down; coloring q's top
+        bit costs two big-int operations, ``q &= nonadj[i]`` and ``cls |=
+        bits[i]`` at i = ``q.bit_length()``.  A class's bound is the sum of
+        the maximum weights of it and every earlier class, k * ``light`` for
+        the k-th class when ``heavy`` is empty.  A class whose bound falls
+        short of the need (at least 1) is not branched: with no ``heavy``,
+        the first (need - 1) // light.  The node branches the classes last
+        first and drops each searched child from cand (``children``), so by
+        the time it would reach such a class, what is left of cand lies in
+        that class and the earlier ones; a clique there takes at most one
+        vertex per class, so its weight is at most the bound.  Bounds only
+        grow, so the short classes are a prefix, and a node whose every
+        bound is short gets an empty list.  The need is fixed for the node,
+        so testing the bound before each child instead would prune exactly
+        these children.
 
         With unit weights and a short prefix that is neither empty nor
         every class, the prefix is re-colored (``_recolor``): a vertex of a
@@ -381,24 +383,29 @@ class _Subproblem:
         """
         nonadj, bits, light, heavy = self.nonadj, self.bits, self.light, self.heavy
         classes: list[int] = []
-        bound = short = 0
         while cand:
             q = cand
             cls = 0
             while q:
-                p = q.bit_length() - 1
+                p = q.bit_length()
                 q &= nonadj[p]
                 cls |= bits[p]
             cand ^= cls
-            weight = light
-            for level, members in heavy:
-                if cls & members:
-                    weight = level
-                    break
-            bound += weight
             classes.append(cls)
-            if bound < need:
+        if heavy:
+            bound = short = 0
+            for cls in classes:
+                weight = light
+                for level, members in heavy:
+                    if cls & members:
+                        weight = level
+                        break
+                bound += weight
+                if bound >= need:
+                    break
                 short += 1
+        else:
+            short = min(len(classes), (need - 1) // light)
         if self.unit and 0 < short < len(classes):
             classes = _absorb(self.adj, _recolor(self.adj, classes, short), short)
         return classes[short:]
@@ -442,7 +449,7 @@ class _Subproblem:
         classes = self._color_sort(cand, target - rsize)
         if not any(classes):
             return  # no child (dead on entry, or every branched vertex absorbed): key no orbits
-        drop = self.bits if rmask.bit_count() > self.keyed else self._orbit_masks(rmask, cand)
+        orbits = None if rmask.bit_count() > self.keyed else self._orbit_masks(rmask, cand)
         adj, weights = self.adj, self.weights
         for cls in reversed(classes):
             cls &= cand
@@ -452,7 +459,7 @@ class _Subproblem:
                 size = rsize + weights[p]
                 if size <= target:
                     yield bit, size, cand & adj[p]
-                cand ^= drop[p]
+                cand ^= bit if orbits is None else orbits[p]
                 cls &= cand
 
 

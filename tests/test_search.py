@@ -864,7 +864,7 @@ class PerChildBound(_Subproblem):
         if self.unit and 1 < target - rsize <= len(classes):
             keep = target - rsize - 1
             classes = search_module._absorb(self.adj, search_module._recolor(self.adj, classes, keep), keep)
-        drop = None if rmask.bit_count() <= self.keyed else self.bits
+        drop = None if rmask.bit_count() <= self.keyed else self.bits[1:]  # bits[p + 1] is position p's
         for cls, bound in reversed(list(zip(classes, bounds))):
             cls &= cand
             while cls:
@@ -883,11 +883,16 @@ class PerChildBound(_Subproblem):
 
 @st.composite
 def weighted_graphs(draw):
-    """A symmetric boolean matrix on 1-20 vertices with a weight of 1-3 per vertex."""
+    """A symmetric boolean matrix on 1-20 vertices with a weight of 1-3 per
+    vertex, or one weight of 1, 2, 3 or 7 for every vertex (the closed-form
+    bound of uniform weights)."""
     nverts = draw(st.integers(1, 20))
     upper = draw(st.lists(st.booleans(), min_size=nverts * nverts, max_size=nverts * nverts))
     matrix = np.triu(np.array(upper, dtype=bool).reshape(nverts, nverts), 1)
-    weights = draw(st.lists(st.integers(1, 3), min_size=nverts, max_size=nverts))
+    if draw(st.booleans()):
+        weights = [draw(st.sampled_from((1, 2, 3, 7)))] * nverts
+    else:
+        weights = draw(st.lists(st.integers(1, 3), min_size=nverts, max_size=nverts))
     return matrix | matrix.T, weights
 
 
@@ -903,7 +908,8 @@ def test_bound_test_before_every_child_matches_class_start_test(monkeypatch, gra
     monkeypatch.setattr(search_module, "_ORBIT_DEPTH", 0)
     matrix, weights = graph
     nverts = len(matrix)
-    vectors = 3 * np.arange(nverts)[:, None] + np.arange(3)  # vertex v adds 3v, ..., 3v + weights[v] - 1
+    heaviest = max(weights)
+    vectors = heaviest * np.arange(nverts)[:, None] + np.arange(heaviest)  # vertex v adds its weight's values
     block = np.array(data.draw(st.lists(st.integers(0, 3), min_size=nverts, max_size=nverts)))
 
     def drawn_key(clique, cand):
@@ -1536,6 +1542,17 @@ def test_invariant_n7_budgeted_incumbent_is_pinned():
     digest = hashlib.sha256(",".join(map(str, packed_values(out.best_clique))).encode()).hexdigest()
     assert digest == "0f20bef7d9958e21502bf951719a7902c7262bb28211da9bc53f2113a79fa7f2"
     assert verify_clique(out.best_clique, KellerGraphSpec(7, STAR)).is_clique
+
+
+def test_invariant_n8_budgeted_incumbent_is_pinned():
+    # the n = 8 orbit graph mixes weights 1, 2, 4 and 8, so its nodes take
+    # the running sum of each class's heaviest weight; the 20 000-node run's
+    # 104-vector incumbent pins that path's search order
+    out = invariant_clique_search(8, 256, SearchBudget(node_limit=20_000))
+    assert (out.status, out.nodes_explored, len(out.best_clique)) == (SearchStatus.BUDGET_EXHAUSTED, 20_000, 104)
+    digest = hashlib.sha256(",".join(map(str, packed_values(out.best_clique))).encode()).hexdigest()
+    assert digest == "2cacf433ac82c5ca218c19843b68a743bd1601db604c08823b497c6353408398"
+    assert verify_clique(out.best_clique, KellerGraphSpec(8, STAR)).is_clique
 
 
 @pytest.mark.slow
