@@ -62,7 +62,7 @@ group they generate, and below the root, down to depth ``_ORBIT_DEPTH``, its
 whole orbit under the stabiliser of the node's clique.  All these orbits
 have one closed-form key on digit counts, ``_prefix_stabilizer_key``,
 merged at the root over v and v ^ r.  Each subproblem carries its symmetry
-as such an orbit key on its candidates (``_induced`` builds the Stab(0)
+as such an orbit key on packed vectors (``_induced`` builds the Stab(0)
 one), which ``children`` calls; the engine knows no digits.  One node
 counter, budget and incumbent span all subproblems and all rungs.  Node
 counts and witness cliques therefore differ from versions without these
@@ -81,8 +81,9 @@ the clique starts from {0^n, 2^n}, as the Stab(0) subproblems start from
 subproblem, built inside the search so that Ctrl-C during the build ends it
 cleanly.  Every search has one front end: subproblems come as builders, and
 a position carries a row of a table of packed vectors, as many as its
-weight, that it adds to a clique, so the incumbent is the witness that is
-checked.
+weight, that it adds to a clique.  Bar the child bits passed back to
+``children``, only packed vectors cross a subproblem's edge: its prefix,
+its key's arguments and the incumbent, which is the witness checked.
 """
 
 from __future__ import annotations
@@ -135,6 +136,11 @@ class SearchBudget:
 
 
 class SearchStatus(Enum):
+    """What a search certifies.  OPTIMAL: its clique is a maximum, one larger
+    refuted.  TARGET_FOUND: its clique reaches the target.  TARGET_REFUTED:
+    exhaustively, no clique reaches the target.  BUDGET_EXHAUSTED: a node or
+    time limit, or Ctrl-C, stopped it; its clique is the largest it met."""
+
     OPTIMAL = "OPTIMAL"
     TARGET_FOUND = "TARGET_FOUND"
     TARGET_REFUTED = "TARGET_REFUTED"
@@ -143,6 +149,11 @@ class SearchStatus(Enum):
 
 @dataclass(frozen=True)
 class SearchOutcome:
+    """A search's largest clique, checked by ``verify_clique``, and status.
+    ``nodes_explored`` counts colorings of non-empty candidate sets, not
+    leaves.  ``note`` is None, "interrupted" (Ctrl-C) or "target … is not a
+    sum of admissible orbit sizes" (a cyclic-invariant search ran no node)."""
+
     best_clique: VectorSet
     status: SearchStatus
     nodes_explored: int
@@ -267,30 +278,30 @@ class _Subproblem:
     {1^n, 3^n} onto it).
 
     ``key``, if given, is the subproblem's symmetry: ``key(clique, cand)``
-    takes the candidates added so far and a set of candidates, as index
-    arrays in the builder's order, and returns one integer per candidate of
-    cand.  Its classes must be the orbits on cand of the clique's
-    stabiliser in one group of automorphisms of the candidates' graph
-    (weights included): equal keys mean one orbit of maps that fix the
-    prefix and the clique.  At the root, where the clique is empty, the key
-    may use any larger group that it knows preserves the candidates.  Nodes
-    down to depth ``keyed`` = ``_ORBIT_DEPTH`` then drop whole key classes
+    takes the packed vectors of the candidates added so far and of a set of
+    candidates (column 0 of their rows of ``vectors``, for an orbit its
+    lexicographic minimum) and returns one integer per candidate of cand.
+    Its classes must be the orbits on cand of the clique's stabiliser in one
+    group of automorphisms of the candidates' graph (weights included):
+    equal keys mean one orbit of maps that fix the prefix and the clique.
+    At the root, where the clique is empty, the key may use any larger
+    group that it knows preserves the candidates.  Nodes down to depth
+    ``keyed`` = ``_ORBIT_DEPTH`` then drop whole key classes
     (``children``).  None, as on the orbit graph, means no known symmetry,
     and ``keyed`` = -1.  ``_induced`` keys the Stab(0, r) orbits of a Cayley
     graph, joined at the root by x -> x ^ r.
 
     The constructor relabels the rows once (``_relabel``) and keeps
     everything the search branches with, over positions in degeneracy
-    removal order: ``adj`` the bitset rows, ``order[p]`` the candidate at
-    position p, the table ``vectors`` and the list ``weights`` (the sizes)
-    per position, ``bits[p + 1]`` = 1 << p, ``nonadj[p + 1]`` the positions
-    that are neither p nor its neighbours (a positive mask, so coloring
-    never ANDs with a negative int, which makes CPython build a
-    two's-complement temporary; both are indexed by ``bit_length()``, entry
-    0 unused), the weight levels ``light`` and ``heavy`` (per level above
-    the lightest, heaviest first, the mask of its positions), and ``unit``,
-    whether every weight is 1 (then nodes re-color and absorb, ``_recolor``
-    and ``_absorb``).
+    removal order: ``adj`` the bitset rows, the table ``vectors`` and the
+    list ``weights`` (the sizes) per position, ``bits[p + 1]`` = 1 << p,
+    ``nonadj[p + 1]`` the positions that are neither p nor its neighbours (a
+    positive mask, so coloring never ANDs with a negative int, which makes
+    CPython build a two's-complement temporary; both are indexed by
+    ``bit_length()``, entry 0 unused), the weight levels ``light`` and
+    ``heavy`` (per level above the lightest, heaviest first, the mask of its
+    positions), and ``unit``, whether every weight is 1 (then nodes re-color
+    and absorb, ``_recolor`` and ``_absorb``).
     """
 
     def __init__(
@@ -304,9 +315,8 @@ class _Subproblem:
         self.prefix, self.key = prefix, key
         self.keyed = -1 if key is None else _ORBIT_DEPTH
         self.adj, order = _relabel(rows)
-        self.order = np.array(order, dtype=np.intp)
-        self.vectors = vectors[self.order]
-        self.weights = sizes[self.order].tolist()
+        self.vectors = vectors[order]
+        self.weights = sizes[order].tolist()
         self.bits = [0, *(1 << p for p in range(len(order)))]
         full = (1 << len(order)) - 1
         self.nonadj = [0, *(full ^ row ^ (1 << p) for p, row in enumerate(self.adj))]  # no self-loops
@@ -318,11 +328,11 @@ class _Subproblem:
     def _orbit_masks(self, rmask: int, cand: int) -> dict[int, int]:
         """Per position of cand, the positions of cand that share its key.
 
-        The clique is rmask's positions; both are mapped through ``order``
-        to the builder's indices for ``key``.
+        The clique is rmask's positions; ``key`` gets the packed vectors of
+        both, column 0 of their rows of ``vectors``.
         """
         positions = _positions(cand)
-        key = self.key(self.order[_positions(rmask)], self.order[positions]).tolist()
+        key = self.key(self.vectors[_positions(rmask), 0], self.vectors[positions, 0]).tolist()
         members = positions.tolist()
         masks = dict.fromkeys(key, 0)
         for p, k in zip(members, key):
@@ -477,8 +487,7 @@ def _stabilizer_classes(spec: KellerGraphSpec, row0: np.ndarray) -> list[np.ndar
     ascending order of the key, which is that of (count of 0, count of 2).
     """
     nbrs = np.flatnonzero(row0)
-    n = spec.dim
-    key = _prefix_stabilizer_key(_digit_columns(np.zeros(1, dtype=np.intp), n), _digit_columns(nbrs, n))
+    key = _prefix_stabilizer_key((0,), nbrs, spec.dim)
     # sorted(set(...)), not np.unique: under numpy 2 its first call imports numpy.ma
     classes = [nbrs[key == k] for k in sorted(set(key.tolist()))]
     classes.sort(key=len, reverse=True)
@@ -490,12 +499,12 @@ def _stabilizer_classes(spec: KellerGraphSpec, row0: np.ndarray) -> list[np.ndar
 _COUNT_POWER = (3, 1, 2, 0)
 
 
-def _prefix_stabilizer_key(prefix: np.ndarray, digits: np.ndarray) -> np.ndarray:
+def _prefix_stabilizer_key(prefix: Sequence[int], vectors: np.ndarray, n: int) -> np.ndarray:
     """A key on vectors whose classes are the orbits of the stabiliser of a prefix.
 
-    ``prefix`` (k, n) and ``digits`` (m, n) are ``_digit_columns``: the
-    prefix holds vector 0 and the clique vectors to fix, and the key is
-    taken on the m vectors.  Its classes are the orbits of the automorphisms
+    ``prefix`` and ``vectors`` are packed vectors of dimension n: the prefix
+    holds vector 0 and the clique vectors to fix, and the key is taken on
+    each of ``vectors``.  Its classes are the orbits of the automorphisms
     fixing 0 and each prefix vector.  An automorphism fixing 0 moves each
     coordinate i to pi(i) and multiplies it by a sign s_i = +-1 there
     (x -> -x swaps 1 and 3); it fixes a vector u iff u_pi(i) = s_i * u_i
@@ -510,9 +519,8 @@ def _prefix_stabilizer_key(prefix: np.ndarray, digits: np.ndarray) -> np.ndarray
     The key holds each count as a digit in base (class size + 1), so it is
     below 2^(4n); on the prefix (0,) it ascends with (count of 0, count of 2).
     """
-    n = digits.shape[1]
     classes: dict[tuple[int, ...], list[tuple[int, bool]]] = {}
-    for i, column in enumerate(zip(*prefix.tolist())):
+    for i, column in enumerate(zip(*_digit_columns(np.array(prefix, dtype=np.intp), n).tolist())):
         negated = tuple(-x & 3 for x in column)
         classes.setdefault(min(column, negated), []).append((i, negated < column))
     weight = [[0] * 4 for _ in range(n)]
@@ -526,7 +534,7 @@ def _prefix_stabilizer_key(prefix: np.ndarray, digits: np.ndarray) -> np.ndarray
             values = (0, 1, 2, 1) if even else (0, 3, 2, 1) if flipped else (0, 1, 2, 3)
             weight[i] = [offset * base ** _COUNT_POWER[v] for v in values]
         offset *= base**4
-    return np.array(weight, dtype=np.int64)[np.arange(n), digits].sum(axis=1)
+    return np.array(weight, dtype=np.int64)[np.arange(n), _digit_columns(vectors, n)].sum(axis=1)
 
 
 def _induced(class_of: np.ndarray, n: int, r: int, verts: np.ndarray, first: int) -> _Subproblem:
@@ -534,19 +542,16 @@ def _induced(class_of: np.ndarray, n: int, r: int, verts: np.ndarray, first: int
 
     Its edges are the pairs whose difference lies in class ``first`` or a
     later one (``class_of``, -1 off N(0)), so x -> x ^ r is an automorphism.
-    Its key is ``_prefix_stabilizer_key`` on the digits of verts, fixing 0,
-    r and the clique; at the root, where the clique is empty, it is the
-    smaller of the keys of v and v ^ r (digits XOR like packed vectors), so
-    its classes are the orbits of the group Stab(0, r) and the swap generate.
+    Its key is ``_prefix_stabilizer_key`` on the candidates' packed vectors,
+    fixing 0, r and the clique's; at the root, where the clique is empty, it
+    is the smaller of the keys of v and v ^ r, so its classes are the orbits
+    of the group Stab(0, r) and the swap generate.
     """
-    digits = _digit_columns(verts, n)
-    prefix = _digit_columns(np.array((0, r), dtype=np.intp), n)
 
     def key(clique: np.ndarray, cand: np.ndarray) -> np.ndarray:
-        fixed = np.concatenate([prefix, digits[clique]])
-        out = _prefix_stabilizer_key(fixed, digits[cand])
+        out = _prefix_stabilizer_key((0, r, *clique), cand, n)
         if not len(clique):
-            out = np.minimum(out, _prefix_stabilizer_key(fixed, digits[cand] ^ prefix[1]))
+            out = np.minimum(out, _prefix_stabilizer_key((0, r), cand ^ r, n))
         return out
 
     rows = _gather(class_of >= first, verts, [verts])
@@ -662,17 +667,17 @@ class _CliqueSearch:
     """Weighted B&B over subproblems that decides one target at a time.
 
     The engine holds run state only: the budget and callbacks, the target,
-    the node counter, the incumbent, and the subproblem being searched,
-    ``sub``.  It only walks the subproblem's tree: a node ticks the
-    counter, updates the incumbent and enters the children that
-    ``sub.children`` yields, and a child with no candidates is a leaf.  So
-    it reads only ``prefix``, ``len``, ``children`` and ``clique_vectors``
-    of a subproblem.  A clique's size is its total weight.  ``run`` decides
-    a target over a sequence of subproblems, and ``maximize`` runs
-    decisions one past the incumbent until one is refuted.  Sizes
-    (incumbent, target, ``on_improve``) count the subproblem's prefix, and
-    one node counter, budget and incumbent span every subproblem and every
-    run.
+    the node counter, the incumbent ``best`` (packed vectors, so it outlives
+    its subproblem), and the subproblem being searched, ``sub``.  It only
+    walks the subproblem's tree: a node ticks the counter, updates the
+    incumbent and enters the children that ``sub.children`` yields, and a
+    child with no candidates is a leaf.  So it reads only ``prefix``,
+    ``len``, ``children`` and ``clique_vectors`` of a subproblem.  A clique's
+    size is its total weight.  ``run`` decides a target over a sequence of
+    subproblems, and ``maximize`` runs decisions one past the incumbent
+    until one is refuted.  Sizes (incumbent, target, ``on_improve``) count
+    the subproblem's prefix, and one node counter, budget and incumbent span
+    every subproblem and every run.
     """
 
     sub: _Subproblem
@@ -694,7 +699,7 @@ class _CliqueSearch:
         # one flag, so a run with neither a deadline nor a heartbeat does no
         # extra work per node
         self.poll = self.deadline is not None or on_progress is not None
-        self.best: tuple[_Subproblem, int] = (_Subproblem((), *_NONE), 0)
+        self.best: list[int] = []
         self.best_size = 0
         self.nodes = 0
         self.note: Optional[str] = None
@@ -714,7 +719,7 @@ class _CliqueSearch:
             raise _Exhausted
 
     def _improve(self, mask: int, size: int) -> None:
-        self.best, self.best_size = (self.sub, mask), size
+        self.best, self.best_size = self.sub.clique_vectors(mask), size
         if self.on_improve is not None:
             self.on_improve(size, self.nodes)
         if size >= self.target:
@@ -773,15 +778,10 @@ class _CliqueSearch:
             status = self.run(builders, self.best_size + 1)
         return SearchStatus.OPTIMAL if status is SearchStatus.TARGET_REFUTED else status
 
-    def best_vectors(self) -> list[int]:
-        """The incumbent clique, packed, read through its subproblem."""
-        sub, mask = self.best
-        return sub.clique_vectors(mask)
-
 
 def _search(spec: KellerGraphSpec, search: _CliqueSearch, status: SearchStatus) -> SearchOutcome:
     """The finished search's outcome, its incumbent a witness checked against spec."""
-    clique = VectorSet._from_packed(spec.dim, search.best_vectors())
+    clique = VectorSet._from_packed(spec.dim, search.best)
     report = verify_clique(clique, spec)
     if not report.is_clique:
         raise AssertionError(f"search returned a non-clique; missing pairs {report.pairs[:3]}")

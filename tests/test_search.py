@@ -1,11 +1,13 @@
 """Branch-and-bound search, orbits, and the cyclic-invariant restriction."""
 
 import functools
+import gc
 import hashlib
 import itertools
 import math
 import random
 import tracemalloc
+import weakref
 from collections import Counter
 
 import networkx as nx
@@ -21,7 +23,6 @@ from keller.core import (
     CubeVector,
     GraphVariant,
     KellerGraphSpec,
-    _digit_columns,
     enumerate_automorphisms,
     has_edge,
     materialize,
@@ -274,7 +275,7 @@ def test_reduction_only_on_keller_adjacency():
 
 def prefix_key(n, prefix, vecs):
     """``_prefix_stabilizer_key`` on packed vectors."""
-    return _prefix_stabilizer_key(_digit_columns(np.array(prefix), n), _digit_columns(np.asarray(vecs), n))
+    return _prefix_stabilizer_key(prefix, np.asarray(vecs), n)
 
 
 def assert_key_classes_are_orbits(n, stab_images, prefix):
@@ -466,7 +467,7 @@ def unreduced(matrix, target):
     search = _CliqueSearch(SearchBudget())
     builders = [lambda: unit_subproblem(matrix)]
     status = search.maximize(builders) if target is None else search.run(builders, target)
-    best = search.best_vectors()
+    best = search.best
     assert len(best) == search.best_size
     assert (matrix[np.ix_(best, best)] | np.eye(len(best), dtype=bool)).all()
     return status, best
@@ -633,6 +634,25 @@ def test_a_key_from_outside_keller_code_keeps_every_status():
     assert changed
 
 
+def test_the_key_reads_packed_vectors():
+    # a 5-cycle 0-1-2-3-4 with vertex 5 pendant on 0, vertex i adding the
+    # vector 100 + 7 i: the key gets those vectors, never positions or the
+    # builder's indices, and at the first root cand is all six
+    matrix = np.zeros((6, 6), dtype=bool)
+    for u, v in ((0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 5)):
+        matrix[u, v] = matrix[v, u] = True
+    vectors = (100 + 7 * np.arange(6)).tolist()
+    calls = []
+
+    def recording_key(clique, cand):
+        calls.append((clique.tolist(), cand.tolist()))
+        return cand  # one class per candidate: the orbits of the identity
+
+    assert decide(unit_subproblem(matrix, vectors, recording_key), None)[::2] == (SearchStatus.OPTIMAL, 2)
+    assert sorted(calls[0][1]) == vectors
+    assert all(set(clique + cand) <= set(vectors) for clique, cand in calls)
+
+
 def test_reduced_search_node_counts_g4_star():
     # the unreduced engine needs 414 411, 50 905 and 414 512 nodes here
     g = materialize(KellerGraphSpec(4, STAR))
@@ -680,7 +700,25 @@ def walk_hand_tree(target, budget=SearchBudget(), sub=HandTree):
     log = []
     search = _CliqueSearch(budget, lambda size, nodes: log.append((size, nodes)))
     status = search.run([sub], target)
-    return status, search.nodes, search.best_vectors(), search.note, log
+    return status, search.nodes, search.best, search.note, log
+
+
+def test_the_incumbent_outlives_its_subproblem():
+    # the incumbent is packed vectors, so once a run has moved past the
+    # subproblem it was found in, nothing keeps that subproblem alive
+    built = []
+
+    def prefix_only():
+        sub = _Subproblem((10, 11), *search_module._NONE)
+        built.append(weakref.ref(sub))
+        return sub
+
+    search = _CliqueSearch(SearchBudget())
+    edge = np.array([[False, True], [True, False]])
+    status = search.run([prefix_only, lambda: unit_subproblem(edge, [20, 21])], 3)
+    assert (status, search.best) == (SearchStatus.TARGET_REFUTED, [10, 11])
+    gc.collect()
+    assert built[0]() is None
 
 
 def test_engine_only_walks_the_children_a_subproblem_yields():
@@ -845,7 +883,7 @@ def test_neighbourhood_of_zero_is_dimacs_keller(n, nverts, nedges):
         status = search.maximize([lambda: unit_subproblem(dense_rows(rows, nverts), verts)])
         assert (status, search.best_size, search.nodes) == (SearchStatus.OPTIMAL, 11, 4_833)
         # with vertex 0 it is a maximum clique of G*_4
-        clique = VectorSet._from_packed(n, [0, *search.best_vectors()])
+        clique = VectorSet._from_packed(n, [0, *search.best])
         assert verify_clique(clique, KellerGraphSpec(n, STAR)).is_clique
 
 
@@ -913,8 +951,9 @@ def test_bound_test_before_every_child_matches_class_start_test(monkeypatch, gra
     block = np.array(data.draw(st.lists(st.integers(0, 3), min_size=nverts, max_size=nverts)))
 
     def drawn_key(clique, cand):
-        assert len(clique) == 0 and sorted(cand.tolist()) == list(range(nverts))
-        return block[cand]
+        # cand holds column 0 of each vertex's vectors, heaviest * v
+        assert len(clique) == 0 and sorted(cand.tolist()) == list(range(0, heaviest * nverts, heaviest))
+        return block[cand // heaviest]
 
     for target in (None, data.draw(st.integers(1, sum(weights) + 1))):
         runs = []
@@ -923,7 +962,7 @@ def test_bound_test_before_every_child_matches_class_start_test(monkeypatch, gra
             search = _CliqueSearch(SearchBudget(), lambda size, nodes: log.append((size, nodes)))
             builders = [lambda: walk((), packed_rows(matrix), vectors, np.array(weights), drawn_key)]
             status = search.maximize(builders) if target is None else search.run(builders, target)
-            runs.append((status, search.nodes, search.best_vectors(), log))
+            runs.append((status, search.nodes, search.best, log))
         assert runs[0] == runs[1]
 
 
