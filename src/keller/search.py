@@ -39,8 +39,8 @@ the graph's vertex-0 row (u ~ v iff row0[u ^ v]) or on a subproblem's
 restriction of it.  A subproblem's graph is gathered and packed in row
 blocks, one bit per pair, and the relabel reads and permutes it in blocks
 too, so no dense matrix of pairs is built.  A subproblem is one value, built
-from its candidates' packed rows and relabeled once into the bitset rows and
-prebuilt masks it branches with.
+by ``_cayley`` from its candidates' packed rows, which are relabeled once
+into its bitset rows and freed before it builds the masks it branches with.
 
 The search is symmetry-broken.  Every translation m -> m ^ c is an
 automorphism, and so is every map fixing 0 (coordinate permutations times
@@ -62,8 +62,8 @@ group they generate, and below the root, down to depth ``_ORBIT_DEPTH``, its
 whole orbit under the stabiliser of the node's clique.  All these orbits
 have one closed-form key on digit counts, ``_prefix_stabilizer_key``,
 merged at the root over v and v ^ r.  Each subproblem carries its symmetry
-as such an orbit key on packed vectors (``_induced`` builds the Stab(0)
-one), which ``children`` calls; the engine knows no digits.  One node
+as such an orbit key on packed vectors (``_swap_key`` is the Stab(0) one),
+which ``children`` calls; the engine knows no digits.  One node
 counter, budget and incumbent span all subproblems and all rungs.  Node
 counts and witness cliques therefore differ from versions without these
 reductions.
@@ -79,9 +79,10 @@ branch may overshoot.  When the target forces exactly two constant vectors,
 the clique starts from {0^n, 2^n}, as the Stab(0) subproblems start from
 {0, r}, and only the orbits compatible with both are gathered.  It is one
 subproblem, built inside the search so that Ctrl-C during the build ends it
-cleanly.  Every search has one front end: subproblems come as builders, and
-a position carries a row of a table of packed vectors, as many as its
-weight, that it adds to a clique.  Bar the child bits passed back to
+cleanly.  Every search has one front end: a subproblem comes as a builder
+that calls ``_cayley`` on a prefix clique and a table, and a position
+carries a row of the table, as many packed vectors as its weight, that it
+adds to a clique.  Bar the child bits passed back to
 ``children``, only packed vectors cross a subproblem's edge: its prefix,
 its key's arguments and the incumbent, which is the witness checked.
 """
@@ -244,17 +245,18 @@ def _positions(mask: int) -> np.ndarray:
     return np.flatnonzero(np.unpackbits(bitmap, bitorder="little"))
 
 
-def _gather(row0: np.ndarray, rows: np.ndarray, columns: Sequence[np.ndarray]) -> np.ndarray:
-    """M[i, j] = AND over c in ``columns`` of ``row0[rows[i] ^ c[j]]``, as packed rows.
+def _gather(row0: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """M[i, j] = AND over k of ``row0[table[i, 0] ^ table[j, k]]``, as packed rows.
 
-    Bit j of row i (``bitorder="little"``) is M[i, j].  Each block of about
-    _BLOCK_ELEMS entries is gathered as booleans and packed at once, so the
-    result, one bit per entry, is the only full-size array.
+    Square: one row and one column per row of ``table``, and bit j of row i
+    (``bitorder="little"``) is M[i, j].  Each block of about _BLOCK_ELEMS
+    entries is gathered as booleans and packed at once, so the result, one
+    bit per entry, is the only full-size array.
     """
-    ncols = len(columns[0])
-    out = np.empty((len(rows), (ncols + 7) // 8), dtype=np.uint8)
-    step = max(1, _BLOCK_ELEMS // max(1, ncols))
-    for start in range(0, len(rows), step):
+    rows, columns = table[:, 0], np.ascontiguousarray(table.T)
+    out = np.empty((len(table), (len(table) + 7) // 8), dtype=np.uint8)
+    step = max(1, _BLOCK_ELEMS // max(1, len(table)))
+    for start in range(0, len(table), step):
         block = rows[start : start + step, None]
         matrix = row0[block ^ columns[0]]
         for c in columns[1:]:
@@ -263,19 +265,23 @@ def _gather(row0: np.ndarray, rows: np.ndarray, columns: Sequence[np.ndarray]) -
     return out
 
 
+_Key = Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+
 class _Subproblem:
     """Extend the clique ``prefix`` (packed vectors) within a candidate set.
 
-    Built from the candidates' adjacency ``rows``, packed as ``_relabel``
-    takes them, all of them adjacent to every prefix vector.  Candidate i
-    adds to a clique the packed vectors ``vectors[i, :sizes[i]]``, and
-    ``sizes[i]`` is its weight: a one-column table of Keller-graph vertices
-    with unit sizes, or on the orbit graph one table row per orbit and the
-    orbit sizes.  Both searches fix vectors only through the prefix: {0, r}
-    for a Stab(0) class, and {0^n, 2^n} on the orbit graph when exactly two
-    constants are forced (the uniform x -> x + 1, an ``Automorphism``
-    commuting with the shift, maps the other adjacent constant pair
-    {1^n, 3^n} onto it).
+    Built from the candidates' relabeled adjacency, what ``_relabel``
+    returns: the bitset rows ``adj`` and the candidates' degeneracy
+    ``order``.  Every subproblem is built by ``_cayley``, which keeps only
+    candidates adjacent to every prefix vector.  Candidate i adds to a
+    clique the packed vectors ``vectors[i, :sizes[i]]``, and ``sizes[i]`` is
+    its weight: a one-column table of Keller-graph vertices with unit sizes,
+    or on the orbit graph one table row per orbit and the orbit sizes.  Both
+    searches fix vectors only through the prefix: {0, r} for a Stab(0)
+    class, and {0^n, 2^n} on the orbit graph when exactly two constants are
+    forced (the uniform x -> x + 1, an ``Automorphism`` commuting with the
+    shift, maps the other adjacent constant pair {1^n, 3^n} onto it).
 
     ``key``, if given, is the subproblem's symmetry: ``key(clique, cand)``
     takes the packed vectors of the candidates added so far and of a set of
@@ -288,13 +294,12 @@ class _Subproblem:
     group that it knows preserves the candidates.  Nodes down to depth
     ``keyed`` = ``_ORBIT_DEPTH`` then drop whole key classes
     (``children``).  None, as on the orbit graph, means no known symmetry,
-    and ``keyed`` = -1.  ``_induced`` keys the Stab(0, r) orbits of a Cayley
-    graph, joined at the root by x -> x ^ r.
+    and ``keyed`` = -1.  ``_swap_key`` keys the Stab(0, r) orbits of a
+    Cayley graph, joined at the root by x -> x ^ r.
 
-    The constructor relabels the rows once (``_relabel``) and keeps
-    everything the search branches with, over positions in degeneracy
-    removal order: ``adj`` the bitset rows, the table ``vectors`` and the
-    list ``weights`` (the sizes) per position, ``bits[p + 1]`` = 1 << p,
+    The subproblem keeps everything the search branches with, over positions
+    in degeneracy removal order: ``adj``, the table ``vectors`` and the list
+    ``weights`` (the sizes) per position, ``bits[p + 1]`` = 1 << p,
     ``nonadj[p + 1]`` the positions that are neither p nor its neighbours (a
     positive mask, so coloring never ANDs with a negative int, which makes
     CPython build a two's-complement temporary; both are indexed by
@@ -307,14 +312,14 @@ class _Subproblem:
     def __init__(
         self,
         prefix: tuple[int, ...],
-        rows: np.ndarray,
+        adj: list[int],
+        order: list[int],
         vectors: np.ndarray,
         sizes: np.ndarray,
-        key: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None,
+        key: Optional[_Key] = None,
     ):
-        self.prefix, self.key = prefix, key
+        self.prefix, self.adj, self.key = prefix, adj, key
         self.keyed = -1 if key is None else _ORBIT_DEPTH
-        self.adj, order = _relabel(rows)
         self.vectors = vectors[order]
         self.weights = sizes[order].tolist()
         self.bits = [0, *(1 << p for p in range(len(order)))]
@@ -473,8 +478,24 @@ class _Subproblem:
                 cls &= cand
 
 
-# the rows, vectors and sizes of a subproblem that has no candidates
-_NONE = (np.zeros((0, 0), dtype=np.uint8), np.zeros((0, 1), dtype=np.intp), np.zeros(0, dtype=np.intp))
+def _cayley(
+    row0: np.ndarray, prefix: tuple[int, ...], table: np.ndarray, sizes: np.ndarray, key: Optional[_Key] = None
+) -> _Subproblem:
+    """The subproblem extending ``prefix`` within the rows of ``table`` on a Cayley graph.
+
+    u ~ v iff row0[u ^ v], and ``table`` is a one-column table of vertices
+    or rows of an ``_orbit_table`` of an automorphism of the graph.  The
+    rows kept, in table order, are those whose every entry is adjacent to
+    every prefix vector.  Two rows are adjacent iff every cross pair is; the
+    automorphism maps A's representative onto each member of A and B onto
+    itself, so that holds iff A's representative is adjacent to every entry
+    of B's row: one ``_gather`` row per orbit.  The gathered packed rows are
+    freed once ``_relabel`` returns, before ``_Subproblem`` builds its masks.
+    """
+    # every entry against every prefix vector; with no prefix, every row
+    keep = row0[table[:, :, None] ^ np.array(prefix, dtype=np.intp)].all(axis=(1, 2))
+    table, sizes = table[keep], sizes[keep]
+    return _Subproblem(prefix, *_relabel(_gather(row0, table)), table, sizes, key)
 
 
 def _stabilizer_classes(spec: KellerGraphSpec, row0: np.ndarray) -> list[np.ndarray]:
@@ -537,25 +558,18 @@ def _prefix_stabilizer_key(prefix: Sequence[int], vectors: np.ndarray, n: int) -
     return np.array(weight, dtype=np.int64)[np.arange(n), _digit_columns(vectors, n)].sum(axis=1)
 
 
-def _induced(class_of: np.ndarray, n: int, r: int, verts: np.ndarray, first: int) -> _Subproblem:
-    """The subproblem extending {0, r} within verts, one vertex per position.
+def _swap_key(n: int, r: int, clique: np.ndarray, cand: np.ndarray) -> np.ndarray:
+    """The orbit key of a Stab(0) subproblem extending {0, r} in dimension n.
 
-    Its edges are the pairs whose difference lies in class ``first`` or a
-    later one (``class_of``, -1 off N(0)), so x -> x ^ r is an automorphism.
-    Its key is ``_prefix_stabilizer_key`` on the candidates' packed vectors,
+    It is ``_prefix_stabilizer_key`` on the candidates' packed vectors,
     fixing 0, r and the clique's; at the root, where the clique is empty, it
     is the smaller of the keys of v and v ^ r, so its classes are the orbits
-    of the group Stab(0, r) and the swap generate.
+    of the group Stab(0, r) and the swap x -> x ^ r generate.
     """
-
-    def key(clique: np.ndarray, cand: np.ndarray) -> np.ndarray:
-        out = _prefix_stabilizer_key((0, r, *clique), cand, n)
-        if not len(clique):
-            out = np.minimum(out, _prefix_stabilizer_key((0, r), cand ^ r, n))
-        return out
-
-    rows = _gather(class_of >= first, verts, [verts])
-    return _Subproblem((0, r), rows, verts[:, None], np.ones(len(verts), dtype=np.intp), key)
+    out = _prefix_stabilizer_key((0, r, *clique), cand, n)
+    if not len(clique):
+        out = np.minimum(out, _prefix_stabilizer_key((0, r), cand ^ r, n))
+    return out
 
 
 def _subproblems(g: MaterializedGraph) -> Iterator[Callable[[], _Subproblem]]:
@@ -572,22 +586,23 @@ def _subproblems(g: MaterializedGraph) -> Iterator[Callable[[], _Subproblem]]:
     differences onto differences, and Stab(0) keeps each class: the image
     contains {0, r} and all its differences lie in classes i and later.
     On a Cayley graph x -> x ^ r is an automorphism, and it swaps 0 and r.
-    A builder holds its candidate vertices; the gather and the relabel wait
-    until it is called, and all builders share one class-index array.
+    A builder is ``_cayley`` on that Cayley graph's vertex-0 row, over one
+    table of every vertex that all builders share, so the candidates are
+    found, gathered and relabeled only when it is called.
     """
+    vecs = np.arange(g.num_vertices)[:, None]
+    ones = np.ones(g.num_vertices, dtype=np.intp)
     classes = _stabilizer_classes(g.spec, g.row0)
     if not classes:
-        yield lambda: _Subproblem((0,), *_NONE)
+        yield functools.partial(_cayley, g.row0, (0,), vecs, ones)
         return
     class_of = np.full(g.num_vertices, -1, dtype=np.intp)
     for i, members in enumerate(classes):
         class_of[members] = i
-    vecs = np.arange(g.num_vertices)
     for i, members in enumerate(classes):
-        allowed = class_of >= i
         r = int(members[0])
-        verts = np.flatnonzero(allowed & allowed[vecs ^ r])
-        yield functools.partial(_induced, class_of, g.spec.dim, r, verts, i)
+        key = functools.partial(_swap_key, g.spec.dim, r)
+        yield functools.partial(_cayley, class_of >= i, (0, r), vecs, ones, key)
 
 
 def _recolor(adj: Sequence[int], classes: list[int], keep: int) -> list[int]:
@@ -899,19 +914,6 @@ def _admissible(row0: np.ndarray, table: np.ndarray) -> np.ndarray:
     return np.flatnonzero(((table == reps) | row0[table ^ reps]).all(axis=1))
 
 
-def _orbit_compatibility(row0: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """The compatibility graph of the orbits of ``table``, as packed rows.
-
-    ``table`` holds rows of an ``_orbit_table`` of an automorphism of the
-    graph with vertex-0 row row0.  It maps A's representative onto each
-    member of A and B onto itself, so every cross pair of orbits A and B is
-    adjacent iff A's representative is adjacent to every entry of B's row:
-    one ``_gather`` with a column per power of the automorphism, packed
-    block by block as ``_relabel`` takes it.
-    """
-    return _gather(row0, table[:, 0], np.ascontiguousarray(table.T))
-
-
 def _weight_reachable(weights: Sequence[int], target: int) -> bool:
     if target > sum(weights):  # also keeps the reach bitset below 2^(sum + 1)
         return False
@@ -965,8 +967,7 @@ def invariant_clique_search(
         table, sizes = table[keep], sizes[keep]
         if not _weight_reachable(sizes.tolist(), target):
             search.note = f"target {target} is not a sum of admissible orbit sizes"
-            return _Subproblem((), *_NONE)
-        prefix: tuple[int, ...] = ()
+            return _cayley(row0, (), table[:0], sizes[:0])
         # counts of constants a solution can contain: the residue of target
         # modulo the only other orbit size, up to the four constants
         counts = {f for f in range(5) if f <= target and (target - f) % n == 0}
@@ -974,15 +975,10 @@ def invariant_clique_search(
             # The two constants are adjacent: {0^n, 2^n} or {1^n, 3^n}.  The
             # uniform label map x -> x + 1 is an Automorphism commuting with
             # the shift, so it maps invariant cliques to invariant cliques,
-            # and {1^n, 3^n} onto {2^n, 0^n}: fix 0^n (row 0) and 2^n.  The
-            # orbits compatible with both, found from their two gathered
-            # rows, exclude every constant, and only they are gathered
-            # against each other.
-            two = np.flatnonzero(sizes == 1)[2]  # rows ascend by representative
-            prefix = (0, int(table[two, 0]))
-            fixed = _gather(row0, table[[0, two], 0], np.ascontiguousarray(table.T))
-            cand = np.flatnonzero(_unpacked(fixed, len(table)).all(axis=0))
-            table, sizes = table[cand], sizes[cand]
-        return _Subproblem(prefix, _orbit_compatibility(row0, table), table, sizes)
+            # and {1^n, 3^n} onto {2^n, 0^n}: fix 0^n and 2^n.  The orbits
+            # compatible with both exclude every constant, and only they
+            # are gathered against each other.
+            return _cayley(row0, (0, CubeVector.from_digits((2,) * n).packed), table, sizes)
+        return _cayley(row0, (), table, sizes)
 
     return _search(spec, search, search.run([build], target))

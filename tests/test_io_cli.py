@@ -395,7 +395,7 @@ def test_cli_cyclic_search_interrupted_while_building(capsys, monkeypatch):
     def interrupt(row0, table):
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(search, "_orbit_compatibility", interrupt)
+    monkeypatch.setattr(search, "_gather", interrupt)
     code = main(["search", "--dim", "7", "--target", "128", "--cyclic-invariant"])
     assert code == 1
     assert capsys.readouterr().out.splitlines() == [

@@ -31,7 +31,9 @@ from keller.search import (
     SearchBudget,
     SearchStatus,
     _CliqueSearch,
+    _cayley,
     _prefix_stabilizer_key,
+    _relabel,
     _stabilizer_classes,
     _Subproblem,
     _subproblems,
@@ -209,7 +211,7 @@ def test_interrupt_while_building_orbit_graph(monkeypatch):
     def interrupt(row0, table):
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(search_module, "_orbit_compatibility", interrupt)
+    monkeypatch.setattr(search_module, "_gather", interrupt)
     out = invariant_clique_search(3, 5)
     assert out.status is SearchStatus.BUDGET_EXHAUSTED
     assert (out.note, out.nodes_explored, len(out.best_clique)) == ("interrupted", 0, 0)
@@ -456,7 +458,7 @@ def unit_subproblem(matrix, verts=None, key=None):
     """A subproblem with no prefix on a dense boolean matrix, vertex i
     adding verts[i] (by default i) with weight 1."""
     verts = np.arange(len(matrix)) if verts is None else np.asarray(verts)
-    return _Subproblem((), packed_rows(matrix), verts[:, None], np.ones(len(verts), dtype=np.intp), key)
+    return _Subproblem((), *_relabel(packed_rows(matrix)), verts[:, None], np.ones(len(verts), dtype=np.intp), key)
 
 
 def unreduced(matrix, target):
@@ -709,7 +711,7 @@ def test_the_incumbent_outlives_its_subproblem():
     built = []
 
     def prefix_only():
-        sub = _Subproblem((10, 11), *search_module._NONE)
+        sub = _cayley(np.zeros(1, dtype=bool), (10, 11), np.zeros((0, 1), dtype=np.intp), np.zeros(0, dtype=np.intp))
         built.append(weakref.ref(sub))
         return sub
 
@@ -814,13 +816,13 @@ def test_max_clique_is_a_ladder_of_decisions(n, variant):
 def test_max_clique_builds_each_subproblem_once(monkeypatch):
     # the last rung refutes 13 over all nine G*_4 subproblems, and earlier
     # rungs reuse what they built
-    built, induced = [], search_module._induced
+    built, cayley = [], search_module._cayley
 
-    def counted(*args):
-        built.append(args[2])
-        return induced(*args)
+    def counted(row0, prefix, *args):
+        built.append(prefix[1])
+        return cayley(row0, prefix, *args)
 
-    monkeypatch.setattr(search_module, "_induced", counted)
+    monkeypatch.setattr(search_module, "_cayley", counted)
     g = materialize(KellerGraphSpec(4, STAR))
     assert max_clique(g).status is SearchStatus.OPTIMAL
     assert sorted(built) == sorted(int(c[0]) for c in _stabilizer_classes(g.spec, g.row0))
@@ -875,7 +877,7 @@ def test_neighbourhood_of_zero_is_dimacs_keller(n, nverts, nedges):
     # keller5 and keller6 instances, whose clique number is omega(G*_n) - 1
     row0 = materialize(KellerGraphSpec(n, STAR)).row0
     verts = np.flatnonzero(row0)
-    rows = search_module._gather(row0, verts, [verts])
+    rows = search_module._gather(row0, verts[:, None])
     assert rows.shape == (nverts, (nverts + 7) // 8)
     assert int(np.unpackbits(rows).sum()) // 2 == nedges  # the padding bits are clear
     if n == 4:
@@ -960,7 +962,7 @@ def test_bound_test_before_every_child_matches_class_start_test(monkeypatch, gra
         for walk in (_Subproblem, PerChildBound):
             log = []
             search = _CliqueSearch(SearchBudget(), lambda size, nodes: log.append((size, nodes)))
-            builders = [lambda: walk((), packed_rows(matrix), vectors, np.array(weights), drawn_key)]
+            builders = [lambda: walk((), *_relabel(packed_rows(matrix)), vectors, np.array(weights), drawn_key)]
             status = search.maximize(builders) if target is None else search.run(builders, target)
             runs.append((status, search.nodes, search.best, log))
         assert runs[0] == runs[1]
@@ -1391,7 +1393,7 @@ def test_orbit_compatibility_matches_definition(monkeypatch, n, block_elems):
     members = [[v.packed for v in o.orbit] for o in cyclic_orbits(n)]
     table, _ = search_module._orbit_table(search_module._shift(n))
     admissible = search_module._admissible(g.row0, table)
-    compat = search_module._orbit_compatibility(g.row0, table[admissible])
+    compat = search_module._gather(g.row0, table[admissible])
     keep = [i for i, m in enumerate(members) if (adjacency[np.ix_(m, m)] | np.eye(len(m), dtype=bool)).all()]
     assert admissible.tolist() == keep
     expected = [[adjacency[np.ix_(members[a], members[b])].all() for b in keep] for a in keep]
@@ -1411,7 +1413,7 @@ def test_orbit_compatibility_memory_is_bounded(n, admissible, limit_mib):
     tracemalloc.start()
     try:
         adm = search_module._admissible(g.row0, table)
-        compat = search_module._orbit_compatibility(g.row0, table[adm])
+        compat = search_module._gather(g.row0, table[adm])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1454,12 +1456,47 @@ def test_orbit_search_build_memory_is_bounded(call, limit_mib):
 
 def test_stabilizer_subproblem_build_memory_is_bounded():
     # the first G*_6 subproblem, 2724 candidates, packed from the gather to
-    # the relabel: 3.8 MiB, where the build with a dense boolean matrix
-    # (7.1 MiB alone) peaked at 10.2 MiB
+    # the relabel and freed before the masks are built: 3.2 MiB, where
+    # holding the packed rows through the build peaked at 3.8 MiB and the
+    # build with a dense boolean matrix (7.1 MiB alone) at 10.2 MiB
     g = materialize(KellerGraphSpec(6, STAR))
     out = []
     assert traced_peak(lambda: out.append(clique_decision(g, 61, ONE_NODE))) < 6 * 2**20
     assert (out[0].status, out[0].nodes_explored) == (SearchStatus.BUDGET_EXHAUSTED, 1)
+
+
+def test_stabilizer_subproblem_build_memory_is_bounded_in_g7():
+    # the first G*_7 subproblem: 49.6 MiB, its 17.7 MiB of packed rows freed
+    # before the masks are built, where holding them through the build
+    # peaked at 67.2 MiB; about 1.2 s on a 2-vCPU VM
+    g = materialize(KellerGraphSpec(7, STAR))
+    assert traced_peak(lambda: next(iter(_subproblems(g)))()) < 58 * 2**20
+
+
+def test_packed_rows_are_freed_before_the_subproblem_is_built(monkeypatch):
+    # _Subproblem gets the relabeled rows only, so no gathered packed rows
+    # are alive while it builds its masks: one gather per build, on a
+    # Stab(0) subproblem, the orbit graph and its forced pair (n = 7)
+    gathered, live = [], []
+    gather = search_module._gather
+
+    def recorded(row0, table):
+        rows = gather(row0, table)
+        gathered.append(weakref.ref(rows))
+        return rows
+
+    class Counted(_Subproblem):
+        def __init__(self, *args):
+            live.append(sum(ref() is not None for ref in gathered))
+            super().__init__(*args)
+
+    monkeypatch.setattr(search_module, "_gather", recorded)
+    monkeypatch.setattr(search_module, "_Subproblem", Counted)
+    g = materialize(KellerGraphSpec(4, STAR))
+    assert clique_decision(g, 13, ONE_NODE).nodes_explored == 1
+    assert invariant_clique_search(6, 64, ONE_NODE).nodes_explored == 1
+    assert invariant_clique_search(7, 128, ONE_NODE).nodes_explored == 1
+    assert (len(gathered), live) == (3, [0, 0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -1541,8 +1578,7 @@ def unreduced_invariant_status(n, target):
     table, sizes = search_module._orbit_table(search_module._shift(n))
     row0 = materialize(KellerGraphSpec(n, STAR)).row0
     keep = search_module._admissible(row0, table)
-    compat = search_module._orbit_compatibility(row0, table[keep])
-    return _CliqueSearch(SearchBudget()).run([lambda: _Subproblem((), compat, table[keep], sizes[keep])], target)
+    return _CliqueSearch(SearchBudget()).run([lambda: _cayley(row0, (), table[keep], sizes[keep])], target)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
@@ -1555,6 +1591,39 @@ def test_forced_pair_prefix_matches_unreduced_search(n):
         assert out.status is unreduced_invariant_status(n, target), target
         if out.status is SearchStatus.TARGET_FOUND and n in (3, 5, 7) and target % n == 2:
             assert zeros in out.best_clique and twos in out.best_clique
+
+
+@pytest.mark.parametrize("n", [5, 7])
+def test_forced_pair_candidates_match_brute_force(monkeypatch, n):
+    # _cayley keeps the admissible orbits whose every member is adjacent to
+    # 0^n and to 2^n, one edge query per pair, and so no constant
+    built = []
+
+    class Recorded(_Subproblem):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(search_module, "_Subproblem", Recorded)
+    assert invariant_clique_search(n, 2**n, ONE_NODE).nodes_explored == 1
+    g = materialize(KellerGraphSpec(n, STAR))
+    constants = [CubeVector.from_digits((d,) * n).packed for d in range(4)]
+    expected = {
+        o.representative.packed
+        for o in cyclic_orbits(n)
+        if all(g.has_edge_index(u.packed, w.packed) for u, w in itertools.combinations(o.orbit, 2))
+        and all(g.has_edge_index(u.packed, c) for u in o.orbit for c in constants[::2])
+    }
+    (sub,) = built
+    assert sub.prefix == (constants[0], constants[2])
+    assert set(sub.vectors[:, 0].tolist()) == expected
+    assert not expected & set(constants)
+
+
+def test_cayley_on_an_empty_table_is_its_prefix():
+    row0 = materialize(KellerGraphSpec(3, STAR)).row0
+    sub = _cayley(row0, (0, 42), np.zeros((0, 3), dtype=np.intp), np.zeros(0, dtype=np.intp))
+    assert len(sub) == 0 and sub.clique_vectors(0) == [0, 42]
 
 
 def test_invariant_infeasible_residue_reported_without_search():
@@ -1625,7 +1694,7 @@ def test_invariant_search_dimension_guard(monkeypatch):
 
     monkeypatch.setattr(search_module, "_orbit_table", enumerate_all)
     monkeypatch.setattr(search_module, "_admissible", enumerate_all)
-    monkeypatch.setattr(search_module, "_orbit_compatibility", enumerate_all)
+    monkeypatch.setattr(search_module, "_gather", enumerate_all)
     with pytest.raises(ValueError, match="guarded at dim 8"):
         invariant_clique_search(9, 512)
     with pytest.raises(ValueError, match="guarded at dim 8"):
