@@ -24,6 +24,7 @@ whole arrays of either kind.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Iterator, Sequence
@@ -236,7 +237,8 @@ class Automorphism:
 
     def __post_init__(self) -> None:
         n = len(self.coord_perm)
-        if sorted(self.coord_perm) != list(range(n)):
+        # element by element: list(range(n)) would build n more ints
+        if any(map(operator.ne, sorted(self.coord_perm), range(n))):
             raise ValueError(f"not a coordinate permutation: {self.coord_perm}")
         if len(self.label_maps) != n:
             raise ValueError("need one label map per coordinate")

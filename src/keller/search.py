@@ -10,11 +10,11 @@ sound is in those two docstrings.  The engine only decides targets;
 until a rung is refuted, so OPTIMAL k is a verified k-clique plus a refuted
 k + 1.  A clique's size is its total vertex weight and a color class's bound
 is the running sum of each class's heaviest weight, so with unit weights
-(every Keller-graph search) the bound is the color number.  A node is one
-coloring of a non-empty candidate set; a branch whose candidate set is
-empty is a leaf and is not counted.  Every node entered is a clique, so it
-updates the incumbent: a run that runs out of budget still reports the
-largest clique it reached.
+(every Keller-graph search) the bound is the color number.  The engine
+visits every clique it reaches once, each subproblem's prefix included, and
+updates the incumbent there: a run out of budget still reports the largest
+clique it reached.  A visit with a non-empty candidate set is a node, one
+coloring of it; one with none is a leaf and is not counted.
 
 With unit weights the classes a node never branches are re-colored by
 Re-NUMBER (Tomita et al., WALCOM 2010; in bitset form, San Segundo et al.'s
@@ -78,13 +78,13 @@ table on G*_n's vertex-0 row), and a target on the total weight that no
 branch may overshoot.  When the target forces exactly two constant vectors,
 the clique starts from {0^n, 2^n}, as the Stab(0) subproblems start from
 {0, r}, and only the orbits compatible with both are gathered.  It is one
-subproblem, built inside the search so that Ctrl-C during the build ends it
-cleanly.  Every search has one front end: a subproblem comes as a builder
-that calls ``_cayley`` on a prefix clique and a table, and a position
-carries a row of the table, as many packed vectors as its weight, that it
-adds to a clique.  Bar the child bits passed back to
-``children``, only packed vectors cross a subproblem's edge: its prefix,
-its key's arguments and the incumbent, which is the witness checked.
+subproblem, yielded from inside the search so that Ctrl-C during the
+orbit-table build ends it cleanly, and none for an unreachable target.  Both
+front ends yield each subproblem as a builder that calls ``_cayley`` on a
+prefix clique and a table, and a position carries a row of the table, as
+many packed vectors as its weight, that it adds to a clique.  Bar the child
+bits passed back to ``children``, only packed vectors cross a subproblem's
+edge: its prefix, its key's arguments and the incumbent, the checked witness.
 """
 
 from __future__ import annotations
@@ -684,9 +684,9 @@ class _CliqueSearch:
     The engine holds run state only: the budget and callbacks, the target,
     the node counter, the incumbent ``best`` (packed vectors, so it outlives
     its subproblem), and the subproblem being searched, ``sub``.  It only
-    walks the subproblem's tree: a node ticks the counter, updates the
-    incumbent and enters the children that ``sub.children`` yields, and a
-    child with no candidates is a leaf.  So it reads only ``prefix``,
+    walks the subproblem's tree, and every clique it reaches, a subproblem's
+    root, a node or a leaf, goes through ``_visit``: only there are nodes
+    counted and the incumbent updated.  So it reads only ``prefix``,
     ``len``, ``children`` and ``clique_vectors`` of a subproblem.  A clique's
     size is its total weight.  ``run`` decides a target over a sequence of
     subproblems, and ``maximize`` runs decisions one past the incumbent
@@ -719,13 +719,6 @@ class _CliqueSearch:
         self.nodes = 0
         self.note: Optional[str] = None
 
-    def _tick(self) -> None:
-        if self.node_limit is not None and self.nodes >= self.node_limit:
-            raise _Exhausted
-        self.nodes += 1
-        if self.poll and (self.nodes & 1023) == 0:
-            self._poll()
-
     def _poll(self) -> None:
         now = time.monotonic()
         if self.on_progress is not None and self.nodes % _PROGRESS_EVERY == 0:
@@ -740,22 +733,27 @@ class _CliqueSearch:
         if size >= self.target:
             raise _Found
 
-    def _expand(self, rmask: int, rsize: int, cand: int) -> None:
-        """One node: the clique rmask of size rsize, extended within cand."""
-        self._tick()
+    def _visit(self, rmask: int, rsize: int, cand: int) -> None:
+        """The clique rmask of size rsize, extended within cand: a counted
+        node that enters its children if cand is non-empty, else a leaf."""
+        if cand:
+            if self.node_limit is not None and self.nodes >= self.node_limit:
+                raise _Exhausted
+            self.nodes += 1
+            if self.poll and (self.nodes & 1023) == 0:
+                self._poll()
         if rsize > self.best_size:
             self._improve(rmask, rsize)
-        for bit, size, rest in self.sub.children(rmask, rsize, cand, self.target):
-            if rest:
-                self._expand(rmask | bit, size, rest)
-            elif size > self.best_size:  # a leaf, not counted as a node
-                self._improve(rmask | bit, size)
+        if cand:
+            for bit, size, rest in self.sub.children(rmask, rsize, cand, self.target):
+                self._visit(rmask | bit, size, rest)
 
     def run(self, builders: Iterable[Callable[[], _Subproblem]], target: int) -> SearchStatus:
-        """Decide target: build and search each subproblem in turn.
+        """Decide target: build each subproblem in turn and visit its root,
+        the prefix within every candidate (a leaf if there is none).
 
-        Ctrl-C ends it like an exhausted budget, also while a subproblem is
-        being built.  The time limit is also checked before each further
+        Ctrl-C ends it like an exhausted budget, also while ``builders`` or
+        a builder runs.  The time limit is also checked before each further
         build, so a run past its deadline builds no more, and one that
         finished its last subproblem is complete whatever the clock says.
         """
@@ -765,11 +763,7 @@ class _CliqueSearch:
                 if i and self.deadline is not None and time.monotonic() > self.deadline:
                     raise _Exhausted
                 self.sub = sub = build()
-                size = len(sub.prefix)
-                if len(sub):
-                    self._expand(0, size, (1 << len(sub)) - 1)
-                elif size > self.best_size:
-                    self._improve(0, size)
+                self._visit(0, len(sub.prefix), (1 << len(sub)) - 1)
         except _Found:
             return SearchStatus.TARGET_FOUND
         except _Exhausted:
@@ -947,7 +941,8 @@ def invariant_clique_search(
     nodes)`` is called whenever the incumbent grows; its size counts vectors
     (the orbit weights and the prefix).  ``on_progress`` is as for
     ``max_clique``.  Guarded at dimension 8 like
-    ``materialize``: the orbits cover all 4^n vectors.
+    ``materialize``: the orbits cover all 4^n vectors.  The witness is
+    checked to be a clique that the shift fixes.
     """
     if target < 1:
         raise ValueError("target must be positive")
@@ -959,26 +954,29 @@ def invariant_clique_search(
         )
     search = _CliqueSearch(budget, on_improve, on_progress)
 
-    def build() -> _Subproblem:
-        # runs inside search.run(), so that Ctrl-C here ends the search too
+    def builders() -> Iterator[Callable[[], _Subproblem]]:
+        # search.run() draws from this generator, so that Ctrl-C here ends
+        # the search too; an unreachable target yields no subproblem
         table, sizes = _orbit_table(_shift(n))
         row0 = materialize(spec).row0
         keep = _admissible(row0, table)
         table, sizes = table[keep], sizes[keep]
         if not _weight_reachable(sizes.tolist(), target):
             search.note = f"target {target} is not a sum of admissible orbit sizes"
-            return _cayley(row0, (), table[:0], sizes[:0])
+            return
         # counts of constants a solution can contain: the residue of target
         # modulo the only other orbit size, up to the four constants
         counts = {f for f in range(5) if f <= target and (target - f) % n == 0}
-        if set(sizes[sizes > 1].tolist()) == {n} and counts == {2}:
-            # The two constants are adjacent: {0^n, 2^n} or {1^n, 3^n}.  The
-            # uniform label map x -> x + 1 is an Automorphism commuting with
-            # the shift, so it maps invariant cliques to invariant cliques,
-            # and {1^n, 3^n} onto {2^n, 0^n}: fix 0^n and 2^n.  The orbits
-            # compatible with both exclude every constant, and only they
-            # are gathered against each other.
-            return _cayley(row0, (0, CubeVector.from_digits((2,) * n).packed), table, sizes)
-        return _cayley(row0, (), table, sizes)
+        # Two forced constants are adjacent, {0^n, 2^n} or {1^n, 3^n}, and the
+        # uniform label map x -> x + 1, an Automorphism commuting with the
+        # shift, maps invariant cliques to invariant cliques and {1^n, 3^n}
+        # onto {2^n, 0^n}: fix 0^n and 2^n.  The orbits compatible with both
+        # exclude every constant, and only they are gathered.
+        forced = set(sizes[sizes > 1].tolist()) == {n} and counts == {2}
+        prefix = (0, CubeVector.from_digits((2,) * n).packed) if forced else ()
+        yield functools.partial(_cayley, row0, prefix, table, sizes)
 
-    return _search(spec, search, search.run([build], target))
+    out = _search(spec, search, search.run(builders(), target))
+    if out.best_clique.apply(_shift(n)) != out.best_clique:
+        raise AssertionError("search returned a clique that the shift does not fix")
+    return out

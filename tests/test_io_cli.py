@@ -346,6 +346,53 @@ def test_cli_cyclic_search_progress_lines(capsys):
     assert "status: TARGET_FOUND" in report
 
 
+# Full stdout of `keller search` per argument list, as sha256 digests of the
+# output with --progress and without.  The --progress lines carry the node
+# count at each improvement, so these pin every incumbent step, node count,
+# status and witness.  Every case stops below 65 536 nodes, so no heartbeat
+# line, which prints a rate, appears.  G*_1 has an empty N(0): its only
+# subproblem is the prefix.  Cyclic n = 3 target 999 is no sum of orbit
+# sizes, so that search runs no node and prints the same either way.
+SEARCH_DIGESTS = [
+    ("--dim 4 --graph Gstar --target 13",
+     "24efa8edbd8c4f92f5bbaa9a692db9c9484fee1fc7843b77af3e76ba548c634c",
+     "1983b7243a266f516540ea71e4e767816637df0438b29653b888c5be4d9d3257"),
+    ("--dim 4 --graph Gstar",
+     "d08c892101ec6df92162ba793dbd18ba6ef763336405d730a49ea7a3d902b06c",
+     "a533feda23952e3210372e0a8c834329ae3dd9a763dea3301b929871d9421f82"),
+    ("--dim 6 --target 64 --cyclic-invariant",
+     "ebb2b20f997bc9e1dd1933e6aeb80de0c154bbc5357c04fefc4c8cdbaefde4a4",
+     "ca9a986f6658334684bde1e01ab0b80490a65ac0be78e9332428872dc1ee1a3d"),
+    ("--dim 5 --target 28",
+     "8b9df2a4913043df29e54088f5e1a83a04735adac77317c6be707729fb712e88",
+     "0bfd4e0c5f5d09977e971d0eb5ac926284be173b79d96390906fccf4b16d80fb"),
+    ("--dim 5 --target 29 --budget-nodes 20000",
+     "fad4cb9feb2e0cac5d7bf7ea6e42d9d168fba7a7ccea851c36f993354cf6c188",
+     "b21249d3effe1d65ab9f5a690cb491e14359f4ecd807e85c7f99da814ddafb25"),
+    ("--dim 7 --target 128 --cyclic-invariant --budget-nodes 50000",
+     "348ae6c400f510c37d1f0d18b66568fd0bc0aa4a0d780027b0c73468de204902",
+     "146dc47341fc873976102ebafbfcaf9640d470ff40951eca4986f2bafbd6a921"),
+    ("--dim 8 --target 256 --cyclic-invariant --budget-nodes 20000",
+     "71ea0be79155a1a10ea5f9eb47152444182ce9f3181b2113e1445a5640137c9c",
+     "e3a41553db1e6852d2e0a18361099255307836031175959ff99a5e77f1bbfb22"),
+    ("--dim 1",
+     "0c5010b0b50ef05c08cabd6551bb7dc61a283db86c3f6b657c8d6279715a075d",
+     "a82047e9510da74b8241f80af713269e0d728a77d983587f2fa5e1c42e6181fc"),
+    ("--dim 3 --target 999 --cyclic-invariant",
+     "d022811cda7762a6841d8a495799b43964f4016533670fdcbaee474fe0d03fe8",
+     "d022811cda7762a6841d8a495799b43964f4016533670fdcbaee474fe0d03fe8"),
+]
+
+
+@pytest.mark.parametrize("args, with_progress, without", SEARCH_DIGESTS, ids=[c[0] for c in SEARCH_DIGESTS])
+def test_cli_search_stdout_is_pinned(capsys, args, with_progress, without):
+    digests = []
+    for extra in (["--progress"], []):
+        main(["search", *args.split(), *extra])
+        digests.append(hashlib.sha256(capsys.readouterr().out.encode()).hexdigest())
+    assert digests == [with_progress, without]
+
+
 def test_cli_search_budget_exhaustion_exit_1(capsys):
     code = main(["search", "--dim", "4", "--graph", "Gstar", "--target", "16",
                  "--budget-nodes", "10"])

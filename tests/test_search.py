@@ -759,8 +759,7 @@ def root_units(sub, target):
     for bit, size, rest in sub.children(0, len(sub.prefix), (1 << len(sub)) - 1, target):
         search = _CliqueSearch(SearchBudget())
         search.sub, search.target = sub, target
-        if rest:
-            search._expand(bit, size, rest)
+        search._visit(bit, size, rest)
         counts.append(search.nodes)
     return counts
 
@@ -1322,6 +1321,16 @@ def test_a_witness_that_is_no_clique_is_refused(monkeypatch):
     monkeypatch.setattr(search_module, "verify_clique", lambda clique, spec: missing)
     with pytest.raises(AssertionError, match="search returned a non-clique"):
         clique_decision(materialize(KellerGraphSpec(2, STAR)), 2)
+
+
+def test_an_invariant_witness_the_shift_moves_is_refused(monkeypatch):
+    # the cyclic-invariant search checks its claim too: an incumbent short
+    # of its last vector is still a clique, but no longer a union of shift
+    # orbits, and the search stops instead of returning it
+    clique_vectors = _Subproblem.clique_vectors
+    monkeypatch.setattr(_Subproblem, "clique_vectors", lambda sub, mask: clique_vectors(sub, mask)[:-1])
+    with pytest.raises(AssertionError, match="the shift does not fix"):
+        invariant_clique_search(6, 64, SearchBudget(node_limit=20))
 
 
 # ---------------------------------------------------------------------------
