@@ -52,6 +52,12 @@ __all__ = [
 # predicate.
 MAX_MATERIALIZE_DIM = 8
 
+# Arrays of pairs (``verify_clique``'s edge tests, the search's gathers and
+# relabels) are built in row blocks of about _BLOCK_ELEMS pairs, which keeps
+# the temporaries small (256 KiB per 8-byte array) and in cache while
+# spreading the per-call overhead.
+_BLOCK_ELEMS = 1 << 15
+
 
 class GraphVariant(Enum):
     """PLAIN is G_n (tiling criterion), STAR is G*_n (facet-free criterion)."""

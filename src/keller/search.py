@@ -1,90 +1,31 @@
-"""Exact clique search on Keller graphs.
+"""Exact clique search on Keller graphs: where each part of the argument lives.
 
 One weighted branch and bound over Python-int bitsets serves every search,
-in the style of the BBMC family.  The tree is the subproblem's: a
-``_Subproblem`` yields a node's children (``children``), the positions of
-the color classes that its branching rule, ``_color_sort``, returns, and
-the engine, ``_CliqueSearch``, only walks them; the argument that this is
-sound is in those two docstrings.  The engine only decides targets;
-``max_clique`` is a ladder of decisions, each rung one past the incumbent,
-until a rung is refuted, so OPTIMAL k is a verified k-clique plus a refuted
-k + 1.  A clique's size is its total vertex weight and a color class's bound
-is the running sum of each class's heaviest weight, so with unit weights
-(every Keller-graph search) the bound is the color number.  The engine
-visits every clique it reaches once, each subproblem's prefix included, and
-updates the incumbent there: a run out of budget still reports the largest
-clique it reached.  A visit with a non-empty candidate set is a node, one
-coloring of it; one with none is a leaf and is not counted.
+with deterministic node counts and witnesses.
 
-With unit weights the classes a node never branches are re-colored by
-Re-NUMBER (Tomita et al., WALCOM 2010; in bitset form, San Segundo et al.'s
-BBMCR, Optim. Lett. 2013), and then absorb, in pairs, vertices of the
-classes it branches: the infra-chromatic idea of San Segundo, Nikolaev and
-Batsyn (Comput. Oper. Res. 2015), a few classes and one more vertex that
-together hold no larger clique; Li and Quan (AAAI 2010) read such sets as
-the inconsistent subsets of a MaxSAT encoding.  The orbit graph, whose
-weights are not all 1, keeps the greedy classes, since there the sum of
-the classes' heaviest weights, not their number, must stay below the need.
-
-Each subproblem's bitsets are over positions in the repeated-minimum-degree
-removal order (ties to the smallest index), so descending degeneracy order
-is descending bit order and a set's next vertex is its highest bit, found by
-``int.bit_length`` without allocating.  Coloring then costs two big-int
-operations per vertex, each a table lookup at that bit length: one AND with
-a prebuilt positive mask that drops the vertex and its neighbours, one OR
-with a prebuilt single bit.  The order is fixed, so search trees and node
-counts are reproducible.  Up to each subproblem the graph is handled as
-numpy arrays: classes, candidate sets and induced subgraphs are gathers on
-the graph's vertex-0 row (u ~ v iff row0[u ^ v]) or on a subproblem's
-restriction of it.  A subproblem's graph is gathered and packed in row
-blocks, one bit per pair, and the relabel reads and permutes it in blocks
-too, so no dense matrix of pairs is built.  A subproblem is one value, built
-by ``_cayley`` from its candidates' packed rows, which are relabeled once
-into its bitset rows and freed before it builds the masks it branches with.
-
-The search is symmetry-broken.  Every translation m -> m ^ c is an
-automorphism, and so is every map fixing 0 (coordinate permutations times
-per-coordinate x -> -x); both are linear over XOR, so they map pairwise
-differences onto pairwise differences.  The maps fixing 0 split N(0) into
-classes keyed by the counts of digits 0 and 2, and each class is one orbit.
-So the search runs one subproblem per class, largest class first, in a
-normal form: a clique whose earliest-class pairwise difference u ^ w lies in
-class i is translated by u and then mapped by Stab(0) onto one that holds 0
-and the class representative r (its smallest vertex), and whose pairwise
-differences all lie in class i or later.  Subproblem i is therefore the
-Cayley graph of those classes: the clique starts as {0, r} and grows inside
-the vertices whose differences from 0 and from r are allowed, with an edge
-where the difference is.  Its candidate set is a union of orbits of the
-automorphisms fixing 0 and r, Stab(0, r), and of x -> x ^ r, which swaps 0
-and r, commutes with Stab(0, r) and preserves every Cayley graph.  So at
-each subproblem's root a searched child drops its whole orbit under the
-group they generate, and below the root, down to depth ``_ORBIT_DEPTH``, its
-whole orbit under the stabiliser of the node's clique.  All these orbits
-have one closed-form key on digit counts, ``_prefix_stabilizer_key``,
-merged at the root over v and v ^ r.  Each subproblem carries its symmetry
-as such an orbit key on packed vectors (``_swap_key`` is the Stab(0) one),
-which ``children`` calls; the engine knows no digits.  One node
-counter, budget and incumbent span all subproblems and all rungs.  Node
-counts and witness cliques therefore differ from versions without these
-reductions.
-
-The cyclic-invariant search looks for cliques closed under the coordinate
-shift, an ``Automorphism``: unions of whole shift orbits, held as one packed
-table whose rows walk the shift from each orbit's lexicographic minimum,
-only the minima's rows built.  It runs on the orbit compatibility graph: one
-vertex per orbit whose internal pairs are all adjacent, weighted by the
-orbit size, an edge when every cross pair is adjacent (both tests gather the
-table on G*_n's vertex-0 row), and a target on the total weight that no
-branch may overshoot.  When the target forces exactly two constant vectors,
-the clique starts from {0^n, 2^n}, as the Stab(0) subproblems start from
-{0, r}, and only the orbits compatible with both are gathered.  It is one
-subproblem, yielded from inside the search so that Ctrl-C during the
-orbit-table build ends it cleanly, and none for an unreachable target.  Both
-front ends yield each subproblem as a builder that calls ``_cayley`` on a
-prefix clique and a table, and a position carries a row of the table, as
-many packed vectors as its weight, that it adds to a clique.  Bar the child
-bits passed back to ``children``, only packed vectors cross a subproblem's
-edge: its prefix, its key's arguments and the incumbent, the checked witness.
+* The engine, ``_CliqueSearch``, holds run state only and decides one target
+  at a time; ``max_clique`` is a ladder of decisions (``maximize``).  Every
+  clique it reaches goes through ``_visit``, the one place that counts nodes
+  and updates the incumbent.
+* A subproblem, ``_Subproblem``, extends a prefix clique within candidates
+  relabeled into degeneracy order (``_relabel``) and yields each node's
+  children (``children``, with the soundness argument): the color classes
+  that its branching rule, ``_color_sort``, returns (the bound).  With unit
+  weights the classes are re-colored (``_recolor``) and thinned
+  (``_absorb``).
+* Every subproblem is built by ``_cayley`` from a vertex-0 row and a table
+  of candidate rows, gathered (``_gather``) and relabeled as packed rows in
+  blocks of about ``_BLOCK_ELEMS`` pairs, so no dense matrix of pairs exists.
+* A Keller-graph search runs one subproblem {0, r} per Stab(0) class
+  (``_subproblems``, with the normal-form argument) and drops whole orbits
+  near each root by an orbit key on packed vectors
+  (``_prefix_stabilizer_key``, ``_swap_key``).
+* The cyclic-invariant search (``invariant_clique_search``) is one
+  subproblem on the weighted orbit compatibility graph of the coordinate
+  shift (``_orbit_table``, ``_admissible``).
+* Only packed vectors cross a subproblem's edge, bar the child bits the
+  engine passes back to ``children``, and ``_search`` checks every witness
+  with ``verify_clique``.
 """
 
 from __future__ import annotations
@@ -105,6 +46,7 @@ from .core import (
     KellerGraphSpec,
     MaterializedGraph,
     VectorSet,
+    _BLOCK_ELEMS,
     _digit_columns,
     materialize,
 )
@@ -181,12 +123,6 @@ class _Exhausted(Exception):
 # 1, 4 611 359 with 2 and 4 566 449 with 3: a third keyed level saves only 1%
 # of the nodes.
 _ORBIT_DEPTH = 2
-
-
-# Graphs of pairs are gathered, and their packed rows unpacked, in row blocks
-# of about _BLOCK_ELEMS pairs, which keeps the temporaries small (256 KiB per
-# 8-byte array) and in cache.
-_BLOCK_ELEMS = 1 << 15
 
 
 # Row v of this table is the 8 bits of the byte v, lowest first: a take of it
@@ -279,9 +215,7 @@ class _Subproblem:
     its weight: a one-column table of Keller-graph vertices with unit sizes,
     or on the orbit graph one table row per orbit and the orbit sizes.  Both
     searches fix vectors only through the prefix: {0, r} for a Stab(0)
-    class, and {0^n, 2^n} on the orbit graph when exactly two constants are
-    forced (the uniform x -> x + 1, an ``Automorphism`` commuting with the
-    shift, maps the other adjacent constant pair {1^n, 3^n} onto it).
+    class, and {0^n, 2^n} on the orbit graph when two constants are forced.
 
     ``key``, if given, is the subproblem's symmetry: ``key(clique, cand)``
     takes the packed vectors of the candidates added so far and of a set of
@@ -306,7 +240,12 @@ class _Subproblem:
     ``bit_length()``, entry 0 unused), the weight levels ``light`` and
     ``heavy`` (per level above the lightest, heaviest first, the mask of its
     positions), and ``unit``, whether every weight is 1 (then nodes re-color
-    and absorb, ``_recolor`` and ``_absorb``).
+    and absorb, ``_recolor`` and ``_absorb``).  The orbit graph keeps the
+    greedy classes: with unequal weights the sum of the classes' heaviest
+    weights, not their number, must stay below the need, and with uniform
+    weights above 1 re-coloring is sound but costs more than it prunes (on
+    the n = 7 orbit graph from {0^7, 2^7}, all weights 7, it took the
+    50 000-node run 3-4x the wall time).
     """
 
     def __init__(
@@ -324,10 +263,10 @@ class _Subproblem:
         self.weights = sizes[order].tolist()
         self.bits = [0, *(1 << p for p in range(len(order)))]
         full = (1 << len(order)) - 1
-        self.nonadj = [0, *(full ^ row ^ (1 << p) for p, row in enumerate(self.adj))]  # no self-loops
+        self.nonadj = [0, *(full ^ row ^ bit for row, bit in zip(self.adj, self.bits[1:]))]  # no self-loops
         levels = sorted(set(self.weights), reverse=True) or [1]
         self.light = levels[-1]
-        self.heavy = [(w, sum(1 << p for p, wp in enumerate(self.weights) if wp == w)) for w in levels[:-1]]
+        self.heavy = [(w, sum(b for b, wp in zip(self.bits[1:], self.weights) if wp == w)) for w in levels[:-1]]
         self.unit = levels == [1]
 
     def _orbit_masks(self, rmask: int, cand: int) -> dict[int, int]:
@@ -350,11 +289,8 @@ class _Subproblem:
     def clique_vectors(self, mask: int) -> list[int]:
         """The packed vectors of the prefix and of mask's positions."""
         out = list(self.prefix)
-        while mask:
-            lsb = mask & -mask
-            p = lsb.bit_length() - 1
+        for p in _positions(mask).tolist():
             out.extend(self.vectors[p, : self.weights[p]].tolist())
-            mask ^= lsb
         return out
 
     def _color_sort(self, cand: int, need: int) -> list[int]:
@@ -608,6 +544,10 @@ def _subproblems(g: MaterializedGraph) -> Iterator[Callable[[], _Subproblem]]:
 def _recolor(adj: Sequence[int], classes: list[int], keep: int) -> list[int]:
     """Re-NUMBER: move vertices of the classes from ``keep`` on into the first keep.
 
+    Re-NUMBER is Tomita et al.'s (WALCOM 2010), in the bitset form of San
+    Segundo et al.'s BBMCR (Optim. Lett. 2013), of the BBMC family whose
+    bitset branch and bound this module follows.
+
     Each vertex p of a later class, classes in ascending order and each from
     its top bit down, moves into the first of the first keep classes where
     it has no neighbour, or where it has exactly one, q, that can move into
@@ -653,7 +593,10 @@ def _absorb(adj: Sequence[int], classes: list[int], keep: int) -> list[int]:
     p's neighbours in Cj; the first such pair found is then used.  A
     clique inside Ci, Cj and p has at most 2 vertices.  The first keep
     classes do not change, and the walk stops once fewer than two unused
-    ones remain.
+    ones remain.  This is the infra-chromatic idea of San Segundo, Nikolaev
+    and Batsyn (Comput. Oper. Res. 2015): a few classes and one more vertex
+    that together hold no larger clique, which Li and Quan (AAAI 2010) read
+    as the inconsistent subsets of a MaxSAT encoding.
     """
     out = classes[:]
     free = classes[:keep]
@@ -705,12 +648,10 @@ class _CliqueSearch:
     ):
         self.target = 1
         self.node_limit = budget.node_limit
-        self.deadline = (
-            time.monotonic() + budget.time_limit if budget.time_limit is not None else None
-        )
+        self.start = start = time.monotonic()
+        self.deadline = start + budget.time_limit if budget.time_limit is not None else None
         self.on_improve = on_improve
         self.on_progress = on_progress
-        self.start = time.monotonic()
         # one flag, so a run with neither a deadline nor a heartbeat does no
         # extra work per node
         self.poll = self.deadline is not None or on_progress is not None
@@ -931,18 +872,15 @@ def invariant_clique_search(
     The search space is unions of whole rotation orbits; each orbit whose
     internal pairs are all adjacent becomes a vertex weighted by its size,
     and the goal is a pairwise-compatible family with weights summing
-    exactly to the target.  When the residue arithmetic forces exactly two
-    constant vectors, the clique starts from the prefix {0^n, 2^n}: the two
-    must be adjacent, so they are {0^n, 2^n} or {1^n, 3^n}, and the uniform
-    label map x -> x + 1, an ``Automorphism`` that commutes with the shift,
-    maps invariant cliques to invariant cliques and {1^n, 3^n} onto
-    {2^n, 0^n}.  Ctrl-C, also while the orbit graph is being built, ends the
-    search as BUDGET_EXHAUSTED with note "interrupted".  ``on_improve(size,
-    nodes)`` is called whenever the incumbent grows; its size counts vectors
-    (the orbit weights and the prefix).  ``on_progress`` is as for
-    ``max_clique``.  Guarded at dimension 8 like
-    ``materialize``: the orbits cover all 4^n vectors.  The witness is
-    checked to be a clique that the shift fixes.
+    exactly to the target.  When the target forces exactly two constant
+    vectors, the clique starts from the prefix {0^n, 2^n} (the comment at
+    ``forced`` gives the reason).  Ctrl-C, also while the orbit graph is
+    being built, ends the search as BUDGET_EXHAUSTED with note
+    "interrupted".  ``on_improve(size, nodes)`` is called whenever the
+    incumbent grows; its size counts vectors (the orbit weights and the
+    prefix).  ``on_progress`` is as for ``max_clique``.  Guarded at
+    dimension 8 like ``materialize``: the orbits cover all 4^n vectors.  The
+    witness is checked to be a clique that the shift fixes.
     """
     if target < 1:
         raise ValueError("target must be positive")
@@ -953,30 +891,30 @@ def invariant_clique_search(
             f"it enumerates all 4**{n} = {4**n} vectors"
         )
     search = _CliqueSearch(budget, on_improve, on_progress)
+    shift = _shift(n)
 
     def builders() -> Iterator[Callable[[], _Subproblem]]:
         # search.run() draws from this generator, so that Ctrl-C here ends
         # the search too; an unreachable target yields no subproblem
-        table, sizes = _orbit_table(_shift(n))
+        table, sizes = _orbit_table(shift)
         row0 = materialize(spec).row0
         keep = _admissible(row0, table)
         table, sizes = table[keep], sizes[keep]
         if not _weight_reachable(sizes.tolist(), target):
             search.note = f"target {target} is not a sum of admissible orbit sizes"
             return
-        # counts of constants a solution can contain: the residue of target
-        # modulo the only other orbit size, up to the four constants
-        counts = {f for f in range(5) if f <= target and (target - f) % n == 0}
-        # Two forced constants are adjacent, {0^n, 2^n} or {1^n, 3^n}, and the
-        # uniform label map x -> x + 1, an Automorphism commuting with the
-        # shift, maps invariant cliques to invariant cliques and {1^n, 3^n}
-        # onto {2^n, 0^n}: fix 0^n and 2^n.  The orbits compatible with both
-        # exclude every constant, and only they are gathered.
-        forced = set(sizes[sizes > 1].tolist()) == {n} and counts == {2}
+        # When every other orbit has size n, target % n == 2 forces exactly
+        # two of the four constants.  They are adjacent, {0^n, 2^n} or {1^n,
+        # 3^n}, and the uniform label map x -> x + 1, an Automorphism
+        # commuting with the shift, maps invariant cliques to invariant
+        # cliques and {1^n, 3^n} onto {2^n, 0^n}: fix 0^n and 2^n.  The
+        # orbits compatible with both exclude every constant, and only they
+        # are gathered.
+        forced = set(sizes[sizes > 1].tolist()) == {n} and target % n == 2
         prefix = (0, CubeVector.from_digits((2,) * n).packed) if forced else ()
         yield functools.partial(_cayley, row0, prefix, table, sizes)
 
     out = _search(spec, search, search.run(builders(), target))
-    if out.best_clique.apply(_shift(n)) != out.best_clique:
+    if out.best_clique.apply(shift) != out.best_clique:
         raise AssertionError("search returned a clique that the shift does not fix")
     return out

@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .core import CubeVector, GraphVariant, KellerGraphSpec, VectorSet
-from .core import _digit_columns, _edge, _low_mask
+from .core import _BLOCK_ELEMS, _digit_columns, _edge, _low_mask
 
 __all__ = [
     "MissingEdgeReport",
@@ -45,10 +45,6 @@ __all__ = [
 # 13 (the lift of the 12-dim tiling) it takes about 0.4 s on a 2-vCPU VM
 # (0.08 s at 12).
 MAX_CELL_DIM = 13
-
-# verify_clique tests pairs in row blocks of about _BLOCK_ELEMS pairs: small
-# enough to stay in cache, large enough to spread the per-call overhead.
-_BLOCK_ELEMS = 1 << 15
 
 # The oracle checks 4^_SLAB_DIM cells at a time, keyed by the remaining top
 # coordinates, which are the most significant digits of the cell index.  A
@@ -201,9 +197,12 @@ def face_statistics(s: VectorSet) -> FaceHistogram:
     field, that is iff the two vectors have the same digit parities.  So the
     vectors are sorted by their parity bits and only equal-parity runs are
     paired: the pairs at distance d in the sorted order whose parities
-    agree, for d = 1, 2, ... until none do.
+    agree, for d = 1, 2, ... until none do.  A set with no pair does no
+    work per coordinate.
     """
     n = s.dim
+    if len(s) < 2:
+        return FaceHistogram(dim=n, counts=())
     acc = np.zeros(n + 1, dtype=np.int64)
     low = _low_mask(n)
     parity = s.packed & low
@@ -219,7 +218,7 @@ def face_statistics(s: VectorSet) -> FaceHistogram:
         # each differing coordinate has gap 2, a single set bit
         acc += np.bincount(n - _popcount64(packed[lo] ^ packed[lo + d]), minlength=n + 1)
         d += 1
-    counts = tuple((k, int(acc[k])) for k in range(n + 1) if acc[k])
+    counts = tuple((k, int(acc[k])) for k in np.flatnonzero(acc).tolist())
     return FaceHistogram(dim=n, counts=counts)
 
 

@@ -83,6 +83,7 @@ def test_template_parsing():
     assert t.labels == (L2, L0P, L3)
     assert t.stripped() == CubeVector.from_string("203")
     assert str(t) == "20'3"
+    assert list(t) == list(t.labels)
 
 
 # ---------------------------------------------------------------------------
@@ -179,6 +180,7 @@ def test_conditions_hold_for_table2():
 def test_conditions_hold_restricted_to_s0_s0p_s2():
     bs = table2()
     sub = BlockSystem(4, {lab: bs.get(lab) for lab in (L0, L0P, L2)})
+    assert L0P in sub and L1 not in sub
     assert check_block_conditions(sub, [(L0, L2), (L0P, L2)]).ok
 
 

@@ -58,6 +58,7 @@ def test_cube_vector_round_trips():
     v = cv(0, 2, 1, 3)
     assert v.digits == (0, 2, 1, 3)
     assert str(v) == "0213"
+    assert len(v) == v.dim == 4
     assert CubeVector.from_string("0213") == v
     assert CubeVector.from_index(4, v.index) == v
     assert v.index == 0 + 2 * 4 + 1 * 16 + 3 * 64

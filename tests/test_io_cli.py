@@ -60,6 +60,7 @@ def test_file_layout_header_and_sorted_body(tmp_path, s10):
     write_vector_set(path, s10)
     lines = path.read_text().splitlines()
     assert lines[0] == "dim=10 count=1024"
+    assert repr(s10) == "VectorSet(dim=10, count=1024)"
     assert lines[1:] == sorted(lines[1:])
     assert len(lines) == 1025
 
@@ -561,6 +562,56 @@ def test_cli_lift_pipeline(tmp_path, capsys):
     assert read_vector_set(dst).dim == 11
 
 
+# The certify pipeline per dimension, build -> verify --cells --faces -> lift
+# -> verify, with relative paths: the sha256 digests of each step's stdout, in
+# order, and of the two files written.  As in the benchmark's certify
+# workload, the 13-dim lift is verified with --faces only.
+CERTIFY_DIGESTS = {
+    10: (
+        [
+            "62db86f87d1a3f4bf8997a1fd47328504d4fcb77a43f44dbc475d012bee78e6d",
+            "43380f0e2e4a1b293c7e8dca6e559737ab2ae6933305600bcec400938a222e51",
+            "2c6434b43bf02ed300ce5a67c1b2efe934356b3578736cc012393e4210648e94",
+            "222b6b991c238bdaefd867aa9cde2da288ade8c62c767d097debe9db5dead614",
+        ],
+        [
+            "ff6b76ed8cb4131cca38545d8b766f898d067d2876301ad508acfb9c805c5bc8",
+            "c330f62163ae5f827fe3b8b439508ecadcc12dd3e0ccbe0d7a961df74a1347ea",
+        ],
+    ),
+    12: (
+        [
+            "143a14b531304c22dc217f9e0af3a94e63b77ddae0224b70fc01d9d00bb9dcfe",
+            "7a36e6fa39d74c98a058c7afc5b0e28bbf36df2b33a496f8144c3cf05a8900fa",
+            "b6e4db96e86e7d8be2d66aea5597884403c24defea335c143daebc7aa8a0d8bb",
+            "06ca1994df38ab98efa47d573acb846421d473fed72d4b12f0796301e205295c",
+        ],
+        [
+            "6543ba9a91709856cd1664a0d33a6e983b419bf715dcc9a55705fd17432436d0",
+            "f05e7a9bec87069aaabe31ca8abcaeb8f597c368ff42967a989be7928d9816e0",
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("dim", sorted(CERTIFY_DIGESTS))
+def test_cli_certify_pipeline_is_pinned(tmp_path, capsys, monkeypatch, dim):
+    monkeypatch.chdir(tmp_path)
+    src, dst = f"s{dim}.txt", f"l{dim + 1}.txt"
+    lifted_checks = ["--cells", "--faces"] if dim + 1 <= 12 else ["--faces"]
+    stdout = []
+    for argv in (
+        ["build", "--dim", str(dim), "--out", src],
+        ["verify", "--in", src, "--cells", "--faces"],
+        ["lift", "--in", src, "--out", dst],
+        ["verify", "--in", dst, *lifted_checks],
+    ):
+        assert main(argv) == 0
+        stdout.append(hashlib.sha256(capsys.readouterr().out.encode()).hexdigest())
+    files = [hashlib.sha256(Path(name).read_bytes()).hexdigest() for name in (src, dst)]
+    assert (stdout, files) == CERTIFY_DIGESTS[dim]
+
+
 def test_cli_lift_without_disjoint_rotation_exit_1(tmp_path, capsys):
     # the four dim-1 vectors fill the space, so every rotation image meets them
     src = tmp_path / "all1.txt"
@@ -727,6 +778,7 @@ def test_package_exports_each_name_from_its_module():
     namespace = {}
     exec("from keller import *", namespace)
     assert all(namespace[name] is getattr(keller, name) for name in names)
+    assert keller.__getattr__("verify") is keller.verify  # a submodule by name
     with pytest.raises(AttributeError):
         keller.nope
     with pytest.raises(ImportError):

@@ -115,6 +115,8 @@ def test_vector_set_order_membership_and_equality(case):
     assert [v.digits for v in s] == sorted(vectors)
     assert s.members == tuple(s)
     assert (CubeVector.from_digits(probe) in s) == (probe in vectors)
+    assert 5 not in s and CubeVector.from_digits((*probe, 0)) not in s
+    assert s.__eq__(5) is NotImplemented
     shuffled = VectorSet._from_packed(dim, [pack(m) for m in reversed(vectors)])
     assert shuffled == s
     assert hash(shuffled) == hash(s)

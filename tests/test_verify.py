@@ -300,6 +300,21 @@ def test_face_histogram_skew_pair_empty():
     assert hist.max_shared is None
 
 
+@pytest.mark.parametrize("count", [0, 1])
+def test_face_histogram_of_a_set_without_pairs_does_no_work_per_coordinate(count):
+    # no pair means no gap to count: a million-coordinate set of fewer than
+    # two vectors allocates nothing per coordinate
+    s = VectorSet(1_000_000, [CubeVector(1_000_000, 3 << 1_999_998)][:count])
+    tracemalloc.start()
+    try:
+        hist = face_statistics(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (hist.dim, hist.counts, hist.max_shared) == (1_000_000, (), None)
+    assert peak < 1 << 20
+
+
 def test_face_histogram_oracle_random():
     rng = random.Random(777)
     for _ in range(30):
